@@ -103,10 +103,10 @@ class Value:
         return add(_as_value(other), self)
 
     def __sub__(self, other) -> "Value":
-        return add(self, neg(_as_value(other)))
+        return sub(self, _as_value(other))
 
     def __rsub__(self, other) -> "Value":
-        return add(_as_value(other), neg(self))
+        return sub(_as_value(other), self)
 
     def __mul__(self, other) -> "Value":
         return mul(self, _as_value(other))
@@ -168,6 +168,18 @@ def add(a: Value, b: Value) -> Value:
             a.accumulate_grad(_unbroadcast(out.grad, a.data.shape))
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(out.grad, b.data.shape))
+
+    return _make_node(data, (a, b), backward)
+
+
+def sub(a: Value, b: Value) -> Value:
+    data = a.data - b.data
+
+    def backward(out: Value) -> None:
+        if a.requires_grad:
+            a.accumulate_grad(_unbroadcast(out.grad, a.data.shape))
+        if b.requires_grad:
+            b.accumulate_grad(-_unbroadcast(out.grad, b.data.shape))
 
     return _make_node(data, (a, b), backward)
 
@@ -282,8 +294,8 @@ def log(a: Value, floor: float | None = None) -> Value:
 
 
 def mean(a: Value, axis: int | None = None, keepdims: bool = False) -> Value:
-    data = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size if axis is None else a.data.shape[axis]
+    data = a.data.sum(axis=axis, keepdims=keepdims) / count   # the bits of ndarray.mean
 
     def backward(out: Value) -> None:
         if not a.requires_grad:
@@ -391,21 +403,16 @@ def detach(a: Value) -> Value:
 def masked_softmax_np(logits: Array, mask: Array | None) -> Array:
     """Plain-numpy masked softmax along the last axis.
 
-    Shared by the `masked_softmax` op and by gradient-free consumers (the
-    EMA reference branch) so both produce bit-identical probabilities.
-    Masked-out entries are exactly 0 in the output.
+    The forward half of the `masked_softmax` op. Masked-out entries are
+    exactly 0 in the output; `mask` broadcasts against the logits.
     """
     x = np.asarray(logits, dtype=np.float64)
-    if mask is None:
-        m = x.max(axis=-1, keepdims=True)
-        e = np.exp(x - m)
-    else:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
         if not mask.any(axis=-1).all():
             raise ValueError("empty routing subset")
-        neg = np.where(mask, x, -np.inf)
-        m = neg.max(axis=-1, keepdims=True)
-        e = np.where(mask, np.exp(np.where(mask, x - m, 0.0)), 0.0)
+        x = np.where(mask, x, -np.inf)          # exp(-inf - max) is exactly 0
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 

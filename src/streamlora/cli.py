@@ -18,11 +18,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from .metrics import MetricLedger, homogeneity_report
-from .stream import build_default_stream, make_task_specs, write_stream
+from .stream import write_stream
 from .trainer import (
     RunConfig,
     apply_variant,
     audit_config,
+    build_stream,
     gradient_audit,
     load_config,
     parse_config_text,
@@ -54,22 +55,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_compose_stream(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    seed = config.effective_stream_seed
-    specs = make_task_specs(
-        seed,
-        n_tasks=config.n_tasks,
-        d_e=config.d_hidden,
-        classes_per_task=config.classes_per_task,
-        sigma=config.visual_noise,
-        visual_tokens=config.visual_tokens,
-        noise_tokens=config.noise_tokens,
-        test_size=config.test_size,
-        vocab_size=config.vocab_size,
-    )
-    schedule = build_default_stream(
-        seed, n_tasks=config.n_tasks, n_chunks=config.n_chunks, chunk_size=config.chunk_size
-    )
+    specs, schedule = build_stream(_build_config(args))
     manifest_path = write_stream(args.out, schedule, specs)
     print(f"wrote {schedule.n_chunks} chunks of {schedule.chunk_size} samples to {args.out}")
     print(f"manifest: {manifest_path}")

@@ -2,8 +2,9 @@
 
 Each adapted projection site owns a bank: the frozen base matrix W0 plus N
 independent rank-r adapter pairs (down projection A, up projection B). An
-adapter's contribution to a hidden vector h is B @ (A @ h), and the bank
-combines expert contributions with routing weights supplied by the caller:
+adapter's contribution to one token's hidden state h is B @ (A @ h), and
+the bank combines expert contributions with routing weights supplied by
+the caller:
 
     out = W0 h + sum_{j in subset} w_j * B_j (A_j h)
 
@@ -73,43 +74,43 @@ def init_expert_bank(
 
 
 def lora_delta(bank: ExpertBank, expert: int, h: Value) -> Value:
-    """Contribution of one adapter: B_j (A_j h).
-
-    Accepts a single hidden vector (d_in,) or a token matrix (L, d_in);
-    the matrix form right-multiplies by the transposed factors so every
-    row is treated as one token.
-    """
+    """Contribution of one adapter to a token matrix h (L, d_in): every row
+    is right-multiplied by the transposed factors, h A_j^T B_j^T."""
     if not 0 <= expert < bank.n_experts:
         raise ValueError(f"expert index {expert} out of range")
-    a, b = bank.down[expert], bank.up[expert]
-    if h.data.ndim == 1:
-        return matmul(b, matmul(a, h))
-    if h.data.ndim == 2:
-        return matmul(matmul(h, transpose(a)), transpose(b))
-    raise ValueError("hidden state must be a vector or a token matrix")
+    if h.data.ndim != 2:
+        raise ValueError("hidden state must be a (tokens, d_in) matrix")
+    return matmul(matmul(h, transpose(bank.down[expert])), transpose(bank.up[expert]))
 
 
 def _check_weights(weights: Value, subset: Sequence[int], n_experts: int) -> None:
     w = weights.data
     if w.shape[-1] != n_experts:
         raise ValueError(f"weights last axis {w.shape[-1]} != n_experts {n_experts}")
-    member = np.zeros(n_experts, dtype=bool)
-    member[list(subset)] = True
-    rows = w.reshape(-1, n_experts)
-    if np.any(rows[:, ~member] != 0.0):
+    off = np.ones(n_experts, dtype=bool)
+    off[subset] = False
+    if w[..., off].any():
         raise ValueError("routing weights nonzero outside the selected subset")
-    sums = rows[:, member].sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > WEIGHT_SUM_TOL):
+    if (np.abs(w.sum(axis=-1) - 1.0) > WEIGHT_SUM_TOL).any():
         raise ValueError("unnormalized routing weights")
 
 
-def adapted_forward(bank: ExpertBank, h: Value, weights: Value, subset: Sequence[int]) -> Value:
-    """Base projection plus the routed low-rank corrections.
+def adapted_forward(
+    bank: ExpertBank,
+    h: Value,
+    weights: Value,
+    subset: Sequence[int],
+    gate: Value | None = None,
+) -> Value:
+    """Base projection plus the routed low-rank corrections to a token
+    matrix h (L, d_in).
 
     `weights` is either one distribution over experts, shape (N,), applied
     to every token, or a per-token matrix (L, N). Off-subset entries must
     be exactly zero and each distribution must sum to one; the bank never
     touches experts outside `subset`, so their adapters get no gradient.
+    An (N,) `gate`, the straight-through factor, scales the weights after
+    that check.
     """
     subset = sorted(set(int(j) for j in subset))
     if not subset:
@@ -117,23 +118,16 @@ def adapted_forward(bank: ExpertBank, h: Value, weights: Value, subset: Sequence
     if subset[0] < 0 or subset[-1] >= bank.n_experts:
         raise ValueError("subset index out of range")
     _check_weights(weights, subset, bank.n_experts)
+    if h.data.ndim != 2:
+        raise ValueError("hidden state must be a (tokens, d_in) matrix")
+    if gate is not None:
+        weights = mul(weights, gate)
 
-    if h.data.ndim == 1:
-        if weights.data.ndim != 1:
-            raise ValueError("per-token weights need a token matrix input")
-        out = matmul(bank.base, h)
-        for j in subset:
-            out = out + mul(pick(weights, j), lora_delta(bank, j, h))
-        return out
-
-    if h.data.ndim == 2:
-        out = matmul(h, transpose(bank.base))
-        for j in subset:
-            if weights.data.ndim == 1:
-                w_j = pick(weights, j)          # scalar, same for every token
-            else:
-                w_j = cols(weights, j, j + 1)   # (L, 1), broadcasts over d_out
-            out = out + mul(w_j, lora_delta(bank, j, h))
-        return out
-
-    raise ValueError("hidden state must be a vector or a token matrix")
+    out = matmul(h, transpose(bank.base))
+    for j in subset:
+        if weights.data.ndim == 1:
+            w_j = pick(weights, j)          # scalar, same for every token
+        else:
+            w_j = cols(weights, j, j + 1)   # (L, 1), broadcasts over d_out
+        out = out + mul(w_j, lora_delta(bank, j, h))
+    return out

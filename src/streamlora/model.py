@@ -45,9 +45,9 @@ from .autograd import (
     transpose,
     vsum,
 )
-from .experts import ExpertBank, adapted_forward, init_expert_bank, lora_delta
+from .experts import ExpertBank, adapted_forward, init_expert_bank
+from .experts import lora_delta  # noqa: F401  (perfbench/spans.py looks it up here)
 from .routing import (
-    RoutingDecision,
     RoutingState,
     init_routing_state,
     pool_text,
@@ -160,12 +160,12 @@ class SiteRecord:
 
 @dataclass(frozen=True)
 class FrozenRouting:
-    """Baseline routing constants for the gradient audit.
+    """Pinned routing constants of one site, for the gradient audit.
 
     The training objective treats the subset choice, the detached factor
     inside the straight-through gate, and the EMA reference weights as
     constants. Finite differences must probe that same surrogate, so the
-    audit re-runs the forward with these held fixed at their baseline
+    audit runs the training forward with these held at their baseline
     values instead of recomputing them from the perturbed parameters.
     """
 
@@ -301,41 +301,24 @@ def _routed_site(
     hidden: Value,
     x_text: Value,
     variant: Variant,
-    frozen: FrozenRouting | None = None,
+    pinned: FrozenRouting | None = None,
 ) -> tuple[Value, SiteRecord]:
     n = model.n_experts
     everyone = tuple(range(n))
     if variant.use_selection and variant.use_token_weighting:
-        if frozen is None:
-            decision = route_with_straight_through(router, hidden, x_text, model.top_k)
-            out = adapted_forward(bank, hidden, decision.gated_weights, decision.subset)
-            return out, SiteRecord(
-                site=site_key,
-                subset=decision.subset,
-                weights_data=decision.token_weights.data.copy(),
-                hidden_data=hidden.data.copy(),
-                token_weights=decision.token_weights,
-                sample_probs=decision.sample_probs.data.copy(),
-            )
-        # audit surrogate: same graph, but subset and the detached gate
-        # factor pinned to their baseline values. Off baseline the gate is
-        # not exactly 1, so the weights are no longer a distribution and
-        # the expert combination is done directly.
-        probs, _ = select_experts(router, x_text, model.top_k)
-        logits = token_logits(router, hidden, x_text, frozen.subset)
-        weights = token_weights(logits, frozen.subset, n)
-        gate = Value(1.0) + (probs - Value(frozen.sample_probs))
-        gated = mul(weights, gate)
-        out = matmul(hidden, transpose(bank.base))
-        for j in frozen.subset:
-            out = out + mul(cols(gated, j, j + 1), lora_delta(bank, j, hidden))
+        decision = route_with_straight_through(
+            router, hidden, x_text, model.top_k,
+            subset=None if pinned is None else pinned.subset,
+            detached_probs=None if pinned is None else pinned.sample_probs,
+        )
+        out = adapted_forward(bank, hidden, decision.token_weights, decision.subset, decision.gate)
         return out, SiteRecord(
             site=site_key,
-            subset=frozen.subset,
-            weights_data=weights.data.copy(),
+            subset=decision.subset,
+            weights_data=decision.token_weights.data.copy(),
             hidden_data=hidden.data.copy(),
-            token_weights=weights,
-            sample_probs=probs.data.copy(),
+            token_weights=decision.token_weights,
+            sample_probs=decision.sample_probs.data.copy(),
         )
     if variant.use_selection:
         probs, subset = select_experts(router, x_text, model.top_k)
@@ -385,7 +368,7 @@ def _site_forward(
     hidden: Value,
     x_text: Value,
     variant: Variant,
-    frozen: FrozenRouting | None = None,
+    pinned: FrozenRouting | None = None,
 ) -> tuple[Value, SiteRecord | None]:
     if variant.mode == "frozen":
         return matmul(hidden, transpose(bank.base)), None
@@ -402,20 +385,20 @@ def _site_forward(
             sample_probs=None,
         )
         return out, record
-    return _routed_site(model, site_key, bank, router, hidden, x_text, variant, frozen)
+    return _routed_site(model, site_key, bank, router, hidden, x_text, variant, pinned)
 
 
 def forward(
     model: Model,
     sample: Sample,
     variant: Variant | None = None,
-    frozen: dict[str, FrozenRouting] | None = None,
+    pinned: dict[str, FrozenRouting] | None = None,
 ) -> ForwardResult:
     """Run one sample through the adapted backbone.
 
     The pooled instruction embedding is computed once and shared by every
     router. Site records collect what the regularizer and the trace writer
-    need; frozen mode produces none. `frozen` pins per-site routing
+    need; frozen mode produces none. `pinned` holds per-site routing
     constants for the gradient audit and is never set during training.
     """
     variant = model.variant if variant is None else variant
@@ -437,7 +420,7 @@ def forward(
         out, record = _site_forward(
             model, site_key, layer.banks["attn_out"],
             layer.routers["attn_out"], attn_hidden, x_text, variant,
-            frozen.get(site_key) if frozen else None,
+            pinned.get(site_key) if pinned else None,
         )
         if record is not None:
             result.sites.append(record)
@@ -448,7 +431,7 @@ def forward(
         up, record = _site_forward(
             model, site_key, layer.banks["ffn_up"],
             layer.routers["ffn_up"], ffn_in, x_text, variant,
-            frozen.get(site_key) if frozen else None,
+            pinned.get(site_key) if pinned else None,
         )
         if record is not None:
             result.sites.append(record)

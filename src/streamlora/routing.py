@@ -14,7 +14,8 @@ subset keep exactly zero weight and receive no gradient.
 Selection itself is a hard top-K, so the gate gets its gradient through a
 straight-through factor: the weights used downstream are s * (1 + p -
 detach(p)), which is bit-identical to s in the forward pass but leaks the
-task gradient into the gate matrix on the backward pass.
+task gradient into the gate matrix on the backward pass (Bengio et al.
+2013, arXiv:1308.3432).
 """
 
 from __future__ import annotations
@@ -67,7 +68,12 @@ class RoutingDecision:
     subset: tuple[int, ...]      # selected expert indices, ascending
     token_weights: Value         # (L, N) stage-two distributions, zero off subset
     token_logits: Value          # (L, N) raw stage-two scores before masking
-    gated_weights: Value         # (L, N) straight-through product used downstream
+    gate: Value                  # (N,) straight-through factor 1 + p - detach(p)
+
+    @property
+    def gated_weights(self) -> Value:
+        """(L, N) straight-through product used downstream."""
+        return mul(self.token_weights, self.gate)
 
 
 def init_routing_state(
@@ -150,24 +156,28 @@ def route_with_straight_through(
     hidden: Value,
     x_text: Value,
     top_k: int,
+    subset: Sequence[int] | None = None,
+    detached_probs: np.ndarray | None = None,
 ) -> RoutingDecision:
     """Full two-stage routing for one sample at one site.
 
-    The gated weights multiply each token weight by 1 + p_j - detach(p_j).
-    The parenthesized difference is computed first and is exactly zero in
-    the forward pass, so the gated weights are bit-identical to the plain
-    token weights; only the backward pass sees the extra path into the
-    selection gate.
+    The gate multiplies each token weight by 1 + p_j - detach(p_j). The
+    parenthesized difference is computed first and is exactly zero in the
+    forward pass, so the gate is exactly 1; only the backward pass sees the
+    extra path into the selection gate. `subset` and `detached_probs` pin
+    the top-K choice and detach(p) to given values: the gradient audit
+    holds them at their baseline so probing a parameter cannot move them
+    (off baseline the gate is then no longer exactly 1).
     """
-    probs, subset = select_experts(state, x_text, top_k)
+    probs, selected = select_experts(state, x_text, top_k)
+    subset = selected if subset is None else tuple(subset)
+    detached = probs.detach() if detached_probs is None else Value(detached_probs)
     logits = token_logits(state, hidden, x_text, subset)
     weights = token_weights(logits, subset, state.n_experts)
-    st_factor = Value(1.0) + (probs - probs.detach())         # (N,), data exactly 1
-    gated = mul(weights, st_factor)
     return RoutingDecision(
         sample_probs=probs,
         subset=subset,
         token_weights=weights,
         token_logits=logits,
-        gated_weights=gated,
+        gate=Value(1.0) + (probs - detached),
     )

@@ -6,10 +6,11 @@ the token-weighting parameters only (query, key, expert features); the
 selection gate is deliberately left out, since the subset is recomputed
 live and the regularizer conditions on it.
 
-The regularizer reruns stage two with the shadow parameters over the same
-subset the live router chose, entirely outside the autodiff graph, and
-penalizes KL(reference || live) per token. Gradients therefore flow into
-the live token weights only; the shadow is a pure target.
+The regularizer reruns stage two (the same `routing.token_logits` and
+`routing.token_weights` the live router runs) with the shadow parameters
+over the subset the live router chose, under `no_grad`, and penalizes
+KL(reference || live) per token. Gradients therefore flow into the live
+token weights only; the shadow is a pure target.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .autograd import Value, log, masked_softmax_np, mul, vsum
-from .routing import RoutingState, subset_mask
+from .autograd import Value, log, mul, no_grad, vsum
+from .routing import RoutingState, subset_mask, token_logits, token_weights
 
 LOG_FLOOR = 1e-12
 
@@ -79,19 +80,17 @@ def reference_weights(
 ) -> np.ndarray:
     """Stage-two weights recomputed with the shadow parameters.
 
-    Mirrors `routing.token_logits` + `routing.token_weights` operation for
-    operation (same intermediate order, same masked softmax), so a shadow
+    Runs the live router's own stage two on the shadow arrays, so a shadow
     that still equals the live parameters reproduces the live weights
     bit-exactly. Plain numpy in, plain numpy out: nothing here ever joins
     the autodiff graph.
     """
     query, key, experts = shadow.site_arrays(site)
-    n_experts, routing_dim = experts.shape
-    keys = experts * (key @ x_text)
-    queries = hidden @ query.T
-    scale = 1.0 / np.sqrt(routing_dim)
-    logits = (queries @ keys.T) * scale
-    return masked_softmax_np(logits, subset_mask(subset, n_experts))
+    # stage two never reads the selection gate, which the shadow does not track
+    state = RoutingState(select=None, query=Value(query), key=Value(key), experts=Value(experts))
+    with no_grad():
+        logits = token_logits(state, Value(hidden), Value(x_text), subset)
+        return token_weights(logits, subset, state.n_experts).data
 
 
 def reg_loss(reference: np.ndarray, live: Value, subset: Sequence[int]) -> Value:

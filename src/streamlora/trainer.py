@@ -45,6 +45,7 @@ from .stream import (
     SinglePassStream,
     StreamSchedule,
     TaskSampler,
+    TaskSpec,
     build_default_stream,
     make_task_specs,
     stream_manifest,
@@ -334,14 +335,43 @@ def _mean_value(parts: list[Value]) -> Value:
     return acc * (1.0 / len(parts))
 
 
-def _sample_reg(shadow: EmaShadow, x_text_data: np.ndarray, site_records) -> Value:
+def _sample_reg(shadow: EmaShadow | None, result, pinned: dict[str, FrozenRouting] | None) -> Value:
     terms = []
-    for rec in site_records:
+    for rec in result.sites:
         if rec.token_weights is None:
             raise ValueError(f"site {rec.site} produced no token weights to regularize")
-        ref = reference_weights(shadow, rec.site, rec.hidden_data, x_text_data, rec.subset)
+        if pinned is None:
+            ref = reference_weights(shadow, rec.site, rec.hidden_data, result.x_text.data, rec.subset)
+        else:
+            ref = pinned[rec.site].reference
         terms.append(reg_loss(ref, rec.token_weights, rec.subset))
     return _mean_value(terms)
+
+
+def _batch_loss(
+    model: Model,
+    batch: Sequence[Sample],
+    variant: Variant,
+    shadow: EmaShadow | None,
+    reg_weight: float,
+    pinned: Sequence[dict[str, FrozenRouting]] | None = None,
+) -> tuple[Value, Value | None, Value, list]:
+    """(task, reg, total, forward results) of the training objective on one
+    batch. `pinned`, one map per sample, fixes the routing constants and the
+    EMA reference for the gradient audit; training leaves it unset."""
+    losses: list[Value] = []
+    regs: list[Value] = []
+    results = []
+    for i, sample in enumerate(batch):
+        sample_pins = None if pinned is None else pinned[i]
+        result = forward(model, sample, variant, pinned=sample_pins)
+        losses.append(task_loss(result.logits, sample.label))
+        if variant.use_reg:
+            regs.append(_sample_reg(shadow, result, sample_pins))
+        results.append(result)
+    task = _mean_value(losses)
+    reg = _mean_value(regs) if regs else None
+    return task, reg, total_loss(task, reg, reg_weight if variant.use_reg else 0.0), results
 
 
 def _trace_records(chunk_index: int, sample: Sample, site_records) -> list[dict]:
@@ -376,19 +406,11 @@ def train_chunk(
     samples = chunk.samples
     for batch_index, batch in enumerate(_batches(samples, config.batch_size)):
         model.params.zero_grad()
-        losses: list[Value] = []
-        regs: list[Value] = []
+        task, reg, total, results = _batch_loss(model, batch, variant, shadow, config.reg_weight)
         tracing = config.trace_interval > 0 and batch_index % config.trace_interval == 0
-        for sample in batch:
-            result = forward(model, sample, variant)
-            losses.append(task_loss(result.logits, sample.label))
-            if variant.use_reg:
-                regs.append(_sample_reg(shadow, result.x_text.data, result.sites))
-            if tracing and variant.mode == "routed":
+        if tracing and variant.mode == "routed":
+            for sample, result in zip(batch, results):
                 traces.extend(_trace_records(chunk.index, sample, result.sites))
-        task = _mean_value(losses)
-        reg = _mean_value(regs) if regs else None
-        total = total_loss(task, reg, config.reg_weight if variant.use_reg else 0.0)
 
         if not np.isfinite(total.data):
             dump = {
@@ -422,23 +444,19 @@ def train_chunk(
             "reg_loss": None if reg is None else float(reg.data),
             "total_loss": float(total.data),
         })
+        del task, reg, total, results   # free this batch's graph before the next is built
 
 
 def evaluate(model: Model, samples: Sequence[Sample], variant: Variant | None = None) -> float:
     """Exact fraction of argmax-correct predictions on a frozen test set."""
     if len(samples) == 0:
         raise ValueError("empty evaluation set")
-    correct = 0
-    with no_grad():
-        for sample in samples:
-            result = forward(model, sample, variant)
-            if int(np.argmax(result.logits.data)) == sample.label:
-                correct += 1
-    return correct / len(samples)
+    rows = prediction_dump(model, samples, variant)
+    return sum(predicted == label for _, predicted, label in rows) / len(samples)
 
 
 def prediction_dump(model: Model, samples: Sequence[Sample], variant: Variant | None = None) -> list[tuple[str, int, int]]:
-    """(uid, predicted, label) triples, for auditing the accuracy numbers."""
+    """(uid, predicted, label) triples, the rows `evaluate` scores."""
     rows = []
     with no_grad():
         for sample in samples:
@@ -470,19 +488,11 @@ def _final_trace_pass(
     return records
 
 
-def run_stream(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
-    """Train once over the whole stream, evaluate after every chunk."""
-    config.validate()
-    started = time.monotonic()
-    out: Path | None = None
-    target = out_dir if out_dir is not None else (config.out_dir or None)
-    if target:
-        out = Path(target)
-        out.mkdir(parents=True, exist_ok=True)
-
-    stream_seed = config.effective_stream_seed
+def build_stream(config: RunConfig) -> tuple[list[TaskSpec], StreamSchedule]:
+    """The task specs and chunk schedule `config` describes."""
+    seed = config.effective_stream_seed
     specs = make_task_specs(
-        stream_seed,
+        seed,
         n_tasks=config.n_tasks,
         d_e=config.d_hidden,
         classes_per_task=config.classes_per_task,
@@ -493,12 +503,23 @@ def run_stream(config: RunConfig, out_dir: str | Path | None = None) -> RunResul
         vocab_size=config.vocab_size,
     )
     schedule = build_default_stream(
-        stream_seed,
-        n_tasks=config.n_tasks,
-        n_chunks=config.n_chunks,
-        chunk_size=config.chunk_size,
+        seed, n_tasks=config.n_tasks, n_chunks=config.n_chunks, chunk_size=config.chunk_size
     )
-    samplers = [TaskSampler(spec, stream_seed) for spec in specs]
+    return specs, schedule
+
+
+def run_stream(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
+    """Train once over the whole stream, evaluate after every chunk."""
+    config.validate()
+    started = time.monotonic()
+    out: Path | None = None
+    target = out_dir if out_dir is not None else (config.out_dir or None)
+    if target:
+        out = Path(target)
+        out.mkdir(parents=True, exist_ok=True)
+
+    specs, schedule = build_stream(config)
+    samplers = [TaskSampler(spec, config.effective_stream_seed) for spec in specs]
 
     variant = config.variant()
     model = Model(
@@ -606,15 +627,20 @@ def gradient_audit(
 ) -> tuple[bool, list[AuditRow]]:
     """Check every trainable parameter's gradient against central differences.
 
-    The objective is the full training loss (task + weighted stability
-    term) on a fixed batch. Finite differences probe the same surrogate
-    the analytic gradient differentiates: the expert subset, the detached
-    half of the straight-through gate, and the EMA reference weights stay
-    pinned at their baseline values while parameters move. Adapters are
+    The objective is `_batch_loss`, the training loss (task + weighted
+    stability term) through the training forward, on a fixed batch.
+    Finite differences probe the same surrogate the analytic gradient
+    differentiates: the expert subset, the detached half of the
+    straight-through gate, and the EMA reference weights stay pinned at
+    their baseline values while parameters move. Adapters are
     re-randomized first (a fresh bank has B = 0, which would hide half the
     bank behind zero gradients), and the shadow is nudged off the live
     parameters so the regularizer term is active.
     """
+    if n_samples < 1:
+        raise ValueError(f"the audit needs at least one sample, got n_samples={n_samples}")
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     config = config or audit_config()
     config.validate()
     variant = config.variant()
@@ -652,34 +678,23 @@ def gradient_audit(
 
     # baseline pass: pin the routing constants (subset, detached gate term,
     # EMA reference) so probing a parameter can never flip the selection
-    frozen_maps: list[dict[str, FrozenRouting]] = []
+    pins: list[dict[str, FrozenRouting]] = []
     with no_grad():
         for sample in samples:
             result = forward(model, sample, variant)
-            pinned: dict[str, FrozenRouting] = {}
-            for rec in result.sites:
-                reference = reference_weights(
-                    shadow, rec.site, rec.hidden_data, result.x_text.data, rec.subset
-                )
-                pinned[rec.site] = FrozenRouting(
+            pins.append({
+                rec.site: FrozenRouting(
                     subset=rec.subset,
                     sample_probs=rec.sample_probs.copy(),
-                    reference=reference,
+                    reference=reference_weights(
+                        shadow, rec.site, rec.hidden_data, result.x_text.data, rec.subset
+                    ),
                 )
-            frozen_maps.append(pinned)
+                for rec in result.sites
+            })
 
     def objective() -> Value:
-        losses: list[Value] = []
-        regs: list[Value] = []
-        for sample, pinned in zip(samples, frozen_maps):
-            result = forward(model, sample, variant, frozen=pinned)
-            losses.append(task_loss(result.logits, sample.label))
-            terms = [
-                reg_loss(pinned[rec.site].reference, rec.token_weights, rec.subset)
-                for rec in result.sites
-            ]
-            regs.append(_mean_value(terms))
-        return total_loss(_mean_value(losses), _mean_value(regs), config.reg_weight)
+        return _batch_loss(model, samples, variant, shadow, config.reg_weight, pinned=pins)[2]
 
     model.params.zero_grad()
     backward(objective())

@@ -64,9 +64,9 @@ def test_init_rejects_bad_counts_and_rank():
 
 def test_fresh_bank_is_exactly_the_base_projection():
     bank = make_bank()
-    h = Value(named_rng(3, "h").normal(size=6))
+    h = Value(named_rng(3, "h").normal(size=(4, 6)))
     out = adapted_forward(bank, h, one_hot(3, 1), [1])
-    np.testing.assert_array_equal(out.data, bank.base.data @ h.data)
+    np.testing.assert_array_equal(out.data, h.data @ bank.base.data.T)
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +79,8 @@ def test_lora_delta_rank_one_hand_case():
     bank = make_bank(n_experts=1, rank=1, d_in=2, d_out=2)
     bank.down[0].data = np.array([[1.0, 0.0]])
     bank.up[0].data = np.array([[2.0], [0.0]])
-    out = lora_delta(bank, 0, Value([3.0, 5.0]))
-    np.testing.assert_array_equal(out.data, [6.0, 0.0])
+    out = lora_delta(bank, 0, Value([[3.0, 5.0]]))
+    np.testing.assert_array_equal(out.data, [[6.0, 0.0]])
 
 
 def test_lora_delta_matches_dense_product():
@@ -88,11 +88,11 @@ def test_lora_delta_matches_dense_product():
     rng = named_rng(6, "delta")
     for j in range(bank.n_experts):
         bank.up[j].data = rng.normal(size=bank.up[j].data.shape)
-    h = Value(rng.normal(size=6))
+    h = Value(rng.normal(size=(3, 6)))
     for j in range(bank.n_experts):
         dense = bank.up[j].data @ bank.down[j].data
         np.testing.assert_allclose(
-            lora_delta(bank, j, h).data, dense @ h.data, rtol=0, atol=1e-12
+            lora_delta(bank, j, h).data, h.data @ dense.T, rtol=0, atol=1e-12
         )
 
 
@@ -104,17 +104,17 @@ def test_lora_delta_token_matrix_rows_equal_vector_calls():
     tokens = rng.normal(size=(4, 6))
     batch = lora_delta(bank, 2, Value(tokens))
     assert batch.data.shape == (4, 5)
-    for i, row in enumerate(tokens):
-        np.testing.assert_allclose(
-            batch.data[i], lora_delta(bank, 2, Value(row)).data, rtol=0, atol=1e-12
-        )
+    for i in range(len(tokens)):
+        single = lora_delta(bank, 2, Value(tokens[i : i + 1])).data
+        assert single.shape == (1, 5)
+        np.testing.assert_allclose(batch.data[i], single[0], rtol=0, atol=1e-12)
 
 
 def test_lora_delta_is_linear_in_h():
     bank = make_bank(seed=9)
     rng = named_rng(10, "lin")
     bank.up[0].data = rng.normal(size=bank.up[0].data.shape)
-    h1, h2 = rng.normal(size=6), rng.normal(size=6)
+    h1, h2 = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
     lhs = lora_delta(bank, 0, Value(2.0 * h1 + 3.0 * h2)).data
     rhs = 2.0 * lora_delta(bank, 0, Value(h1)).data + 3.0 * lora_delta(bank, 0, Value(h2)).data
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
@@ -123,9 +123,17 @@ def test_lora_delta_is_linear_in_h():
 def test_lora_delta_rejects_bad_expert_index():
     bank = make_bank()
     with pytest.raises(ValueError, match="out of range"):
-        lora_delta(bank, 3, Value(np.zeros(6)))
+        lora_delta(bank, 3, Value(np.zeros((1, 6))))
     with pytest.raises(ValueError, match="out of range"):
-        lora_delta(bank, -1, Value(np.zeros(6)))
+        lora_delta(bank, -1, Value(np.zeros((1, 6))))
+
+
+def test_hidden_state_must_be_a_token_matrix():
+    bank = make_bank()
+    with pytest.raises(ValueError, match="token"):
+        lora_delta(bank, 0, Value(np.zeros(6)))
+    with pytest.raises(ValueError, match="token"):
+        adapted_forward(bank, Value(np.zeros(6)), one_hot(3, 0), [0])
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +148,10 @@ def test_even_split_hand_case():
     bank.up[0].data = np.array([[4.0], [0.0]])
     bank.down[1].data = np.array([[0.0, 1.0]])
     bank.up[1].data = np.array([[0.0], [6.0]])
-    h = Value([1.0, 2.0])
+    h = Value([[1.0, 2.0]])
     out = adapted_forward(bank, h, Value([0.5, 0.5]), [0, 1])
     # 0.5 * [4*1, 0] + 0.5 * [0, 6*2] = [2, 6]
-    np.testing.assert_allclose(out.data, [2.0, 6.0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out.data, [[2.0, 6.0]], rtol=0, atol=1e-15)
 
 
 def test_weighted_combination_matches_dense_recompute():
@@ -151,13 +159,13 @@ def test_weighted_combination_matches_dense_recompute():
     rng = named_rng(12, "mix")
     for j in range(4):
         bank.up[j].data = rng.normal(size=bank.up[j].data.shape)
-    h = rng.normal(size=6)
+    h = rng.normal(size=(3, 6))
     subset = [0, 2]
     w = np.zeros(4)
     w[0], w[2] = 0.3, 0.7
-    expected = bank.base.data @ h
+    expected = h @ bank.base.data.T
     for j in subset:
-        expected = expected + w[j] * (bank.up[j].data @ bank.down[j].data @ h)
+        expected = expected + w[j] * (h @ (bank.up[j].data @ bank.down[j].data).T)
     out = adapted_forward(bank, Value(h), Value(w), subset)
     np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
 
@@ -171,8 +179,8 @@ def test_per_token_weights_apply_row_wise():
     w = np.array([[1.0, 0.0], [0.0, 1.0], [0.25, 0.75]])
     out = adapted_forward(bank, Value(tokens), Value(w), [0, 1])
     for i in range(3):
-        row = adapted_forward(bank, Value(tokens[i]), Value(w[i]), [0, 1])
-        np.testing.assert_allclose(out.data[i], row.data, rtol=0, atol=1e-12)
+        row = adapted_forward(bank, Value(tokens[i : i + 1]), Value(w[i : i + 1]), [0, 1])
+        np.testing.assert_allclose(out.data[i], row.data[0], rtol=0, atol=1e-12)
 
 
 def test_shared_weights_broadcast_over_tokens():
@@ -183,14 +191,14 @@ def test_shared_weights_broadcast_over_tokens():
     out = adapted_forward(bank, Value(tokens), w, [0, 1])
     for i in range(4):
         np.testing.assert_allclose(
-            out.data[i], adapted_forward(bank, Value(tokens[i]), w, [0, 1]).data,
+            out.data[i], adapted_forward(bank, Value(tokens[i : i + 1]), w, [0, 1]).data[0],
             rtol=0, atol=1e-12,
         )
 
 
 def test_rejects_empty_subset_and_out_of_range():
     bank = make_bank()
-    h = Value(np.zeros(6))
+    h = Value(np.zeros((1, 6)))
     with pytest.raises(ValueError, match="empty routing subset"):
         adapted_forward(bank, h, Value(np.zeros(3)), [])
     with pytest.raises(ValueError, match="subset index out of range"):
@@ -199,7 +207,7 @@ def test_rejects_empty_subset_and_out_of_range():
 
 def test_rejects_weight_mass_outside_subset():
     bank = make_bank()
-    h = Value(np.zeros(6))
+    h = Value(np.zeros((1, 6)))
     w = np.array([0.5, 0.5, 0.0])
     with pytest.raises(ValueError, match="outside the selected subset"):
         adapted_forward(bank, h, Value(w), [0])
@@ -207,7 +215,7 @@ def test_rejects_weight_mass_outside_subset():
 
 def test_rejects_unnormalized_weights():
     bank = make_bank()
-    h = Value(np.zeros(6))
+    h = Value(np.zeros((1, 6)))
     bad = np.array([0.5, 0.4, 0.0])  # sums to 0.9
     with pytest.raises(ValueError, match="unnormalized routing weights"):
         adapted_forward(bank, h, Value(bad), [0, 1])
@@ -219,7 +227,25 @@ def test_rejects_unnormalized_weights():
 def test_rejects_weight_vector_of_wrong_width():
     bank = make_bank(n_experts=3)
     with pytest.raises(ValueError, match="n_experts"):
-        adapted_forward(bank, Value(np.zeros(6)), Value(np.zeros(4)), [0])
+        adapted_forward(bank, Value(np.zeros((1, 6))), Value(np.zeros(4)), [0])
+
+
+def test_gate_scales_the_weights_after_the_normalization_check():
+    bank = make_bank(n_experts=3, seed=22)
+    rng = named_rng(23, "gate")
+    for j in range(3):
+        bank.up[j].data = rng.normal(size=bank.up[j].data.shape)
+    h = rng.normal(size=(2, 6))
+    w = np.array([[0.25, 0.0, 0.75], [0.5, 0.0, 0.5]])
+    gate = np.array([1.5, 1.0, 0.5])   # the gated rows no longer sum to one
+    out = adapted_forward(bank, Value(h), Value(w), [0, 2], Value(gate))
+    expected = h @ bank.base.data.T
+    for j in (0, 2):
+        delta = h @ (bank.up[j].data @ bank.down[j].data).T
+        expected = expected + (w[:, j] * gate[j])[:, None] * delta
+    np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError, match="unnormalized"):
+        adapted_forward(bank, Value(h), Value(w * gate), [0, 2])
 
 
 def test_off_subset_experts_receive_no_gradient():
@@ -229,7 +255,7 @@ def test_off_subset_experts_receive_no_gradient():
         bank.up[j].data = rng.normal(size=bank.up[j].data.shape)
         bank.down[j].requires_grad = True
         bank.up[j].requires_grad = True
-    h = Value(rng.normal(size=6))
+    h = Value(rng.normal(size=(2, 6)))
     w = np.zeros(3)
     w[0], w[1] = 0.25, 0.75
     backward(vsum(adapted_forward(bank, h, Value(w), [0, 1])))
@@ -248,7 +274,7 @@ def test_adapter_gradients_match_finite_differences():
         for p in (bank.down[j], bank.up[j]):
             p.requires_grad = True
             params.append(p)
-    h = Value(rng.normal(size=4))
+    h = Value(rng.normal(size=(2, 4)))
     w = Value([0.35, 0.65])
 
     def objective():

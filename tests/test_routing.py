@@ -317,6 +317,29 @@ def test_stage_two_gradients_match_finite_differences():
         np.testing.assert_allclose(a, n, rtol=1e-4, atol=1e-9)
 
 
+def test_pinned_constants_replace_the_live_subset_and_detached_probs():
+    rng = named_rng(11, "pinned")
+    state = init_routing_state(4, 3, 5, 2, rng)
+    hidden = Value(rng.normal(size=(3, 5)))
+    x_text = Value(rng.normal(size=3))
+    live = route_with_straight_through(state, hidden, x_text, top_k=2)
+    other = tuple(j for j in range(4) if j not in live.subset)
+    pinned_probs = np.full(4, 0.25)
+    decision = route_with_straight_through(
+        state, hidden, x_text, top_k=2, subset=other, detached_probs=pinned_probs
+    )
+    assert decision.subset == other
+    np.testing.assert_array_equal(decision.sample_probs.data, live.sample_probs.data)
+    np.testing.assert_array_equal(
+        decision.token_weights.data,
+        token_weights(token_logits(state, hidden, x_text, other), other, 4).data,
+    )
+    np.testing.assert_array_equal(
+        decision.gate.data, 1.0 + (live.sample_probs.data - pinned_probs)
+    )
+    np.testing.assert_array_equal(live.gate.data, np.ones(4))
+
+
 def test_decision_records_the_raw_scores():
     rng = named_rng(10, "raw")
     state = init_routing_state(3, 4, 5, 2, rng)

@@ -18,8 +18,10 @@ from streamlora.trainer import (
     RunLog,
     TrainingDiverged,
     apply_variant,
+    audit_config,
     clip_gradients,
     evaluate,
+    gradient_audit,
     load_config,
     parse_config_text,
     prediction_dump,
@@ -339,6 +341,45 @@ def test_evaluate_agrees_with_the_prediction_dump():
 
 
 # ---------------------------------------------------------------------------
+# gradient audit
+# ---------------------------------------------------------------------------
+
+
+def small_audit_config():
+    return replace(audit_config(), n_layers=1, d_hidden=8, rank=2, routing_dim=4)
+
+
+def test_gradient_audit_rejects_bad_sample_counts_and_steps():
+    with pytest.raises(ValueError, match="at least one sample"):
+        gradient_audit(small_audit_config(), n_samples=0)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        gradient_audit(small_audit_config(), n_samples=1, epsilon=0.0)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        gradient_audit(small_audit_config(), n_samples=1, epsilon=-1e-5)
+
+
+def test_gradient_audit_checks_the_graph_training_builds(monkeypatch):
+    # the audit must differentiate the routed forward that train_chunk runs:
+    # a graph cut planted there (stage-two weights detached before they mix
+    # the adapters) has to surface as a mismatch
+    import streamlora.model as model_module
+
+    ok, _ = gradient_audit(small_audit_config(), n_samples=2)
+    assert ok
+
+    route = model_module.route_with_straight_through
+
+    def cut_route(*args, **kwargs):
+        decision = route(*args, **kwargs)
+        return replace(decision, token_weights=decision.token_weights.detach())
+
+    monkeypatch.setattr(model_module, "route_with_straight_through", cut_route)
+    ok, rows = gradient_audit(small_audit_config(), n_samples=2)
+    assert not ok
+    assert any(not row.ok and row.path.endswith("router.query") for row in rows)
+
+
+# ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
 
@@ -413,6 +454,11 @@ def test_cli_ablate_runs_every_toggle_combination(tmp_path, config_file, capsys)
         assert (out / name / "metrics.csv").exists()
     table = capsys.readouterr().out
     assert "full" in table and "uniform_moe" in table
+
+
+def test_cli_gradcheck_rejects_zero_samples():
+    with pytest.raises(ValueError, match="at least one sample"):
+        main(["gradcheck", "--samples", "0"])
 
 
 def test_cli_gradcheck_passes_on_the_audit_model(capsys):
