@@ -618,27 +618,36 @@ def save_checkpoint(path, records: dict[str, Array]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, Array]:
+    """Read a `save_checkpoint` file. A file cut anywhere, or carrying
+    bytes after its last record, raises `ValueError` naming the file and
+    the part that is missing or extra."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:8] != _CKPT_MAGIC:
-        raise ValueError("not a checkpoint file (bad magic)")
-    off = 8
-    (count,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    off = 0
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal off
+        if off + size > len(raw):
+            raise ValueError(f"{path}: truncated at {what}: {size} bytes needed at offset {off}, "
+                             f"{len(raw) - off} left")
+        off += size
+        return raw[off - size : off]
+
+    def uint(what: str) -> int:
+        return struct.unpack("<I", take(4, what))[0]
+
+    if take(8, "the magic") != _CKPT_MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
+    count = uint("the record count")
     records: dict[str, Array] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        name = raw[off : off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        shape = struct.unpack_from(f"<{ndim}I", raw, off) if ndim else ()
-        off += 4 * ndim
-        n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(shape).copy()
-        off += 8 * n
-        records[name] = arr
+    for index in range(count):
+        name = take(uint(f"record {index} name length"), f"record {index} name").decode("utf-8")
+        ndim = uint(f"record {name!r} ndim")
+        shape = tuple(uint(f"record {name!r} shape") for _ in range(ndim))
+        payload = take(8 * int(np.prod(shape)), f"record {name!r} payload")
+        records[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    if off != len(raw):
+        raise ValueError(f"{path}: {len(raw) - off} trailing bytes after the last record")
     return records
 
 

@@ -23,7 +23,6 @@ Forward behavior is controlled by a `Variant`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -105,10 +104,6 @@ class Variant:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.use_reg and not (self.mode == "routed" and self.use_token_weighting):
             raise ValueError("the stability regularizer needs token weighting to regularize")
-
-    @property
-    def trains_routers(self) -> bool:
-        return self.mode == "routed"
 
 
 FULL = Variant("routed", True, True, True)
@@ -246,7 +241,7 @@ class Model:
                     for j in range(n_experts):
                         self.params.add(f"layer.{i}.{site}.expert.{j}.A", bank.down[j])
                         self.params.add(f"layer.{i}.{site}.expert.{j}.B", bank.up[j])
-                    if variant.trains_routers:
+                    if variant.mode == "routed":
                         router = layer.routers[site]
                         self.params.add(f"layer.{i}.{site}.router.select", router.select)
                         self.params.add(f"layer.{i}.{site}.router.query", router.query)
@@ -293,73 +288,6 @@ def _attention(layer: Layer, x: Value, n_heads: int) -> Value:
     return concat(heads, axis=1)
 
 
-def _routed_site(
-    model: Model,
-    site_key: str,
-    bank: ExpertBank,
-    router: RoutingState,
-    hidden: Value,
-    x_text: Value,
-    variant: Variant,
-    pinned: FrozenRouting | None = None,
-) -> tuple[Value, SiteRecord]:
-    n = model.n_experts
-    everyone = tuple(range(n))
-    if variant.use_selection and variant.use_token_weighting:
-        decision = route_with_straight_through(
-            router, hidden, x_text, model.top_k,
-            subset=None if pinned is None else pinned.subset,
-            detached_probs=None if pinned is None else pinned.sample_probs,
-        )
-        out = adapted_forward(bank, hidden, decision.token_weights, decision.subset, decision.gate)
-        return out, SiteRecord(
-            site=site_key,
-            subset=decision.subset,
-            weights_data=decision.token_weights.data.copy(),
-            hidden_data=hidden.data.copy(),
-            token_weights=decision.token_weights,
-            sample_probs=decision.sample_probs.data.copy(),
-        )
-    if variant.use_selection:
-        probs, subset = select_experts(router, x_text, model.top_k)
-        member = Value(subset_mask(subset, n).astype(np.float64))
-        kept = mul(probs, member)
-        weights = mul(kept, powi(vsum(kept), -1.0))   # renormalized over the subset
-        out = adapted_forward(bank, hidden, weights, subset)
-        L = hidden.data.shape[0]
-        return out, SiteRecord(
-            site=site_key,
-            subset=subset,
-            weights_data=np.broadcast_to(weights.data, (L, n)).copy(),
-            hidden_data=hidden.data.copy(),
-            token_weights=None,
-            sample_probs=probs.data.copy(),
-        )
-    if variant.use_token_weighting:
-        logits = token_logits(router, hidden, x_text, everyone)
-        weights = token_weights(logits, everyone, n)
-        out = adapted_forward(bank, hidden, weights, everyone)
-        return out, SiteRecord(
-            site=site_key,
-            subset=everyone,
-            weights_data=weights.data.copy(),
-            hidden_data=hidden.data.copy(),
-            token_weights=weights,
-            sample_probs=None,
-        )
-    # dense per-token mixture on the hidden state, no text conditioning
-    weights = softmax(matmul(hidden, transpose(router.select)))
-    out = adapted_forward(bank, hidden, weights, everyone)
-    return out, SiteRecord(
-        site=site_key,
-        subset=everyone,
-        weights_data=weights.data.copy(),
-        hidden_data=hidden.data.copy(),
-        token_weights=weights,
-        sample_probs=None,
-    )
-
-
 def _site_forward(
     model: Model,
     site_key: str,
@@ -367,41 +295,67 @@ def _site_forward(
     router: RoutingState,
     hidden: Value,
     x_text: Value,
-    variant: Variant,
     pinned: FrozenRouting | None = None,
 ) -> tuple[Value, SiteRecord | None]:
+    """One adapter site under `model.variant`.
+
+    Each routed variant only decides the expert weights, the subset they
+    live on, the straight-through gate (full method only), the live
+    stage-two weights the regularizer reads, and the stage-one
+    distribution; the bank and the record are the same for all of them.
+    Frozen mode applies the bare base projection and records nothing.
+    """
+    variant = model.variant
     if variant.mode == "frozen":
         return matmul(hidden, transpose(bank.base)), None
+    n = bank.n_experts
+    everyone = tuple(range(n))
+    subset, gate, live, probs = everyone, None, None, None
     if variant.mode == "shared_lora":
-        ones = Value(np.ones(bank.n_experts))
-        out = adapted_forward(bank, hidden, ones, tuple(range(bank.n_experts)))
-        L = hidden.data.shape[0]
-        record = SiteRecord(
-            site=site_key,
-            subset=tuple(range(bank.n_experts)),
-            weights_data=np.ones((L, bank.n_experts)),
-            hidden_data=hidden.data.copy(),
-            token_weights=None,
-            sample_probs=None,
+        weights = Value(np.ones(n))
+    elif variant.use_selection and variant.use_token_weighting:
+        decision = route_with_straight_through(
+            router, hidden, x_text, model.top_k,
+            subset=None if pinned is None else pinned.subset,
+            detached_probs=None if pinned is None else pinned.sample_probs,
         )
-        return out, record
-    return _routed_site(model, site_key, bank, router, hidden, x_text, variant, pinned)
+        weights = live = decision.token_weights
+        subset, gate, probs = decision.subset, decision.gate, decision.sample_probs
+    elif variant.use_selection:
+        probs, subset = select_experts(router, x_text, model.top_k)
+        member = Value(subset_mask(subset, n).astype(np.float64))
+        kept = mul(probs, member)
+        weights = mul(kept, powi(vsum(kept), -1.0))   # renormalized over the subset
+    elif variant.use_token_weighting:
+        weights = live = token_weights(token_logits(router, hidden, x_text, everyone), everyone, n)
+    else:
+        # dense per-token mixture on the hidden state, no text conditioning
+        weights = live = softmax(matmul(hidden, transpose(router.select)))
+    out = adapted_forward(bank, hidden, weights, subset, gate)
+    applied = np.empty((hidden.data.shape[0], n))
+    applied[...] = weights.data                      # (N,) weights repeat on every token
+    return out, SiteRecord(
+        site=site_key,
+        subset=subset,
+        weights_data=applied,
+        hidden_data=hidden.data.copy(),
+        token_weights=live,
+        sample_probs=None if probs is None else probs.data.copy(),
+    )
 
 
 def forward(
     model: Model,
     sample: Sample,
-    variant: Variant | None = None,
     pinned: dict[str, FrozenRouting] | None = None,
 ) -> ForwardResult:
-    """Run one sample through the adapted backbone.
+    """Run one sample through the adapted backbone under `model.variant`.
 
     The pooled instruction embedding is computed once and shared by every
     router. Site records collect what the regularizer and the trace writer
     need; frozen mode produces none. `pinned` holds per-site routing
     constants for the gradient audit and is never set during training.
     """
-    variant = model.variant if variant is None else variant
     cfg = model.config
     if sample.visual.shape[1] != cfg.d_e:
         raise ValueError(f"visual token width {sample.visual.shape[1]} != d_e {cfg.d_e}")
@@ -414,27 +368,20 @@ def forward(
     x = concat([Value(sample.visual), instr_emb], axis=0)
 
     result = ForwardResult(logits=None, x_text=x_text)  # logits filled below
-    for i, layer in enumerate(model.layers):
-        site_key = f"layer.{i}.attn_out"
-        attn_hidden = _attention(layer, layer_norm(x), cfg.n_heads)
-        out, record = _site_forward(
-            model, site_key, layer.banks["attn_out"],
-            layer.routers["attn_out"], attn_hidden, x_text, variant,
-            pinned.get(site_key) if pinned else None,
-        )
-        if record is not None:
-            result.sites.append(record)
-        x = x + out
 
-        site_key = f"layer.{i}.ffn_up"
-        ffn_in = layer_norm(x)
-        up, record = _site_forward(
-            model, site_key, layer.banks["ffn_up"],
-            layer.routers["ffn_up"], ffn_in, x_text, variant,
+    def site(i: int, layer: Layer, name: str, hidden: Value) -> Value:
+        site_key = f"layer.{i}.{name}"
+        out, record = _site_forward(
+            model, site_key, layer.banks[name], layer.routers[name], hidden, x_text,
             pinned.get(site_key) if pinned else None,
         )
         if record is not None:
             result.sites.append(record)
+        return out
+
+    for i, layer in enumerate(model.layers):
+        x = x + site(i, layer, "attn_out", _attention(layer, layer_norm(x), cfg.n_heads))
+        up = site(i, layer, "ffn_up", layer_norm(x))
         x = x + matmul(tanh(up), transpose(layer.ffn_down))
 
     pooled = mean(layer_norm(x), axis=0)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,6 +32,10 @@ from .autograd import (
 )
 from .metrics import MetricLedger
 from .model import (
+    FROZEN,
+    FULL,
+    SHARED_LORA,
+    UNIFORM_MOE,
     BackboneConfig,
     FrozenRouting,
     Model,
@@ -100,7 +104,6 @@ class RunConfig:
     # logging
     trace_interval: int = 5         # trace every k-th training batch
     trace_eval_samples: int = 20    # per task, in the post-stream trace pass
-    out_dir: str = ""
 
     @property
     def n_classes(self) -> int:
@@ -120,8 +123,8 @@ class RunConfig:
         )
 
     def variant(self) -> Variant:
-        if self.mode in ("shared_lora", "frozen"):
-            return Variant(self.mode, False, False, False)
+        if self.mode != "routed":
+            return Variant(self.mode, False, False, False)    # validate rejects unknown modes
         return Variant("routed", self.use_selection, self.use_token_weighting, self.use_reg)
 
     def validate(self) -> None:
@@ -139,6 +142,10 @@ class RunConfig:
             raise ValueError("batch and chunk sizes must be positive")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
+        if self.test_size < 1:
+            raise ValueError(f"test_size must be at least 1, got {self.test_size}")
+        if self.trace_eval_samples < 0:
+            raise ValueError(f"trace_eval_samples must be >= 0, got {self.trace_eval_samples}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -183,11 +190,11 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
 
 
 _VARIANT_ALIASES = {
-    "full": ("routed", True, True, True),
-    "uniform_moe": ("routed", False, False, False),
-    "none": ("routed", False, False, False),
-    "shared_lora": ("shared_lora", False, False, False),
-    "frozen": ("frozen", False, False, False),
+    "full": FULL,
+    "uniform_moe": UNIFORM_MOE,
+    "none": UNIFORM_MOE,
+    "shared_lora": SHARED_LORA,
+    "frozen": FROZEN,
 }
 
 
@@ -195,25 +202,16 @@ def apply_variant(config: RunConfig, spec: str) -> RunConfig:
     """Apply a variant name ('full', 'uniform_moe', 'shared_lora', 'frozen',
     'none') or a comma list of stage toggles out of {p, s, reg}."""
     spec = spec.strip().lower()
-    if spec in _VARIANT_ALIASES:
-        mode, sel, tw, reg = _VARIANT_ALIASES[spec]
-        updates = {"mode": mode, "use_selection": sel, "use_token_weighting": tw, "use_reg": reg}
-        if mode == "shared_lora":
-            updates.update(n_experts=1, top_k=1)
-        return replace(config, **updates)
-    flags = {"p": False, "s": False, "reg": False}
-    for part in spec.split(","):
-        part = part.strip()
-        if part not in flags:
-            raise ValueError(f"unknown variant component {part!r}; use p, s, reg or an alias")
-        flags[part] = True
-    return replace(
-        config,
-        mode="routed",
-        use_selection=flags["p"],
-        use_token_weighting=flags["s"],
-        use_reg=flags["reg"],
-    )
+    variant = _VARIANT_ALIASES.get(spec)
+    if variant is None:
+        parts = [part.strip() for part in spec.split(",")]
+        unknown = [part for part in parts if part not in ("p", "s", "reg")]
+        if unknown:
+            raise ValueError(f"unknown variant component {unknown[0]!r}; use p, s, reg or an alias")
+        variant = Variant("routed", "p" in parts, "s" in parts, "reg" in parts)
+    if variant.mode == "shared_lora":
+        config = replace(config, n_experts=1, top_k=1)
+    return replace(config, **asdict(variant))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +349,6 @@ def _sample_reg(shadow: EmaShadow | None, result, pinned: dict[str, FrozenRoutin
 def _batch_loss(
     model: Model,
     batch: Sequence[Sample],
-    variant: Variant,
     shadow: EmaShadow | None,
     reg_weight: float,
     pinned: Sequence[dict[str, FrozenRouting]] | None = None,
@@ -359,19 +356,20 @@ def _batch_loss(
     """(task, reg, total, forward results) of the training objective on one
     batch. `pinned`, one map per sample, fixes the routing constants and the
     EMA reference for the gradient audit; training leaves it unset."""
+    use_reg = model.variant.use_reg
     losses: list[Value] = []
     regs: list[Value] = []
     results = []
     for i, sample in enumerate(batch):
         sample_pins = None if pinned is None else pinned[i]
-        result = forward(model, sample, variant, pinned=sample_pins)
+        result = forward(model, sample, pinned=sample_pins)
         losses.append(task_loss(result.logits, sample.label))
-        if variant.use_reg:
+        if use_reg:
             regs.append(_sample_reg(shadow, result, sample_pins))
         results.append(result)
     task = _mean_value(losses)
     reg = _mean_value(regs) if regs else None
-    return task, reg, total_loss(task, reg, reg_weight if variant.use_reg else 0.0), results
+    return task, reg, total_loss(task, reg, reg_weight if use_reg else 0.0), results
 
 
 def _trace_records(chunk_index: int, sample: Sample, site_records) -> list[dict]:
@@ -402,13 +400,12 @@ def train_chunk(
     out_dir: Path | None = None,
 ) -> None:
     """One epoch over one chunk: the single pass."""
-    variant = config.variant()
     samples = chunk.samples
     for batch_index, batch in enumerate(_batches(samples, config.batch_size)):
         model.params.zero_grad()
-        task, reg, total, results = _batch_loss(model, batch, variant, shadow, config.reg_weight)
+        task, reg, total, results = _batch_loss(model, batch, shadow, config.reg_weight)
         tracing = config.trace_interval > 0 and batch_index % config.trace_interval == 0
-        if tracing and variant.mode == "routed":
+        if tracing and model.variant.mode == "routed":
             for sample, result in zip(batch, results):
                 traces.extend(_trace_records(chunk.index, sample, result.sites))
 
@@ -427,7 +424,7 @@ def train_chunk(
                 )
             raise TrainingDiverged(f"non-finite loss in chunk {chunk.index}, batch {batch_index}: {dump}")
 
-        if variant.mode != "frozen":
+        if model.variant.mode != "frozen":
             backward(total)
             if config.grad_clip > 0.0:
                 clip_gradients(model.params, config.grad_clip)
@@ -447,20 +444,20 @@ def train_chunk(
         del task, reg, total, results   # free this batch's graph before the next is built
 
 
-def evaluate(model: Model, samples: Sequence[Sample], variant: Variant | None = None) -> float:
+def evaluate(model: Model, samples: Sequence[Sample]) -> float:
     """Exact fraction of argmax-correct predictions on a frozen test set."""
     if len(samples) == 0:
         raise ValueError("empty evaluation set")
-    rows = prediction_dump(model, samples, variant)
+    rows = prediction_dump(model, samples)
     return sum(predicted == label for _, predicted, label in rows) / len(samples)
 
 
-def prediction_dump(model: Model, samples: Sequence[Sample], variant: Variant | None = None) -> list[tuple[str, int, int]]:
+def prediction_dump(model: Model, samples: Sequence[Sample]) -> list[tuple[str, int, int]]:
     """(uid, predicted, label) triples, the rows `evaluate` scores."""
     rows = []
     with no_grad():
         for sample in samples:
-            result = forward(model, sample, variant)
+            result = forward(model, sample)
             rows.append((sample.uid, int(np.argmax(result.logits.data)), sample.label))
     return rows
 
@@ -477,19 +474,20 @@ def _final_trace_pass(
     this is what the homogeneity report is meant to consume.
     """
     records: list[dict] = []
-    variant = config.variant()
-    if variant.mode != "routed":
+    if model.variant.mode != "routed":
         return records
     with no_grad():
         for m in sorted(seen):
             for sample in test_sets[m][: config.trace_eval_samples]:
-                result = forward(model, sample, variant)
+                result = forward(model, sample)
                 records.extend(_trace_records(config.n_chunks + 1, sample, result.sites))
     return records
 
 
 def build_stream(config: RunConfig) -> tuple[list[TaskSpec], StreamSchedule]:
-    """The task specs and chunk schedule `config` describes."""
+    """The task specs and chunk schedule `config` describes, once it
+    validates."""
+    config.validate()
     seed = config.effective_stream_seed
     specs = make_task_specs(
         seed,
@@ -510,15 +508,12 @@ def build_stream(config: RunConfig) -> tuple[list[TaskSpec], StreamSchedule]:
 
 def run_stream(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
     """Train once over the whole stream, evaluate after every chunk."""
-    config.validate()
     started = time.monotonic()
-    out: Path | None = None
-    target = out_dir if out_dir is not None else (config.out_dir or None)
-    if target:
-        out = Path(target)
+    specs, schedule = build_stream(config)
+    out = Path(out_dir) if out_dir else None
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
-    specs, schedule = build_stream(config)
     samplers = [TaskSampler(spec, config.effective_stream_seed) for spec in specs]
 
     variant = config.variant()
@@ -597,8 +592,9 @@ class AuditRow:
 
 
 def audit_config() -> RunConfig:
-    """The standard audit model: small enough that probing every scalar
-    with central differences stays well under a minute."""
+    """The standard audit model: the full variant (the defaults) on sizes
+    small enough that probing every scalar with central differences stays
+    well under a minute."""
     return RunConfig(
         n_layers=2,
         d_hidden=16,
@@ -610,10 +606,6 @@ def audit_config() -> RunConfig:
         n_tasks=2,
         classes_per_task=2,
         reg_weight=0.1,
-        mode="routed",
-        use_selection=True,
-        use_token_weighting=True,
-        use_reg=True,
     )
 
 
@@ -643,8 +635,7 @@ def gradient_audit(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     config = config or audit_config()
     config.validate()
-    variant = config.variant()
-    if not (variant.use_selection and variant.use_token_weighting and variant.use_reg):
+    if config.variant() != FULL:
         raise ValueError("the audit exercises the full variant; enable all three stages")
 
     model = Model(
@@ -653,7 +644,7 @@ def gradient_audit(
         top_k=config.top_k,
         rank=config.rank,
         routing_dim=config.routing_dim,
-        variant=variant,
+        variant=config.variant(),
         seed=seed,
     )
     rng = named_rng(seed, "audit.params")
@@ -681,7 +672,7 @@ def gradient_audit(
     pins: list[dict[str, FrozenRouting]] = []
     with no_grad():
         for sample in samples:
-            result = forward(model, sample, variant)
+            result = forward(model, sample)
             pins.append({
                 rec.site: FrozenRouting(
                     subset=rec.subset,
@@ -694,7 +685,7 @@ def gradient_audit(
             })
 
     def objective() -> Value:
-        return _batch_loss(model, samples, variant, shadow, config.reg_weight, pinned=pins)[2]
+        return _batch_loss(model, samples, shadow, config.reg_weight, pinned=pins)[2]
 
     model.params.zero_grad()
     backward(objective())
@@ -724,13 +715,13 @@ def gradient_audit(
     return all(row.ok for row in rows), rows
 
 
-ABLATION_ROWS: list[tuple[str, tuple[bool, bool, bool]]] = [
-    ("uniform_moe", (False, False, False)),
-    ("selection_only", (True, False, False)),
-    ("weighting_only", (False, True, False)),
-    ("weighting_reg", (False, True, True)),
-    ("two_stage", (True, True, False)),
-    ("full", (True, True, True)),
+ABLATION_ROWS: list[tuple[str, str]] = [
+    ("uniform_moe", "uniform_moe"),
+    ("selection_only", "p"),
+    ("weighting_only", "s"),
+    ("weighting_reg", "s,reg"),
+    ("two_stage", "p,s"),
+    ("full", "full"),
 ]
 
 
@@ -740,22 +731,15 @@ def run_ablation_suite(config: RunConfig, out_dir: str | Path | None = None) -> 
     out = Path(out_dir) if out_dir else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    for name, (sel, tw, reg) in ABLATION_ROWS:
-        run_cfg = replace(
-            config,
-            mode="routed",
-            use_selection=sel,
-            use_token_weighting=tw,
-            use_reg=reg,
-            out_dir="",
-        )
+    for name, spec in ABLATION_ROWS:
+        run_cfg = apply_variant(config, spec)
         result = run_stream(run_cfg, out_dir=(out / name) if out else None)
         map_t, maf_t = result.summary()
         rows.append({
             "variant": name,
-            "use_selection": sel,
-            "use_token_weighting": tw,
-            "use_reg": reg,
+            "use_selection": run_cfg.use_selection,
+            "use_token_weighting": run_cfg.use_token_weighting,
+            "use_reg": run_cfg.use_reg,
             "MAP": map_t,
             "MAF": maf_t,
         })

@@ -374,6 +374,21 @@ def test_checkpoint_rejects_wrong_magic(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_every_truncation_and_trailing_bytes(tmp_path):
+    records = {"w": np.arange(6.0).reshape(2, 3), "scalar": np.asarray(1.5), "v": np.ones(2)}
+    path = tmp_path / "state.bin"
+    save_checkpoint(path, records)
+    whole = path.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for size in range(len(whole)):
+        cut.write_bytes(whole[:size])
+        with pytest.raises(ValueError, match="cut.bin: truncated"):
+            load_checkpoint(cut)
+    cut.write_bytes(whole + b"\x00")
+    with pytest.raises(ValueError, match="cut.bin: 1 trailing bytes"):
+        load_checkpoint(cut)
+
+
 def test_param_store_save_load_with_extras(tmp_path):
     store = ParamStore()
     store.add("w", Value(np.arange(6.0).reshape(2, 3)))

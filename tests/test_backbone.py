@@ -257,6 +257,18 @@ def test_dense_mixture_gates_every_expert_per_token():
         assert not np.allclose(rec.weights_data[0], rec.weights_data[-1])
 
 
+def test_shared_lora_site_record_is_one_expert_at_weight_one():
+    model = make_model(SHARED_LORA, n_experts=1, top_k=1)
+    result = forward(model, make_sample(seed=13, n_visual=5, n_instr=4))
+    assert len(result.sites) == 2 * CFG.n_layers
+    for rec in result.sites:
+        assert rec.subset == (0,)
+        assert rec.weights_data.shape == (5 + 4, 1)
+        assert np.all(rec.weights_data == 1.0)
+        assert rec.token_weights is None
+        assert rec.sample_probs is None
+
+
 def test_frozen_forward_produces_no_site_records():
     result = forward(make_model(FROZEN), make_sample())
     assert result.sites == []

@@ -1,7 +1,8 @@
 """Config parsing, the optimizer, the training loop, artifacts, and the CLI."""
 
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from streamlora.autograd import ParamStore, Value, named_rng
 from streamlora.cli import main
-from streamlora.model import Model, Variant
+from streamlora.model import FROZEN, FULL, SHARED_LORA, UNIFORM_MOE, Model, Variant
 from streamlora.stream import TaskSampler, build_default_stream, compose_chunk, make_task_specs
 from streamlora.trainer import (
     ABLATION_ROWS,
@@ -120,6 +121,10 @@ def test_apply_variant_aliases_and_toggle_lists():
     assert apply_variant(base, "S,REG").use_reg is True
     with pytest.raises(ValueError, match="unknown variant component"):
         apply_variant(base, "p,q")
+    assert apply_variant(base, "full").variant() == FULL
+    assert apply_variant(base, "uniform_moe").variant() == UNIFORM_MOE
+    assert apply_variant(base, "shared_lora").variant() == SHARED_LORA
+    assert apply_variant(base, "frozen").variant() == FROZEN
 
 
 def test_config_validation_catches_inconsistencies():
@@ -127,6 +132,8 @@ def test_config_validation_catches_inconsistencies():
         tiny_config(top_k=5).validate()
     with pytest.raises(ValueError, match="single expert"):
         tiny_config(mode="shared_lora").validate()  # pinned at n_experts=3
+    with pytest.raises(ValueError, match="unknown mode"):
+        tiny_config(mode="shared", n_experts=1, top_k=1).validate()
     with pytest.raises(ValueError, match="ema_momentum"):
         tiny_config(ema_momentum=1.0).validate()
     with pytest.raises(ValueError, match="reg_weight"):
@@ -135,6 +142,36 @@ def test_config_validation_catches_inconsistencies():
         tiny_config(learning_rate=0.0).validate()
     with pytest.raises(ValueError, match="sizes must be positive"):
         tiny_config(batch_size=0).validate()
+
+
+def test_config_rejects_an_empty_test_set():
+    with pytest.raises(ValueError, match="test_size"):
+        tiny_config(test_size=0).validate()
+
+
+def test_config_rejects_a_negative_trace_sample_count():
+    with pytest.raises(ValueError, match="trace_eval_samples"):
+        tiny_config(trace_eval_samples=-1).validate()
+
+
+def test_cli_compose_stream_validates_the_config(tmp_path):
+    with pytest.raises(ValueError, match="test_size"):
+        main(["compose-stream", "--set", "test_size=0", "--out", str(tmp_path / "stream")])
+    assert not (tmp_path / "stream").exists()
+
+
+def test_run_stream_rejects_an_empty_test_set_before_training(tmp_path):
+    with pytest.raises(ValueError, match="test_size"):
+        run_stream(tiny_config(test_size=0), out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
+def test_readme_defaults_block_is_the_run_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("The defaults:", 1)[1].split("```", 2)[1]
+    pairs = re.findall(r"(\w+) = (\S+)", block)
+    assert [key for key, _ in pairs] == [f.name for f in fields(RunConfig)]
+    assert parse_config_text("\n".join(f"{k} = {v}" for k, v in pairs)) == RunConfig()
 
 
 def test_config_derived_properties():
