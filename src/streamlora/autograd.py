@@ -83,9 +83,13 @@ class Value:
         return self.data.shape
 
     def accumulate_grad(self, g: Array) -> None:
-        if self.grad is None:
+        if self.grad is not None:
+            self.grad += g
+        elif g.shape == self.data.shape:
+            self.grad = np.array(g, dtype=np.float64)       # a copy: g may be shared
+        else:
             self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad += g
 
     def detach(self) -> "Value":
         """Same data, no history. Gradients never flow through the result."""
@@ -205,49 +209,51 @@ def mul(a: Value, b: Value) -> Value:
 
 
 def matmul(a: Value, b: Value) -> Value:
-    """Matrix product for 1-D and 2-D operands, numpy `@` semantics."""
+    """Matrix product with `np.matmul` semantics: the last two axes
+    multiply, leading axes broadcast, and a 1-D operand is promoted to a
+    matrix whose added axis is dropped from the result."""
     if a.data.ndim == 0 or b.data.ndim == 0:
-        raise ValueError("matmul requires 1-D or 2-D operands")
-    if a.data.ndim > 2 or b.data.ndim > 2:
-        raise ValueError("matmul supports at most 2-D operands")
-    data = a.data @ b.data
+        raise ValueError("matmul requires operands of at least one dimension")
+    data = np.matmul(a.data, b.data)
 
     def backward(out: Value) -> None:
-        g = out.grad
-        ad, bd = a.data, b.data
+        # promote 1-D operands the way np.matmul does, with g to match
+        g, ad, bd = out.grad, a.data, b.data
+        if bd.ndim == 1:
+            bd, g = bd[:, None], g[..., None]
+        if ad.ndim == 1:
+            ad, g = ad[None, :], np.expand_dims(g, -2)
         if a.requires_grad:
-            if ad.ndim == 1 and bd.ndim == 1:
-                ga = g * bd
-            elif ad.ndim == 1:  # (k,) @ (k,n) -> (n,)
-                ga = bd @ g
-            elif bd.ndim == 1:  # (m,k) @ (k,) -> (m,)
-                ga = np.outer(g, bd)
-            else:
-                ga = g @ bd.T
-            a.accumulate_grad(ga)
+            ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
+            a.accumulate_grad(ga.reshape(a.data.shape))
         if b.requires_grad:
-            if ad.ndim == 1 and bd.ndim == 1:
-                gb = g * ad
-            elif ad.ndim == 1:
-                gb = np.outer(ad, g)
-            elif bd.ndim == 1:
-                gb = ad.T @ g
+            if bd.ndim == 2 and ad.ndim > 2:     # one product over every leading axis
+                gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
-                gb = ad.T @ g
-            b.accumulate_grad(gb)
+                gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
+            b.accumulate_grad(gb.reshape(b.data.shape))
 
     return _make_node(data, (a, b), backward)
 
 
 def transpose(a: Value) -> Value:
-    if a.data.ndim != 2:
-        raise ValueError("transpose expects a 2-D value")
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
+        raise ValueError("transpose expects a value of at least two dimensions")
 
     def backward(out: Value) -> None:
         if a.requires_grad:
-            a.accumulate_grad(out.grad.T)
+            a.accumulate_grad(np.swapaxes(out.grad, -1, -2))
 
-    return _make_node(a.data.T, (a,), backward)
+    return _make_node(np.swapaxes(a.data, -1, -2), (a,), backward)
+
+
+def reshape(a: Value, shape: tuple[int, ...]) -> Value:
+    def backward(out: Value) -> None:
+        if a.requires_grad:
+            a.accumulate_grad(out.grad.reshape(a.data.shape))
+
+    return _make_node(a.data.reshape(shape), (a,), backward)
 
 
 def powi(a: Value, exponent: float) -> Value:
@@ -345,11 +351,12 @@ def concat(values: Sequence[Value], axis: int = 0) -> Value:
     return _make_node(data, tuple(values), backward)
 
 
-def take_rows(table: Value, ids: Sequence[int]) -> Value:
-    """Row lookup, the embedding primitive. Backward scatters into rows."""
+def take_rows(table: Value, ids) -> Value:
+    """Row lookup, the embedding primitive: an index array of any shape
+    picks rows of `table`. Backward scatters into rows."""
     idx = np.asarray(ids, dtype=np.intp)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ValueError("take_rows expects a non-empty 1-D index list")
+    if idx.ndim == 0 or idx.size == 0:
+        raise ValueError("take_rows expects a non-empty index array")
     if idx.min() < 0 or idx.max() >= table.data.shape[0]:
         raise ValueError(f"row index out of range for table with {table.data.shape[0]} rows")
     data = table.data[idx]
@@ -371,21 +378,6 @@ def cols(a: Value, start: int, stop: int) -> Value:
         if a.requires_grad:
             g = np.zeros_like(a.data)
             g[..., start:stop] = out.grad
-            a.accumulate_grad(g)
-
-    return _make_node(data, (a,), backward)
-
-
-def pick(a: Value, index: int) -> Value:
-    """Single element of a 1-D value, as a scalar."""
-    if a.data.ndim != 1:
-        raise ValueError("pick expects a 1-D value")
-    data = np.asarray(a.data[index])
-
-    def backward(out: Value) -> None:
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            g[index] = out.grad
             a.accumulate_grad(g)
 
     return _make_node(data, (a,), backward)
@@ -440,28 +432,31 @@ def softmax(logits: Value) -> Value:
     return masked_softmax(logits, None)
 
 
-def cross_entropy(logits: Value, target: int) -> Value:
-    """Negative log-likelihood of `target` under softmax(logits).
+def cross_entropy(logits: Value, target) -> Value:
+    """Negative log-likelihood of `target` under softmax(logits) along the
+    last axis: (C,) logits with an int target give a scalar, (B, C) logits
+    with B targets give the B per-row losses.
 
     Computed as logsumexp(logits) - logits[target]; the backward pass is
     the classic softmax-minus-onehot.
     """
     x = logits.data
-    if x.ndim != 1:
-        raise ValueError("cross_entropy expects 1-D logits")
-    if not 0 <= target < x.shape[0]:
-        raise ValueError(f"target {target} out of range for {x.shape[0]} classes")
-    m = x.max()
-    lse = m + np.log(np.exp(x - m).sum())
-    data = np.asarray(lse - x[target])
+    if x.ndim not in (1, 2):
+        raise ValueError("cross_entropy expects (C,) or (B, C) logits")
+    t = np.asarray(target, dtype=np.intp)
+    if t.shape != x.shape[:-1]:
+        raise ValueError(f"{t.size} targets for logits of shape {x.shape}")
+    if t.size and not (0 <= t.min() and t.max() < x.shape[-1]):
+        raise ValueError(f"target out of range for {x.shape[-1]} classes")
+    onehot = np.arange(x.shape[-1]) == t[..., None]
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    total = e.sum(axis=-1, keepdims=True)
+    data = (m + np.log(total))[..., 0] - x[onehot].reshape(t.shape)
 
     def backward(out: Value) -> None:
-        if not logits.requires_grad:
-            return
-        p = np.exp(x - m)
-        p /= p.sum()
-        p[target] -= 1.0
-        logits.accumulate_grad(out.grad * p)
+        if logits.requires_grad:
+            logits.accumulate_grad(out.grad[..., None] * (e / total - onehot))
 
     return _make_node(data, (logits,), backward)
 

@@ -8,6 +8,12 @@ the caller:
 
     out = W0 h + sum_{j in subset} w_j * B_j (A_j h)
 
+A batch of token matrices (B, L, d_in), each sample with its own subset,
+is served by one product over the union of the batch's subsets: the
+factors of those experts are concatenated at forward time (so in-place
+parameter edits are always seen) and every sample weights the experts
+outside its own subset by exactly zero.
+
 A is initialized uniform in [-1/sqrt(d_in), 1/sqrt(d_in)] and B starts at
 zero, so a fresh bank is exactly the frozen base regardless of routing.
 """
@@ -15,11 +21,11 @@ zero, so a fresh bank is exactly the frozen base regardless of routing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .autograd import Value, cols, matmul, mul, pick, transpose
+from .autograd import Value, concat, matmul, mul, transpose
+from .routing import per_token, subset_mask
 
 WEIGHT_SUM_TOL = 1e-6
 
@@ -73,23 +79,41 @@ def init_expert_bank(
     return ExpertBank(n_experts=n_experts, rank=rank, base=base_v, down=down, up=up)
 
 
-def lora_delta(bank: ExpertBank, expert: int, h: Value) -> Value:
-    """Contribution of one adapter to a token matrix h (L, d_in): every row
-    is right-multiplied by the transposed factors, h A_j^T B_j^T."""
-    if not 0 <= expert < bank.n_experts:
-        raise ValueError(f"expert index {expert} out of range")
-    if h.data.ndim != 2:
+def lora_delta(bank: ExpertBank, experts, h: Value, weights: Value | None = None) -> Value:
+    """Low-rank correction of token matrices h (..., L, d_in) by one
+    adapter, h A_j^T B_j^T, or by several: sum_j w_j h A_j^T B_j^T.
+
+    `experts` is one index or a sequence of them. `weights` (..., N) holds
+    w_j for every expert of the bank, per token or broadcast over tokens;
+    without it each listed expert counts once. The listed factors are
+    concatenated along the rank axis, so any number of experts costs two
+    products, and the weights scale the rank-space activations in between.
+    """
+    experts = [experts] if isinstance(experts, (int, np.integer)) else [int(j) for j in experts]
+    if not experts or min(experts) < 0 or max(experts) >= bank.n_experts:
+        raise ValueError(f"expert index out of range for a bank of {bank.n_experts}")
+    if h.data.ndim < 2:
         raise ValueError("hidden state must be a (tokens, d_in) matrix")
-    return matmul(matmul(h, transpose(bank.down[expert])), transpose(bank.up[expert]))
+    if len(experts) == 1:
+        down, up = bank.down[experts[0]], bank.up[experts[0]]
+    else:
+        down = concat([bank.down[j] for j in experts], axis=0)     # (U r, d_in)
+        up = concat([bank.up[j] for j in experts], axis=1)         # (d_out, U r)
+    z = matmul(h, transpose(down))                                 # (..., L, U r)
+    if weights is not None:
+        # a 0/1 (N, U r) matrix copies w_j onto expert j's r columns, exactly
+        spread = np.zeros((bank.n_experts, len(experts) * bank.rank))
+        for u, j in enumerate(experts):
+            spread[j, u * bank.rank : (u + 1) * bank.rank] = 1.0
+        z = mul(z, matmul(weights, Value(spread)))
+    return matmul(z, transpose(up))
 
 
-def _check_weights(weights: Value, subset: Sequence[int], n_experts: int) -> None:
+def _check_weights(weights: Value, mask: np.ndarray, n_experts: int) -> None:
     w = weights.data
     if w.shape[-1] != n_experts:
         raise ValueError(f"weights last axis {w.shape[-1]} != n_experts {n_experts}")
-    off = np.ones(n_experts, dtype=bool)
-    off[subset] = False
-    if w[..., off].any():
+    if np.any((w != 0.0) & ~mask[..., None, :]):
         raise ValueError("routing weights nonzero outside the selected subset")
     if (np.abs(w.sum(axis=-1) - 1.0) > WEIGHT_SUM_TOL).any():
         raise ValueError("unnormalized routing weights")
@@ -99,35 +123,25 @@ def adapted_forward(
     bank: ExpertBank,
     h: Value,
     weights: Value,
-    subset: Sequence[int],
+    subset,
     gate: Value | None = None,
 ) -> Value:
     """Base projection plus the routed low-rank corrections to a token
-    matrix h (L, d_in).
+    matrix h (L, d_in), or to a batch of them (B, L, d_in).
 
-    `weights` is either one distribution over experts, shape (N,), applied
-    to every token, or a per-token matrix (L, N). Off-subset entries must
-    be exactly zero and each distribution must sum to one; the bank never
-    touches experts outside `subset`, so their adapters get no gradient.
-    An (N,) `gate`, the straight-through factor, scales the weights after
-    that check.
+    `subset` is one sample's expert indices or a boolean mask, (B, N) for
+    a batch. `weights` is per token, (L, N) or (B, L, N), or one
+    distribution per sample broadcast over its tokens, (N,) or (B, 1, N).
+    Off-subset entries must be exactly zero and each distribution must sum
+    to one. Experts outside every sample's subset are never touched, so
+    their adapters get no gradient. A `gate` (N,) or (B, N), the
+    straight-through factor, scales the weights after that check.
     """
-    subset = sorted(set(int(j) for j in subset))
-    if not subset:
-        raise ValueError("empty routing subset")
-    if subset[0] < 0 or subset[-1] >= bank.n_experts:
-        raise ValueError("subset index out of range")
-    _check_weights(weights, subset, bank.n_experts)
-    if h.data.ndim != 2:
+    mask = subset_mask(subset, bank.n_experts)
+    _check_weights(weights, mask, bank.n_experts)
+    if h.data.ndim < 2:
         raise ValueError("hidden state must be a (tokens, d_in) matrix")
     if gate is not None:
-        weights = mul(weights, gate)
-
-    out = matmul(h, transpose(bank.base))
-    for j in subset:
-        if weights.data.ndim == 1:
-            w_j = pick(weights, j)          # scalar, same for every token
-        else:
-            w_j = cols(weights, j, j + 1)   # (L, 1), broadcasts over d_out
-        out = out + mul(w_j, lora_delta(bank, j, h))
-    return out
+        weights = mul(weights, per_token(gate))
+    union = np.flatnonzero(mask.reshape(-1, bank.n_experts).any(axis=0))
+    return matmul(h, transpose(bank.base)) + lora_delta(bank, union, h, weights)

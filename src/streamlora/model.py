@@ -18,11 +18,16 @@ Forward behavior is controlled by a `Variant`:
   gated on the hidden state, the classic MoE-adapter baseline.
 * shared_lora is a single adapter with weight one, no routing at all.
 * frozen applies the bare backbone and trains nothing.
+
+`forward` runs a batch: samples that share their visual-token count and
+instruction length go through one graph over (B, L, d) tensors, and each
+sample is routed on its own (its own top-K subset, its own token weights).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -49,10 +54,11 @@ from .experts import lora_delta  # noqa: F401  (perfbench/spans.py looks it up h
 from .routing import (
     RoutingState,
     init_routing_state,
+    per_token,
     pool_text,
     route_with_straight_through,
     select_experts,
-    subset_mask,
+    subset_indices,
     token_logits,
     token_weights,
 )
@@ -130,6 +136,25 @@ class Sample:
             raise ValueError("instruction must contain at least one token")
 
 
+def check_uniform_batch(samples: Sequence[Sample]) -> None:
+    """A batch is one stack of arrays: every sample must have the first
+    sample's visual-token matrix shape and instruction length. Raises a
+    `ValueError` naming the first sample that differs."""
+    if isinstance(samples, Sample):
+        raise TypeError("expected a sequence of samples; wrap a single sample in a list")
+    if len(samples) == 0:
+        raise ValueError("empty batch")
+    first = samples[0]
+    for i, sample in enumerate(samples):
+        if (sample.visual.shape != first.visual.shape
+                or len(sample.instruction) != len(first.instruction)):
+            raise ValueError(
+                f"ragged batch: sample {i} ({sample.uid!r}) has visual tokens {sample.visual.shape} "
+                f"and {len(sample.instruction)} instruction tokens, sample 0 ({first.uid!r}) has "
+                f"{first.visual.shape} and {len(first.instruction)}"
+            )
+
+
 @dataclass
 class Layer:
     attn_q: Value
@@ -142,20 +167,26 @@ class Layer:
 
 @dataclass
 class SiteRecord:
-    """Routing outcome at one adapter site for one sample, kept for the
-    regularizer and for trace export."""
+    """Routing outcome at one adapter site for a batch of B samples, kept
+    for the regularizer and for trace export."""
 
     site: str
-    subset: tuple[int, ...]
-    weights_data: np.ndarray          # (L, N) as applied, detached copy
-    hidden_data: np.ndarray           # (L, d_in) site input, detached copy
-    token_weights: Value | None       # live stage-two weights when present
-    sample_probs: np.ndarray | None   # stage-one distribution when present
+    mask: np.ndarray                  # (B, N) each sample's subset
+    weights_data: np.ndarray          # (B, L, N) as applied
+    hidden_data: np.ndarray           # (B, L, d_in) site input
+    token_weights: Value | None       # live stage-two weights (B, L, N) when present
+    sample_probs: np.ndarray | None   # stage-one distributions (B, N) when present
+
+    @property
+    def subset(self) -> tuple[tuple[int, ...], ...]:
+        """Each sample's subset as ascending expert indices."""
+        return subset_indices(self.mask)
 
 
 @dataclass(frozen=True)
 class FrozenRouting:
-    """Pinned routing constants of one site, for the gradient audit.
+    """Pinned routing constants of one site for a batch, for the gradient
+    audit.
 
     The training objective treats the subset choice, the detached factor
     inside the straight-through gate, and the EMA reference weights as
@@ -164,15 +195,15 @@ class FrozenRouting:
     values instead of recomputing them from the perturbed parameters.
     """
 
-    subset: tuple[int, ...]
-    sample_probs: np.ndarray          # baseline stage-one distribution
-    reference: np.ndarray | None      # baseline EMA reference weights
+    mask: np.ndarray                  # (B, N) baseline subsets
+    sample_probs: np.ndarray          # (B, N) baseline stage-one distributions
+    reference: np.ndarray | None      # (B, L, N) baseline EMA reference weights
 
 
 @dataclass
 class ForwardResult:
-    logits: Value
-    x_text: Value
+    logits: Value                     # (B, n_classes)
+    x_text: Value                     # (B, d_e) pooled instruction embeddings
     sites: list[SiteRecord] = field(default_factory=list)
 
 
@@ -268,12 +299,13 @@ def layer_norm(x: Value) -> Value:
 
 
 def _attention(layer: Layer, x: Value, n_heads: int) -> Value:
-    """Multi-head self attention up to (not including) the output projection.
+    """Multi-head self attention over (B, L, d) up to (not including) the
+    output projection.
 
     Returns the concatenated head outputs; the adapted output projection
-    is applied by the caller so the adapter site sees this matrix.
+    is applied by the caller so the adapter site sees this tensor.
     """
-    d = x.data.shape[1]
+    d = x.data.shape[-1]
     dh = d // n_heads
     q = matmul(x, transpose(layer.attn_q))
     k = matmul(x, transpose(layer.attn_k))
@@ -285,7 +317,7 @@ def _attention(layer: Layer, x: Value, n_heads: int) -> Value:
         qh, kh, vh = cols(q, lo, hi), cols(k, lo, hi), cols(v, lo, hi)
         scores = mul(matmul(qh, transpose(kh)), Value(scale))
         heads.append(matmul(softmax(scores), vh))
-    return concat(heads, axis=1)
+    return concat(heads, axis=-1)
 
 
 def _site_forward(
@@ -297,75 +329,81 @@ def _site_forward(
     x_text: Value,
     pinned: FrozenRouting | None = None,
 ) -> tuple[Value, SiteRecord | None]:
-    """One adapter site under `model.variant`.
+    """One adapter site under `model.variant`, for a batch.
 
-    Each routed variant only decides the expert weights, the subset they
-    live on, the straight-through gate (full method only), the live
-    stage-two weights the regularizer reads, and the stage-one
-    distribution; the bank and the record are the same for all of them.
-    Frozen mode applies the bare base projection and records nothing.
+    Each routed variant only decides the expert weights, the subsets they
+    live on (a (B, N) mask), the straight-through gate (full method
+    only), the live stage-two weights the regularizer reads, and the
+    stage-one distributions; the bank and the record are the same for all
+    of them. Frozen mode applies the bare base projection and records
+    nothing.
     """
     variant = model.variant
     if variant.mode == "frozen":
         return matmul(hidden, transpose(bank.base)), None
     n = bank.n_experts
-    everyone = tuple(range(n))
-    subset, gate, live, probs = everyone, None, None, None
+    mask = np.ones((hidden.data.shape[0], n), dtype=bool)     # every expert, every sample
+    gate, live, probs = None, None, None
     if variant.mode == "shared_lora":
         weights = Value(np.ones(n))
     elif variant.use_selection and variant.use_token_weighting:
         decision = route_with_straight_through(
             router, hidden, x_text, model.top_k,
-            subset=None if pinned is None else pinned.subset,
+            subset=None if pinned is None else pinned.mask,
             detached_probs=None if pinned is None else pinned.sample_probs,
         )
         weights = live = decision.token_weights
-        subset, gate, probs = decision.subset, decision.gate, decision.sample_probs
+        mask, gate, probs = decision.mask, decision.gate, decision.sample_probs
     elif variant.use_selection:
-        probs, subset = select_experts(router, x_text, model.top_k)
-        member = Value(subset_mask(subset, n).astype(np.float64))
-        kept = mul(probs, member)
-        weights = mul(kept, powi(vsum(kept), -1.0))   # renormalized over the subset
+        probs, mask = select_experts(router, x_text, model.top_k)
+        kept = mul(probs, Value(mask.astype(np.float64)))
+        # renormalized over each sample's subset, one row for all its tokens
+        weights = per_token(mul(kept, powi(vsum(kept, axis=-1, keepdims=True), -1.0)))
     elif variant.use_token_weighting:
-        weights = live = token_weights(token_logits(router, hidden, x_text, everyone), everyone, n)
+        weights = live = token_weights(token_logits(router, hidden, x_text, mask), mask, n)
     else:
         # dense per-token mixture on the hidden state, no text conditioning
         weights = live = softmax(matmul(hidden, transpose(router.select)))
-    out = adapted_forward(bank, hidden, weights, subset, gate)
-    applied = np.empty((hidden.data.shape[0], n))
-    applied[...] = weights.data                      # (N,) weights repeat on every token
+    out = adapted_forward(bank, hidden, weights, mask, gate)
+    applied = np.empty(hidden.data.shape[:-1] + (n,))
+    applied[...] = weights.data                      # per-sample weights repeat on every token
     return out, SiteRecord(
         site=site_key,
-        subset=subset,
+        mask=mask,
         weights_data=applied,
-        hidden_data=hidden.data.copy(),
+        hidden_data=hidden.data,
         token_weights=live,
-        sample_probs=None if probs is None else probs.data.copy(),
+        sample_probs=None if probs is None else probs.data,
     )
 
 
 def forward(
     model: Model,
-    sample: Sample,
+    samples: Sequence[Sample],
     pinned: dict[str, FrozenRouting] | None = None,
 ) -> ForwardResult:
-    """Run one sample through the adapted backbone under `model.variant`.
+    """Run a batch of samples through the adapted backbone under
+    `model.variant`: one graph over (B, L, d) tensors.
 
-    The pooled instruction embedding is computed once and shared by every
-    router. Site records collect what the regularizer and the trace writer
-    need; frozen mode produces none. `pinned` holds per-site routing
-    constants for the gradient audit and is never set during training.
+    The samples must share their visual-token count and instruction length
+    (`check_uniform_batch`). The pooled instruction embeddings are computed
+    once and shared by every router. Site records collect what the
+    regularizer and the trace writer need; frozen mode produces none.
+    `pinned` holds per-site routing constants for the gradient audit and
+    is never set during training.
     """
+    check_uniform_batch(samples)
     cfg = model.config
-    if sample.visual.shape[1] != cfg.d_e:
-        raise ValueError(f"visual token width {sample.visual.shape[1]} != d_e {cfg.d_e}")
-    ids = sample.instruction
-    if min(ids) < 0 or max(ids) >= cfg.vocab_size:
+    visual = np.stack([sample.visual for sample in samples])
+    if visual.shape[-1] != cfg.d_e:
+        raise ValueError(f"visual token width {visual.shape[-1]} != d_e {cfg.d_e}")
+    ids = np.array([sample.instruction for sample in samples])
+    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError(f"unknown token id in instruction (vocab size {cfg.vocab_size})")
 
-    instr_emb = take_rows(model.embed, ids)
-    x_text = pool_text(instr_emb)
-    x = concat([Value(sample.visual), instr_emb], axis=0)
+    instr_emb = take_rows(model.embed, ids)              # (B, T, d_e)
+    x_text = pool_text(instr_emb)                        # (B, d_e)
+    x = concat([Value(visual), instr_emb], axis=1)       # (B, L, d)
 
     result = ForwardResult(logits=None, x_text=x_text)  # logits filled below
 
@@ -384,11 +422,12 @@ def forward(
         up = site(i, layer, "ffn_up", layer_norm(x))
         x = x + matmul(tanh(up), transpose(layer.ffn_down))
 
-    pooled = mean(layer_norm(x), axis=0)
-    result.logits = add(matmul(model.head_weight, pooled), model.head_bias)
+    pooled = mean(layer_norm(x), axis=1)                 # (B, d)
+    result.logits = add(matmul(pooled, transpose(model.head_weight)), model.head_bias)
     return result
 
 
-def task_loss(logits: Value, label: int) -> Value:
-    """Cross-entropy against the gold answer class."""
-    return cross_entropy(logits, label)
+def task_loss(logits: Value, labels) -> Value:
+    """Mean cross-entropy against the gold answer classes: (B, C) logits
+    with B labels, or (C,) logits with one label."""
+    return mean(cross_entropy(logits, labels))

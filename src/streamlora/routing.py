@@ -16,12 +16,17 @@ straight-through factor: the weights used downstream are s * (1 + p -
 detach(p)), which is bit-identical to s in the forward pass but leaks the
 task gradient into the gate matrix on the backward pass (Bengio et al.
 2013, arXiv:1308.3432).
+
+Every function routes one sample or a batch of them. One sample has hidden
+states (L, d_hidden), a pooled instruction embedding (d_e,) and a subset
+given as expert indices or an (N,) mask; a batch adds a leading axis B to
+each, and its subsets are one (B, N) boolean mask, one row per sample (the
+masked dispatch of sparse MoE layers, Fedus et al. 2021, arXiv:2101.03961).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from .autograd import (
     matmul,
     mean,
     mul,
+    reshape,
     softmax,
     transpose,
 )
@@ -62,18 +68,25 @@ class RoutingState:
 
 @dataclass
 class RoutingDecision:
-    """Everything one sample's routing produced at one site."""
+    """Everything the routing of one sample, or of a batch, produced at one
+    site; a batch adds a leading axis B to every array."""
 
     sample_probs: Value          # (N,) stage-one distribution p
-    subset: tuple[int, ...]      # selected expert indices, ascending
+    mask: np.ndarray             # (N,) selected experts
     token_weights: Value         # (L, N) stage-two distributions, zero off subset
     token_logits: Value          # (L, N) raw stage-two scores before masking
     gate: Value                  # (N,) straight-through factor 1 + p - detach(p)
 
     @property
+    def subset(self) -> tuple:
+        """The selected experts as ascending indices (one tuple per sample
+        for a batch)."""
+        return subset_indices(self.mask)
+
+    @property
     def gated_weights(self) -> Value:
         """(L, N) straight-through product used downstream."""
-        return mul(self.token_weights, self.gate)
+        return mul(self.token_weights, per_token(self.gate))
 
 
 def init_routing_state(
@@ -95,60 +108,83 @@ def init_routing_state(
 
 
 def pool_text(instruction_emb: Value) -> Value:
-    """Mean over instruction token embeddings, the sample's text summary."""
-    if instruction_emb.data.ndim != 2 or instruction_emb.data.shape[0] == 0:
+    """Mean over instruction token embeddings, the sample's text summary:
+    (T, d_e) -> (d_e,), or (B, T, d_e) -> (B, d_e)."""
+    if instruction_emb.data.ndim < 2 or instruction_emb.data.shape[-2] == 0:
         raise ValueError("need a non-empty (tokens, d_e) embedding matrix")
-    return mean(instruction_emb, axis=0)
+    return mean(instruction_emb, axis=-2)
 
 
-def select_experts(state: RoutingState, x_text: Value, top_k: int) -> tuple[Value, tuple[int, ...]]:
+def per_token(v: Value) -> Value:
+    """(..., N) -> (..., 1, N): one row per sample that broadcasts over its
+    tokens."""
+    return reshape(v, v.data.shape[:-1] + (1, v.data.shape[-1]))
+
+
+def subset_mask(subset, n_experts: int) -> np.ndarray:
+    """Boolean membership over the N experts. `subset` is one sample's
+    expert indices, giving an (N,) mask, or a boolean mask already (one
+    row per sample), which is checked and returned as is."""
+    if isinstance(subset, np.ndarray) and subset.dtype == bool:
+        if subset.shape[-1] != n_experts:
+            raise ValueError(f"subset mask covers {subset.shape[-1]} experts, not {n_experts}")
+        mask = subset
+    else:
+        mask = np.zeros(n_experts, dtype=bool)
+        for j in subset:
+            if not 0 <= j < n_experts:
+                raise ValueError(f"subset index out of range: {j} not in [0, {n_experts})")
+            mask[j] = True
+    if not mask.any(axis=-1).all():
+        raise ValueError("empty routing subset")
+    return mask
+
+
+def subset_indices(mask: np.ndarray) -> tuple:
+    """Ascending expert indices of an (N,) mask; one tuple per row of a
+    (B, N) mask."""
+    if mask.ndim == 1:
+        return tuple(int(j) for j in np.flatnonzero(mask))
+    return tuple(subset_indices(row) for row in mask)
+
+
+def select_experts(state: RoutingState, x_text: Value, top_k: int) -> tuple[Value, np.ndarray]:
     """Stage one: softmax gate over experts, keep the top-K.
 
     Ties are broken toward the lower expert index (stable sort on the
-    negated probabilities). Returns the full distribution and the subset
-    as an ascending tuple.
+    negated probabilities, one per sample). Returns the full distribution
+    and the subset as a boolean mask of the same shape.
     """
     n = state.n_experts
     if not 1 <= top_k <= n:
         raise ValueError(f"top_k must be in [1, {n}], got {top_k}")
-    logits = matmul(state.select, x_text)
+    logits = matmul(x_text, transpose(state.select))
     probs = softmax(logits)
-    order = np.argsort(-probs.data, kind="stable")
-    subset = tuple(sorted(int(j) for j in order[:top_k]))
-    return probs, subset
+    order = np.argsort(-probs.data, axis=-1, kind="stable")
+    rank = np.argsort(order, axis=-1, kind="stable")        # each expert's place in that order
+    return probs, rank < top_k
 
 
-def token_logits(state: RoutingState, hidden: Value, x_text: Value, subset: Sequence[int]) -> Value:
+def token_logits(state: RoutingState, hidden: Value, x_text: Value, subset) -> Value:
     """Stage-two scores for every (token, expert) pair.
 
     score[l, j] = (query(h_l) . (key(x_text) * e_j)) / sqrt(D). The subset
     only gates what happens next; scores for inactive experts are computed
     but masked out by `token_weights`, never materialized as infinities.
     """
-    if len(subset) == 0:
-        raise ValueError("empty routing subset")
-    if hidden.data.ndim != 2:
+    subset_mask(subset, state.n_experts)
+    if hidden.data.ndim < 2:
         raise ValueError("hidden must be a (tokens, d_hidden) matrix")
-    keys = mul(state.experts, matmul(state.key, x_text))      # (N, D)
-    queries = matmul(hidden, transpose(state.query))          # (L, D)
+    text_key = matmul(x_text, transpose(state.key))                 # (D,) or (B, D)
+    keys = mul(state.experts, per_token(text_key))                  # (N, D) or (B, N, D)
+    queries = matmul(hidden, transpose(state.query))                # (L, D) or (B, L, D)
     scale = 1.0 / np.sqrt(state.routing_dim)
     return mul(matmul(queries, transpose(keys)), Value(scale))
 
 
-def subset_mask(subset: Sequence[int], n_experts: int) -> np.ndarray:
-    mask = np.zeros(n_experts, dtype=bool)
-    for j in subset:
-        if not 0 <= j < n_experts:
-            raise ValueError(f"subset index {j} out of range")
-        mask[j] = True
-    if not mask.any():
-        raise ValueError("empty routing subset")
-    return mask
-
-
-def token_weights(logits: Value, subset: Sequence[int], n_experts: int) -> Value:
+def token_weights(logits: Value, subset, n_experts: int) -> Value:
     """Stage two: per-token softmax restricted to the subset."""
-    return masked_softmax(logits, subset_mask(subset, n_experts))
+    return masked_softmax(logits, subset_mask(subset, n_experts)[..., None, :])
 
 
 def route_with_straight_through(
@@ -156,10 +192,10 @@ def route_with_straight_through(
     hidden: Value,
     x_text: Value,
     top_k: int,
-    subset: Sequence[int] | None = None,
+    subset=None,
     detached_probs: np.ndarray | None = None,
 ) -> RoutingDecision:
-    """Full two-stage routing for one sample at one site.
+    """Full two-stage routing for one sample (or a batch) at one site.
 
     The gate multiplies each token weight by 1 + p_j - detach(p_j). The
     parenthesized difference is computed first and is exactly zero in the
@@ -169,14 +205,15 @@ def route_with_straight_through(
     holds them at their baseline so probing a parameter cannot move them
     (off baseline the gate is then no longer exactly 1).
     """
-    probs, selected = select_experts(state, x_text, top_k)
-    subset = selected if subset is None else tuple(subset)
+    probs, mask = select_experts(state, x_text, top_k)
+    if subset is not None:
+        mask = subset_mask(subset, state.n_experts)
     detached = probs.detach() if detached_probs is None else Value(detached_probs)
-    logits = token_logits(state, hidden, x_text, subset)
-    weights = token_weights(logits, subset, state.n_experts)
+    logits = token_logits(state, hidden, x_text, mask)
+    weights = token_weights(logits, mask, state.n_experts)
     return RoutingDecision(
         sample_probs=probs,
-        subset=subset,
+        mask=mask,
         token_weights=weights,
         token_logits=logits,
         gate=Value(1.0) + (probs - detached),

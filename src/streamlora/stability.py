@@ -15,7 +15,7 @@ token weights only; the shadow is a pure target.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -76,14 +76,14 @@ def reference_weights(
     site: str,
     hidden: np.ndarray,
     x_text: np.ndarray,
-    subset: Sequence[int],
+    subset,
 ) -> np.ndarray:
     """Stage-two weights recomputed with the shadow parameters.
 
     Runs the live router's own stage two on the shadow arrays, so a shadow
     that still equals the live parameters reproduces the live weights
-    bit-exactly. Plain numpy in, plain numpy out: nothing here ever joins
-    the autodiff graph.
+    bit-exactly. Takes one sample or a batch, like the router. Plain numpy
+    in, plain numpy out: nothing here ever joins the autodiff graph.
     """
     query, key, experts = shadow.site_arrays(site)
     # stage two never reads the selection gate, which the shadow does not track
@@ -93,32 +93,31 @@ def reference_weights(
         return token_weights(logits, subset, state.n_experts).data
 
 
-def reg_loss(reference: np.ndarray, live: Value, subset: Sequence[int]) -> Value:
+def reg_loss(reference: np.ndarray, live: Value, subset) -> Value:
     """Mean per-token KL(reference || live) over the subset.
 
-    Both inputs are (tokens, N) with zeros outside the subset. The
-    reference term is a constant, so the whole gradient lands on the live
-    weights through the log. Live entries are clamped at 1e-12 inside the
-    log; off-subset columns contribute exactly zero because the reference
-    is zero there.
+    Both inputs are (tokens, N), or (B, tokens, N) for a batch whose
+    `subset` is a (B, N) mask, with zeros outside the subset. The mean runs
+    over every token of every sample. The reference term is a constant, so
+    the whole gradient lands on the live weights through the log. Live
+    entries are clamped at 1e-12 inside the log; off-subset columns
+    contribute exactly zero because the reference is zero there.
     """
     ref = np.asarray(reference, dtype=np.float64)
     if ref.shape != live.data.shape:
         raise ValueError(f"shape mismatch: reference {ref.shape} vs live {live.data.shape}")
-    if ref.ndim != 2:
+    if ref.ndim < 2:
         raise ValueError("expected (tokens, n_experts) weight matrices")
-    n_tokens, n_experts = ref.shape
-    member = subset_mask(subset, n_experts)
-    ref_support = np.any(ref != 0.0, axis=0)
-    live_support = np.any(live.data != 0.0, axis=0)
-    if np.any(ref_support & ~member) or np.any(live_support & ~member):
+    n_experts = ref.shape[-1]
+    off = ~subset_mask(subset, n_experts)[..., None, :]
+    if np.any((ref != 0.0) & off) or np.any((live.data != 0.0) & off):
         raise ValueError("weight support disagrees with the routing subset")
 
     # sum_l sum_j ref * log(ref) is a constant; only the cross term needs ops
     ref_entropy = float(np.sum(np.where(ref > 0.0, ref * np.log(np.maximum(ref, LOG_FLOOR)), 0.0)))
     cross = vsum(mul(Value(ref), log(live, floor=LOG_FLOOR)))
     kl_total = Value(ref_entropy) - cross
-    return kl_total * (1.0 / n_tokens)
+    return kl_total * (n_experts / ref.size)        # 1 / (number of tokens)
 
 
 def total_loss(task: Value, reg: Value | None, weight: float) -> Value:

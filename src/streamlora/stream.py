@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import named_rng
-from .model import Sample
+from .model import Sample, check_uniform_batch
 
 STREAM_FORMAT = "streamlora-stream-v1"
 
@@ -300,6 +300,7 @@ def build_default_stream(
 
 
 def _samples_to_arrays(samples: list[Sample]) -> dict[str, np.ndarray]:
+    check_uniform_batch(samples)       # one stacked array per field
     return {
         "visual": np.stack([s.visual for s in samples]),
         "instruction": np.asarray([s.instruction for s in samples], dtype=np.int64),

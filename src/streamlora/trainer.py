@@ -1,9 +1,9 @@
 """Single-pass training over a chunked stream.
 
 Every chunk is traversed exactly once, in the order the composer shuffled
-it. Per batch: forward each sample, average the task losses, optionally
-add the routing-stability term, one adaptive gradient step, then one EMA
-step on the shadow router. Evaluation runs after every chunk on the frozen
+it. Per batch: one forward over the whole batch, the mean task loss,
+optionally the routing-stability term, one adaptive gradient step, then
+one EMA step on the shadow router. Evaluation runs after every chunk on the frozen
 test set of every task seen so far, feeding the metric ledger.
 
 Everything is driven by a flat `RunConfig`. Config files are plain
@@ -37,6 +37,7 @@ from .model import (
     SHARED_LORA,
     UNIFORM_MOE,
     BackboneConfig,
+    ForwardResult,
     FrozenRouting,
     Model,
     Sample,
@@ -146,6 +147,11 @@ class RunConfig:
             raise ValueError(f"test_size must be at least 1, got {self.test_size}")
         if self.trace_eval_samples < 0:
             raise ValueError(f"trace_eval_samples must be >= 0, got {self.trace_eval_samples}")
+        if self.grad_clip < 0.0:
+            raise ValueError(f"grad_clip must be >= 0 (0 disables clipping), got {self.grad_clip}")
+        if self.trace_interval < 0:
+            raise ValueError(f"trace_interval must be >= 0 (0 disables training-batch traces), "
+                             f"got {self.trace_interval}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -333,16 +339,16 @@ def _mean_value(parts: list[Value]) -> Value:
     return acc * (1.0 / len(parts))
 
 
-def _sample_reg(shadow: EmaShadow | None, result, pinned: dict[str, FrozenRouting] | None) -> Value:
+def _batch_reg(shadow: EmaShadow | None, result, pinned: dict[str, FrozenRouting] | None) -> Value:
     terms = []
     for rec in result.sites:
         if rec.token_weights is None:
             raise ValueError(f"site {rec.site} produced no token weights to regularize")
         if pinned is None:
-            ref = reference_weights(shadow, rec.site, rec.hidden_data, result.x_text.data, rec.subset)
+            ref = reference_weights(shadow, rec.site, rec.hidden_data, result.x_text.data, rec.mask)
         else:
             ref = pinned[rec.site].reference
-        terms.append(reg_loss(ref, rec.token_weights, rec.subset))
+        terms.append(reg_loss(ref, rec.token_weights, rec.mask))
     return _mean_value(terms)
 
 
@@ -351,41 +357,36 @@ def _batch_loss(
     batch: Sequence[Sample],
     shadow: EmaShadow | None,
     reg_weight: float,
-    pinned: Sequence[dict[str, FrozenRouting]] | None = None,
-) -> tuple[Value, Value | None, Value, list]:
-    """(task, reg, total, forward results) of the training objective on one
-    batch. `pinned`, one map per sample, fixes the routing constants and the
-    EMA reference for the gradient audit; training leaves it unset."""
+    pinned: dict[str, FrozenRouting] | None = None,
+) -> tuple[Value, Value | None, Value, ForwardResult]:
+    """(task, reg, total, forward result) of the training objective on one
+    batch, from one forward over the whole batch. `pinned` fixes the
+    routing constants and the EMA reference of every site for the gradient
+    audit; training leaves it unset."""
     use_reg = model.variant.use_reg
-    losses: list[Value] = []
-    regs: list[Value] = []
-    results = []
-    for i, sample in enumerate(batch):
-        sample_pins = None if pinned is None else pinned[i]
-        result = forward(model, sample, pinned=sample_pins)
-        losses.append(task_loss(result.logits, sample.label))
-        if use_reg:
-            regs.append(_sample_reg(shadow, result, sample_pins))
-        results.append(result)
-    task = _mean_value(losses)
-    reg = _mean_value(regs) if regs else None
-    return task, reg, total_loss(task, reg, reg_weight if use_reg else 0.0), results
+    result = forward(model, batch, pinned=pinned)
+    task = task_loss(result.logits, [sample.label for sample in batch])
+    reg = _batch_reg(shadow, result, pinned) if use_reg else None
+    return task, reg, total_loss(task, reg, reg_weight if use_reg else 0.0), result
 
 
-def _trace_records(chunk_index: int, sample: Sample, site_records) -> list[dict]:
+def _trace_records(chunk_index: int, samples: Sequence[Sample], site_records) -> list[dict]:
+    """One row per (sample, site), samples in batch order."""
+    subsets = [rec.subset for rec in site_records]
     rows = []
-    for rec in site_records:
-        _, layer_index, site = rec.site.split(".")
-        rows.append({
-            "chunk": chunk_index,
-            "sample_id": sample.uid,
-            "task_id": sample.task_id,
-            "layer": int(layer_index),
-            "site": site,
-            "p": None if rec.sample_probs is None else [float(x) for x in rec.sample_probs],
-            "S": [int(j) for j in rec.subset],
-            "s_mean": [float(x) for x in rec.weights_data.mean(axis=0)],
-        })
+    for i, sample in enumerate(samples):
+        for rec, subset in zip(site_records, subsets):
+            _, layer_index, site = rec.site.split(".")
+            rows.append({
+                "chunk": chunk_index,
+                "sample_id": sample.uid,
+                "task_id": sample.task_id,
+                "layer": int(layer_index),
+                "site": site,
+                "p": None if rec.sample_probs is None else [float(x) for x in rec.sample_probs[i]],
+                "S": list(subset[i]),
+                "s_mean": [float(x) for x in rec.weights_data[i].mean(axis=0)],
+            })
     return rows
 
 
@@ -403,11 +404,10 @@ def train_chunk(
     samples = chunk.samples
     for batch_index, batch in enumerate(_batches(samples, config.batch_size)):
         model.params.zero_grad()
-        task, reg, total, results = _batch_loss(model, batch, shadow, config.reg_weight)
+        task, reg, total, result = _batch_loss(model, batch, shadow, config.reg_weight)
         tracing = config.trace_interval > 0 and batch_index % config.trace_interval == 0
         if tracing and model.variant.mode == "routed":
-            for sample, result in zip(batch, results):
-                traces.extend(_trace_records(chunk.index, sample, result.sites))
+            traces.extend(_trace_records(chunk.index, batch, result.sites))
 
         if not np.isfinite(total.data):
             dump = {
@@ -441,7 +441,7 @@ def train_chunk(
             "reg_loss": None if reg is None else float(reg.data),
             "total_loss": float(total.data),
         })
-        del task, reg, total, results   # free this batch's graph before the next is built
+        del task, reg, total, result    # free this batch's graph before the next is built
 
 
 def evaluate(model: Model, samples: Sequence[Sample]) -> float:
@@ -453,13 +453,11 @@ def evaluate(model: Model, samples: Sequence[Sample]) -> float:
 
 
 def prediction_dump(model: Model, samples: Sequence[Sample]) -> list[tuple[str, int, int]]:
-    """(uid, predicted, label) triples, the rows `evaluate` scores."""
-    rows = []
+    """(uid, predicted, label) triples, the rows `evaluate` scores, from
+    one no_grad forward over the whole set."""
     with no_grad():
-        for sample in samples:
-            result = forward(model, sample)
-            rows.append((sample.uid, int(np.argmax(result.logits.data)), sample.label))
-    return rows
+        logits = forward(model, samples).logits.data
+    return [(s.uid, int(p), s.label) for s, p in zip(samples, np.argmax(logits, axis=-1))]
 
 
 def _final_trace_pass(
@@ -474,13 +472,13 @@ def _final_trace_pass(
     this is what the homogeneity report is meant to consume.
     """
     records: list[dict] = []
-    if model.variant.mode != "routed":
+    if model.variant.mode != "routed" or config.trace_eval_samples == 0:
         return records
     with no_grad():
         for m in sorted(seen):
-            for sample in test_sets[m][: config.trace_eval_samples]:
-                result = forward(model, sample)
-                records.extend(_trace_records(config.n_chunks + 1, sample, result.sites))
+            samples = test_sets[m][: config.trace_eval_samples]
+            result = forward(model, samples)
+            records.extend(_trace_records(config.n_chunks + 1, samples, result.sites))
     return records
 
 
@@ -669,20 +667,16 @@ def gradient_audit(
 
     # baseline pass: pin the routing constants (subset, detached gate term,
     # EMA reference) so probing a parameter can never flip the selection
-    pins: list[dict[str, FrozenRouting]] = []
     with no_grad():
-        for sample in samples:
-            result = forward(model, sample)
-            pins.append({
-                rec.site: FrozenRouting(
-                    subset=rec.subset,
-                    sample_probs=rec.sample_probs.copy(),
-                    reference=reference_weights(
-                        shadow, rec.site, rec.hidden_data, result.x_text.data, rec.subset
-                    ),
-                )
-                for rec in result.sites
-            })
+        result = forward(model, samples)
+    pins = {
+        rec.site: FrozenRouting(
+            mask=rec.mask,
+            sample_probs=rec.sample_probs,
+            reference=reference_weights(shadow, rec.site, rec.hidden_data, result.x_text.data, rec.mask),
+        )
+        for rec in result.sites
+    }
 
     def objective() -> Value:
         return _batch_loss(model, samples, shadow, config.reg_weight, pinned=pins)[2]

@@ -1,0 +1,107 @@
+"""Op-level microbenchmarks at the default run's shapes (pytest-benchmark).
+
+    pytest tests/bench_ops.py
+
+The name does not match pytest's `test_*.py` pattern, so the plain test
+suite never collects this file; naming it runs it. Shapes follow the
+default `RunConfig`: a batch of B = 32 samples of L = 4 visual + 3
+template + 3 noise = 10 tokens, d_hidden = 32, N = 4 experts with top-2
+selection, rank 16 and routing_dim 64.
+"""
+
+import numpy as np
+import pytest
+
+from streamlora.autograd import Value, backward, masked_softmax, matmul, named_rng, transpose, vsum
+from streamlora.experts import adapted_forward, init_expert_bank
+from streamlora.model import Model
+from streamlora.routing import init_routing_state, route_with_straight_through
+from streamlora.stability import EmaShadow, ema_update
+from streamlora.stream import TaskSampler
+from streamlora.trainer import Adam, RunConfig, _batch_loss, build_stream
+
+CONFIG = RunConfig()
+B, D = CONFIG.batch_size, CONFIG.d_hidden
+L = CONFIG.visual_tokens + 3 + CONFIG.noise_tokens
+N, K = CONFIG.n_experts, CONFIG.top_k
+
+
+@pytest.fixture()
+def rng():
+    return named_rng(0, "bench")
+
+
+def test_batched_token_projection(benchmark, rng):
+    # (B, L, d) @ (d, d)^T with its backward: every projection of the backbone
+    tokens = Value(rng.normal(size=(B, L, D)), requires_grad=True)
+    weight = Value(rng.normal(size=(D, D)), requires_grad=True)
+
+    def step():
+        tokens.grad = weight.grad = None
+        backward(vsum(matmul(tokens, transpose(weight))))
+
+    benchmark(step)
+
+
+def test_batched_per_sample_product(benchmark, rng):
+    # (B, L, D) @ (B, D, N) with its backward: stage-two scores
+    queries = Value(rng.normal(size=(B, L, CONFIG.routing_dim)), requires_grad=True)
+    keys = Value(rng.normal(size=(B, CONFIG.routing_dim, N)), requires_grad=True)
+
+    def step():
+        queries.grad = keys.grad = None
+        backward(vsum(matmul(queries, keys)))
+
+    benchmark(step)
+
+
+def test_masked_softmax(benchmark, rng):
+    logits = Value(rng.normal(size=(B, L, N)), requires_grad=True)
+    mask = np.zeros((B, 1, N), dtype=bool)
+    mask[:, :, :K] = True
+    coeff = Value(rng.normal(size=(B, L, N)))
+
+    def step():
+        logits.grad = None
+        backward(vsum(masked_softmax(logits, mask) * coeff))
+
+    benchmark(step)
+
+
+def test_adapted_forward(benchmark, rng):
+    # one routed site: routing decision, then the batched adapter product
+    bank = init_expert_bank(N, CONFIG.rank, D, D, rng)
+    for j in range(N):
+        bank.up[j].data = 0.1 * rng.normal(size=bank.up[j].data.shape)
+        bank.down[j].requires_grad = bank.up[j].requires_grad = True
+    state = init_routing_state(N, D, D, CONFIG.routing_dim, rng)
+    hidden = Value(rng.normal(size=(B, L, D)))
+    x_text = Value(rng.normal(size=(B, D)))
+    decision = route_with_straight_through(state, hidden, x_text, K)
+
+    def step():
+        for j in range(N):
+            bank.down[j].grad = bank.up[j].grad = None
+        out = adapted_forward(bank, hidden, decision.token_weights, decision.mask, decision.gate)
+        backward(vsum(out))
+
+    benchmark(step)
+
+
+def test_training_step(benchmark):
+    # forward, loss with the stability term, backward, Adam and EMA on one
+    # default batch of the default stream
+    specs, _ = build_stream(CONFIG)
+    batch = TaskSampler(specs[0], CONFIG.seed).test_set()[:B]
+    model = Model(CONFIG.backbone(), n_experts=N, top_k=K, rank=CONFIG.rank,
+                  routing_dim=CONFIG.routing_dim, variant=CONFIG.variant(), seed=CONFIG.seed)
+    optimizer = Adam(model.params, lr=CONFIG.learning_rate)
+    shadow = EmaShadow.from_states(model.routing_states())
+
+    def step():
+        model.params.zero_grad()
+        backward(_batch_loss(model, batch, shadow, CONFIG.reg_weight)[2])
+        optimizer.step()
+        ema_update(shadow, model.routing_states(), CONFIG.ema_momentum)
+
+    benchmark(step)

@@ -23,8 +23,8 @@ from streamlora.autograd import (
     mul,
     named_rng,
     no_grad,
-    pick,
     powi,
+    reshape,
     save_checkpoint,
     softmax,
     take_rows,
@@ -83,6 +83,15 @@ def test_every_op_matches_finite_differences(seed):
     mask[rng.integers(0, n)] = True
     mask |= rng.uniform(size=n) < 0.5
     target = int(rng.integers(0, n))
+    # batched operands: B samples of (m, n) token matrices
+    bsz = int(rng.integers(2, 4))
+    tokens = Value(rng.normal(size=(bsz, m, n)))
+    other_tokens = Value(rng.normal(size=(bsz, m, n)))
+    factors = Value(rng.normal(size=(k, n, 2)))           # (U, d, r)
+    per_sample = Value(rng.normal(size=(bsz, n, k)))      # (B, D, N)
+    batch_logits = Value(rng.normal(size=(bsz, n)))
+    batch_targets = rng.integers(0, n, size=bsz)
+    batch_ids = rng.integers(0, 6, size=(bsz, 3))
 
     cases = [
         (lambda: scalarize(a + b), [a, b]),
@@ -106,10 +115,20 @@ def test_every_op_matches_finite_differences(seed):
         (lambda: scalarize(concat([a, b], axis=1)), [a, b]),
         (lambda: scalarize(take_rows(table, ids)), [table]),
         (lambda: scalarize(cols(a, 0, max(1, n - 1))), [a]),
-        (lambda: pick(vec, n - 1), [vec]),
         (lambda: scalarize(softmax(a)), [a]),
         (lambda: scalarize(masked_softmax(a, mask)), [a]),
         (lambda: cross_entropy(vec, target), [vec]),
+        (lambda: scalarize(matmul(tokens, w)), [tokens, w]),
+        (lambda: scalarize(matmul(reshape(tokens, (bsz, 1, m, n)), factors)), [tokens, factors]),
+        (lambda: scalarize(matmul(tokens, per_sample)), [tokens, per_sample]),
+        (lambda: scalarize(matmul(vec, per_sample)), [vec, per_sample]),
+        (lambda: scalarize(transpose(tokens)), [tokens]),
+        (lambda: scalarize(reshape(tokens, (bsz, m * n))), [tokens]),
+        (lambda: scalarize(concat([tokens, other_tokens], axis=1)), [tokens, other_tokens]),
+        (lambda: scalarize(mean(tokens, axis=-2)), [tokens]),
+        (lambda: scalarize(take_rows(table, batch_ids)), [table]),
+        (lambda: scalarize(masked_softmax(tokens, mask)), [tokens]),
+        (lambda: scalarize(cross_entropy(batch_logits, batch_targets)), [batch_logits]),
     ]
     for build, tensors in cases:
         check_gradients(build, tensors)
@@ -175,7 +194,7 @@ def test_masked_softmax_zero_gradient_on_masked_entries():
     logits = Value(np.array([[1.0, 2.0, 3.0, 4.0]]), requires_grad=True)
     mask = np.array([True, False, True, False])
     out = masked_softmax(logits, mask)
-    backward(pick(mean(mul(out, out), axis=0), 0))
+    backward(vsum(mul(mean(mul(out, out), axis=0), Value([1.0, 0.0, 0.0, 0.0]))))
     assert logits.grad[0, 1] == 0.0
     assert logits.grad[0, 3] == 0.0
     assert np.any(logits.grad != 0.0)

@@ -83,6 +83,21 @@ def test_sample_validation():
         Sample(visual=np.zeros((2, 4)), instruction=(), label=0, task_id=0, uid="x")
 
 
+def test_forward_rejects_ragged_batches_naming_the_first_odd_sample():
+    model = make_model(FULL)
+    even = [make_sample(seed=s) for s in range(3)]
+    longer = make_sample(seed=3, n_instr=5)
+    with pytest.raises(ValueError, match=r"sample 2 \('s3'\).*5 instruction tokens"):
+        forward(model, even[:2] + [longer] + even[2:])
+    fewer_tokens = make_sample(seed=4, n_visual=3)
+    with pytest.raises(ValueError, match=r"sample 1 \('s4'\)"):
+        forward(model, [even[0], fewer_tokens, longer])
+    with pytest.raises(ValueError, match="empty batch"):
+        forward(model, [])
+    with pytest.raises(TypeError, match="sequence of samples"):
+        forward(model, even[0])
+
+
 def test_model_rejects_bad_top_k():
     with pytest.raises(ValueError, match="top_k"):
         make_model(FULL, n_experts=2, top_k=3)
@@ -94,13 +109,13 @@ def test_forward_rejects_malformed_samples():
         visual=np.zeros((3, CFG.d_e + 1)), instruction=(1, 2), label=0, task_id=0, uid="w"
     )
     with pytest.raises(ValueError, match="visual token width"):
-        forward(model, bad_width)
+        forward(model, [bad_width])
     bad_token = Sample(
         visual=np.zeros((3, CFG.d_e)), instruction=(1, CFG.vocab_size), label=0,
         task_id=0, uid="t",
     )
     with pytest.raises(ValueError, match="unknown token id"):
-        forward(model, bad_token)
+        forward(model, [bad_token])
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +161,12 @@ def test_routing_states_cover_every_site():
 def test_all_variants_match_the_frozen_backbone_at_init():
     # up projections start at zero, so every adapter contributes nothing
     sample = make_sample()
-    reference = forward(make_model(FROZEN), sample).logits.data
+    reference = forward(make_model(FROZEN), [sample]).logits.data
     for variant in (FULL, UNIFORM_MOE, Variant("routed", True, False, False),
                     Variant("routed", False, True, False)):
-        got = forward(make_model(variant), sample).logits.data
+        got = forward(make_model(variant), [sample]).logits.data
         assert np.array_equal(got, reference), variant
-    shared = forward(make_model(SHARED_LORA, n_experts=1, top_k=1), sample).logits.data
+    shared = forward(make_model(SHARED_LORA, n_experts=1, top_k=1), [sample]).logits.data
     assert np.array_equal(shared, reference)
 
 
@@ -163,8 +178,8 @@ def test_single_expert_token_mixture_equals_shared_adapter_bitwise():
     shared = make_model(SHARED_LORA, n_experts=1, top_k=1, seed=5)
     randomize_adapters(moe, seed=6)
     randomize_adapters(shared, seed=6)
-    out_moe = forward(moe, sample).logits.data
-    out_shared = forward(shared, sample).logits.data
+    out_moe = forward(moe, [sample]).logits.data
+    out_shared = forward(shared, [sample]).logits.data
     assert np.array_equal(out_moe, out_shared)
 
 
@@ -173,7 +188,7 @@ def test_shared_lora_equals_base_plus_merged_adapter():
     sample = make_sample(seed=4)
     model = make_model(SHARED_LORA, n_experts=1, top_k=1, seed=7)
     randomize_adapters(model, seed=8)
-    got = forward(model, sample).logits.data
+    got = forward(model, [sample]).logits.data
 
     merged = make_model(FROZEN, seed=7)
     donor = make_model(SHARED_LORA, n_experts=1, top_k=1, seed=7)
@@ -184,7 +199,7 @@ def test_shared_lora_equals_base_plus_merged_adapter():
             frozen_layer.banks[site].base.data = (
                 bank_a.base.data + bank_a.up[0].data @ bank_a.down[0].data
             )
-    want = forward(merged, sample).logits.data
+    want = forward(merged, [sample]).logits.data
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
@@ -195,9 +210,9 @@ def test_shared_lora_equals_base_plus_merged_adapter():
 
 def test_forward_is_deterministic_for_a_given_seed():
     sample = make_sample(seed=9)
-    a = forward(make_model(FULL, seed=11), sample).logits.data
-    b = forward(make_model(FULL, seed=11), sample).logits.data
-    c = forward(make_model(FULL, seed=12), sample).logits.data
+    a = forward(make_model(FULL, seed=11), [sample]).logits.data
+    b = forward(make_model(FULL, seed=11), [sample]).logits.data
+    c = forward(make_model(FULL, seed=12), [sample]).logits.data
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -205,72 +220,72 @@ def test_forward_is_deterministic_for_a_given_seed():
 def test_site_records_track_sequence_length_and_distributions():
     model = make_model(FULL)
     sample = make_sample(n_visual=5, n_instr=4)
-    result = forward(model, sample)
+    result = forward(model, [sample])
     assert [r.site for r in result.sites] == [
         "layer.0.attn_out", "layer.0.ffn_up",
         "layer.1.attn_out", "layer.1.ffn_up",
     ]
     for rec in result.sites:
-        assert rec.hidden_data.shape[0] == 5 + 4
-        assert len(rec.subset) == model.top_k
-        np.testing.assert_allclose(rec.weights_data.sum(axis=1), 1.0, atol=1e-12)
-        off = [j for j in range(model.n_experts) if j not in rec.subset]
-        assert np.all(rec.weights_data[:, off] == 0.0)
-        assert rec.sample_probs.shape == (model.n_experts,)
+        assert rec.hidden_data.shape[:2] == (1, 5 + 4)
+        (subset,) = rec.subset
+        assert len(subset) == model.top_k
+        np.testing.assert_allclose(rec.weights_data.sum(axis=-1), 1.0, atol=1e-12)
+        off = [j for j in range(model.n_experts) if j not in subset]
+        assert np.all(rec.weights_data[..., off] == 0.0)
+        assert rec.sample_probs.shape == (1, model.n_experts)
         assert rec.sample_probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_selection_only_weights_are_renormalized_sample_probs():
     model = make_model(Variant("routed", True, False, False))
     sample = make_sample(seed=10)
-    result = forward(model, sample)
+    result = forward(model, [sample])
     for rec in result.sites:
         assert rec.token_weights is None
-        p = rec.sample_probs
-        member = np.zeros(model.n_experts, dtype=bool)
-        member[list(rec.subset)] = True
+        p = rec.sample_probs[0]
+        member = rec.mask[0]
         want = np.where(member, p, 0.0) / p[member].sum()
-        rows = rec.weights_data
+        rows = rec.weights_data[0]
         assert np.all(rows == rows[0])  # one shared distribution per sample
         np.testing.assert_allclose(rows[0], want, rtol=1e-12, atol=1e-15)
 
 
 def test_weighting_only_routes_every_expert_per_token():
     model = make_model(Variant("routed", False, True, False))
-    result = forward(model, make_sample(seed=11))
+    result = forward(model, [make_sample(seed=11)])
     for rec in result.sites:
-        assert rec.subset == tuple(range(model.n_experts))
+        assert rec.subset == (tuple(range(model.n_experts)),)
         assert np.all(rec.weights_data > 0.0)
-        np.testing.assert_allclose(rec.weights_data.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(rec.weights_data.sum(axis=-1), 1.0, atol=1e-12)
         assert rec.sample_probs is None
 
 
 def test_dense_mixture_gates_every_expert_per_token():
     model = make_model(UNIFORM_MOE)
-    result = forward(model, make_sample(seed=12))
+    result = forward(model, [make_sample(seed=12)])
     for rec in result.sites:
-        assert rec.subset == tuple(range(model.n_experts))
+        assert rec.subset == (tuple(range(model.n_experts)),)
         assert rec.sample_probs is None  # no instruction-level stage at all
         assert np.all(rec.weights_data > 0.0)
-        np.testing.assert_allclose(rec.weights_data.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(rec.weights_data.sum(axis=-1), 1.0, atol=1e-12)
         # the gate reads each hidden state, so rows genuinely differ
-        assert not np.allclose(rec.weights_data[0], rec.weights_data[-1])
+        assert not np.allclose(rec.weights_data[0, 0], rec.weights_data[0, -1])
 
 
 def test_shared_lora_site_record_is_one_expert_at_weight_one():
     model = make_model(SHARED_LORA, n_experts=1, top_k=1)
-    result = forward(model, make_sample(seed=13, n_visual=5, n_instr=4))
+    result = forward(model, [make_sample(seed=13, n_visual=5, n_instr=4)])
     assert len(result.sites) == 2 * CFG.n_layers
     for rec in result.sites:
-        assert rec.subset == (0,)
-        assert rec.weights_data.shape == (5 + 4, 1)
+        assert rec.subset == ((0,),)
+        assert rec.weights_data.shape == (1, 5 + 4, 1)
         assert np.all(rec.weights_data == 1.0)
         assert rec.token_weights is None
         assert rec.sample_probs is None
 
 
 def test_frozen_forward_produces_no_site_records():
-    result = forward(make_model(FROZEN), make_sample())
+    result = forward(make_model(FROZEN), [make_sample()])
     assert result.sites == []
 
 
@@ -290,7 +305,7 @@ def test_backbone_stays_frozen_under_the_full_variant():
     model = make_model(FULL)
     randomize_adapters(model)
     sample = make_sample(seed=14)
-    backward(task_loss(forward(model, sample).logits, sample.label))
+    backward(task_loss(forward(model, [sample]).logits, [sample.label]))
     assert model.embed.grad is None
     assert model.head_weight.grad is not None
     for layer in model.layers:
@@ -304,9 +319,9 @@ def test_selected_adapters_receive_gradient_off_subset_ones_do_not():
     model = make_model(FULL, n_experts=4, top_k=2)
     randomize_adapters(model, seed=15)
     sample = make_sample(seed=15)
-    result = forward(model, sample)
-    backward(task_loss(result.logits, sample.label))
-    by_site = {rec.site: rec.subset for rec in result.sites}
+    result = forward(model, [sample])
+    backward(task_loss(result.logits, [sample.label]))
+    by_site = {rec.site: rec.subset[0] for rec in result.sites}
     for i, layer in enumerate(model.layers):
         for site in SITES:
             subset = by_site[f"layer.{i}.{site}"]
@@ -326,10 +341,57 @@ def test_task_loss_hand_values():
     model = make_model(FULL)
     model.head_weight.data = np.zeros_like(model.head_weight.data)
     model.head_bias.data = np.zeros_like(model.head_bias.data)
-    loss = task_loss(forward(model, make_sample()).logits, 3)
+    loss = task_loss(forward(model, [make_sample()]).logits, [3])
     assert float(loss.data) == pytest.approx(math.log(CFG.n_classes), abs=1e-12)
 
 
 def test_task_loss_rejects_out_of_range_label():
     with pytest.raises(ValueError, match="out of range"):
         task_loss(Value([0.0, 1.0, 2.0]), 3)
+
+
+# ---------------------------------------------------------------------------
+# batches
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("variant", [
+    FULL, UNIFORM_MOE, SHARED_LORA, FROZEN,
+    Variant("routed", True, False, False),      # p: selection only
+    Variant("routed", False, True, False),      # s: token weighting only
+], ids=["full", "uniform_moe", "shared_lora", "frozen", "p", "s"])
+def test_each_row_of_a_batch_equals_its_own_one_sample_forward(variant):
+    n_experts = 1 if variant == SHARED_LORA else 4
+    model = make_model(variant, n_experts=n_experts, top_k=min(2, n_experts), seed=21)
+    randomize_adapters(model, seed=22)
+    samples = [make_sample(seed=30 + i) for i in range(4)]
+    batch = forward(model, samples)
+    assert batch.logits.data.shape == (4, CFG.n_classes)
+    for i, sample in enumerate(samples):
+        alone = forward(model, [sample])
+        np.testing.assert_allclose(batch.logits.data[i], alone.logits.data[0], rtol=0, atol=1e-12)
+        for rec, rec_alone in zip(batch.sites, alone.sites):
+            assert rec.subset[i] == rec_alone.subset[0]
+            np.testing.assert_allclose(rec.weights_data[i], rec_alone.weights_data[0],
+                                       rtol=0, atol=1e-12)
+
+
+def test_experts_no_sample_of_the_batch_selected_get_no_gradient():
+    model = make_model(FULL, n_experts=6, top_k=1, seed=23)
+    randomize_adapters(model, seed=24)
+    samples = [make_sample(seed=40), make_sample(seed=41)]
+    result = forward(model, samples)
+    backward(task_loss(result.logits, [s.label for s in samples]))
+    unused = 0
+    for i, layer in enumerate(model.layers):
+        for site in SITES:
+            (rec,) = [r for r in result.sites if r.site == f"layer.{i}.{site}"]
+            chosen = set(rec.subset[0]) | set(rec.subset[1])
+            bank = layer.banks[site]
+            for j in range(bank.n_experts):
+                if j in chosen:
+                    assert bank.down[j].grad is not None and np.any(bank.down[j].grad != 0.0)
+                else:
+                    unused += 1
+                    assert bank.down[j].grad is None and bank.up[j].grad is None
+    assert unused >= 4 * 2 * CFG.n_layers       # at most 2 of 6 experts chosen per site

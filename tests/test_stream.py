@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from streamlora.autograd import named_rng
+from streamlora.model import Sample
 from streamlora.stream import (
     STREAM_FORMAT,
     Chunk,
@@ -18,6 +19,7 @@ from streamlora.stream import (
     load_chunk_file,
     make_task_specs,
     stream_manifest,
+    _samples_to_arrays,
     write_stream,
 )
 
@@ -316,3 +318,14 @@ def test_manifest_counts_agree_with_composed_chunks():
     for t in range(1, 8):
         chunk = compose_chunk(schedule, t, samplers)
         assert manifest["counts"][t - 1] == chunk.counts.tolist()
+
+
+def test_chunk_arrays_reject_ragged_samples_naming_the_first_odd_one():
+    visual = np.zeros((2, 4))
+    samples = [Sample(visual, (1, 2, 3), 0, 0, "a"), Sample(visual, (1, 2, 3), 0, 0, "b"),
+               Sample(visual, (1, 2, 3, 4), 0, 0, "c")]
+    with pytest.raises(ValueError, match=r"sample 2 \('c'\).*4 instruction tokens"):
+        _samples_to_arrays(samples)
+    samples[2] = Sample(np.zeros((3, 4)), (1, 2, 3), 0, 0, "d")
+    with pytest.raises(ValueError, match=r"sample 2 \('d'\) has visual tokens \(3, 4\)"):
+        _samples_to_arrays(samples)

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from streamlora.autograd import ParamStore, Value, named_rng
+from streamlora.autograd import ParamStore, Value, backward, named_rng
 from streamlora.cli import main
 from streamlora.model import FROZEN, FULL, SHARED_LORA, UNIFORM_MOE, Model, Variant
+from streamlora.stability import EmaShadow
 from streamlora.stream import TaskSampler, build_default_stream, compose_chunk, make_task_specs
 from streamlora.trainer import (
     ABLATION_ROWS,
@@ -18,6 +19,7 @@ from streamlora.trainer import (
     RunConfig,
     RunLog,
     TrainingDiverged,
+    _batch_loss,
     apply_variant,
     audit_config,
     clip_gradients,
@@ -142,6 +144,10 @@ def test_config_validation_catches_inconsistencies():
         tiny_config(learning_rate=0.0).validate()
     with pytest.raises(ValueError, match="sizes must be positive"):
         tiny_config(batch_size=0).validate()
+    with pytest.raises(ValueError, match="grad_clip"):
+        tiny_config(grad_clip=-1.0).validate()
+    with pytest.raises(ValueError, match="trace_interval"):
+        tiny_config(trace_interval=-1).validate()
 
 
 def test_config_rejects_an_empty_test_set():
@@ -359,6 +365,39 @@ def test_divergence_raises_and_dumps_the_batch(tmp_path):
     assert dump_path.exists()
     dump = json.loads(dump_path.read_text())
     assert dump["chunk"] == 1 and len(dump["sample_uids"]) == 6
+
+
+def test_batch_gradient_is_the_mean_of_the_one_sample_gradients():
+    # one graph over the batch must differentiate the same objective as
+    # averaging per-sample losses: task and stability term both
+    cfg = tiny_config()
+    model = Model(cfg.backbone(), n_experts=cfg.n_experts, top_k=cfg.top_k, rank=cfg.rank,
+                  routing_dim=cfg.routing_dim, variant=cfg.variant(), seed=3)
+    rng = named_rng(3, "batch-grad")
+    for _, p in model.params.items():
+        p.data = 0.2 * rng.normal(size=p.data.shape)
+    shadow = EmaShadow.from_states(model.routing_states())
+    for arr in shadow.arrays.values():
+        arr += 0.1 * rng.normal(size=arr.shape)
+    spec = make_task_specs(
+        0, n_tasks=2, d_e=8, classes_per_task=2, sigma=0.25,
+        visual_tokens=2, noise_tokens=2, test_size=8, vocab_size=32,
+    )[0]
+    samples = TaskSampler(spec, 0).test_set()[:2]
+
+    def gradients(batch):
+        model.params.zero_grad()
+        _, reg, total, _ = _batch_loss(model, batch, shadow, cfg.reg_weight)
+        assert float(reg.data) > 0.0
+        backward(total)
+        return {path: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                for path, p in model.params.items()}
+
+    both = gradients(samples)
+    first, second = (gradients([sample]) for sample in samples)
+    for path, grad in both.items():
+        np.testing.assert_allclose(grad, 0.5 * (first[path] + second[path]), rtol=0, atol=1e-12,
+                                   err_msg=path)
 
 
 def test_evaluate_agrees_with_the_prediction_dump():
