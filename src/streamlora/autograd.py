@@ -22,9 +22,12 @@ Design choices that matter for correctness:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
+import os
 import struct
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -334,10 +337,21 @@ def vsum(a: Value, axis: int | None = None, keepdims: bool = False) -> Value:
 
 
 def concat(values: Sequence[Value], axis: int = 0) -> Value:
+    """Join along `axis`. Operands that differ off that axis broadcast as
+    in elementwise ops (the axis must then be negative), so a (k, d) value
+    joins a (B, k', d) one along axis -2 as if repeated B times; the
+    backward sums each operand's slice back down to its shape."""
     if not values:
         raise ValueError("concat of an empty sequence")
-    data = np.concatenate([v.data for v in values], axis=axis)
-    sizes = [v.data.shape[axis] for v in values]
+    arrays = [v.data for v in values]
+    try:
+        data = np.concatenate(arrays, axis=axis)
+    except ValueError as exc:
+        # only a negative axis names the same axis in operands of any rank
+        if axis >= 0 or isinstance(exc, np.exceptions.AxisError):
+            raise
+        data = np.concatenate(_broadcast_off_axis(arrays, axis), axis=axis)
+    sizes = [a.shape[axis] for a in arrays]
 
     def backward(out: Value) -> None:
         offset = 0
@@ -345,10 +359,17 @@ def concat(values: Sequence[Value], axis: int = 0) -> Value:
             if v.requires_grad:
                 index = [slice(None)] * out.grad.ndim
                 index[axis] = slice(offset, offset + n)
-                v.accumulate_grad(out.grad[tuple(index)])
+                v.accumulate_grad(_unbroadcast(out.grad[tuple(index)], v.data.shape))
             offset += n
 
     return _make_node(data, tuple(values), backward)
+
+
+def _broadcast_off_axis(arrays: list[Array], axis: int) -> list[Array]:
+    """Broadcast every axis of `arrays` but the negative `axis`."""
+    common = np.broadcast_shapes(*(a.shape[:axis] + a.shape[axis:][1:] for a in arrays))
+    cut = len(common) + axis + 1
+    return [np.broadcast_to(a, common[:cut] + (a.shape[axis],) + common[cut:]) for a in arrays]
 
 
 def take_rows(table: Value, ids) -> Value:
@@ -586,6 +607,23 @@ class ParamStore:
         return leftovers
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a temporary file next to `path` for writing; when the block
+    ends without an error, the file replaces `path` in one step. If the
+    block raises, the temporary file is removed and `path` keeps what it
+    held before, so a reader never sees a partly written artifact."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 _CKPT_MAGIC = b"SLCKPT01"
 
 
@@ -595,6 +633,7 @@ def save_checkpoint(path, records: dict[str, Array]) -> None:
     Layout: magic, uint32 record count, then per record a uint32 name
     length, the UTF-8 name, uint32 ndim, uint32 dims, and the row-major
     float64 payload. Everything little-endian; round-trips bit-exactly.
+    The file is replaced atomically (`atomic_open`).
     """
     buf = io.BytesIO()
     buf.write(_CKPT_MAGIC)
@@ -608,7 +647,7 @@ def save_checkpoint(path, records: dict[str, Array]) -> None:
         for d in arr.shape:
             buf.write(struct.pack("<I", d))
         buf.write(arr.tobytes())
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(buf.getvalue())
 
 
@@ -652,35 +691,55 @@ def load_checkpoint(path) -> dict[str, Array]:
 
 
 def finite_diff_grad(
-    f: Callable[[], float],
+    f: Callable[[], float | Array],
     params: Iterable[Value] | ParamStore,
     epsilon: float = 1e-5,
+    copies: int = 1,
 ) -> list[Array]:
     """Central-difference gradient of `f` w.r.t. each parameter tensor.
 
-    `f` is re-evaluated with one coordinate nudged by +/- epsilon at a
-    time, so the cost is 2x the total number of scalars. The parameters
-    are restored exactly afterwards. Raises if `f` returns a non-finite
-    value at any probe point.
+    Every scalar is probed twice, at +epsilon and at -epsilon, one tensor
+    at a time. With `copies=1` each call of `f` sees the tensor with one
+    coordinate nudged and returns one value, so `f` runs twice per scalar.
+    With `copies > 1` the probes are evaluated in blocks: each call of `f`
+    sees the tensor's `data` as an (n, *shape) stack of n <= copies nudged
+    copies, the +/- pair of each coordinate on neighbouring copies, and
+    must return the n values (a block-aware objective puts each copy on
+    its own rows of one batch). Raises if any probe value is non-finite.
+    The tensors are restored exactly afterwards, also when `f` raises.
     """
+    if copies < 1:
+        raise ValueError(f"copies must be at least 1, got {copies}")
     if isinstance(params, ParamStore):
         tensors = list(params.values())
     else:
         tensors = list(params)
     grads: list[Array] = []
     for t in tensors:
-        g = np.zeros_like(t.data)
-        for idx in np.ndindex(t.data.shape):
-            orig = t.data[idx]
-            t.data[idx] = orig + epsilon
-            f_plus = float(f())
-            t.data[idx] = orig - epsilon
-            f_minus = float(f())
-            t.data[idx] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise ValueError("objective returned a non-finite value during probing")
-            g[idx] = (f_plus - f_minus) / (2.0 * epsilon)
-        grads.append(g)
+        orig = t.data
+        flat = orig.reshape(-1)
+        values = np.empty(2 * flat.size)        # f at +eps, -eps for each coordinate in turn
+        try:
+            for start in range(0, values.size, copies):
+                probes = np.arange(start, min(start + copies, values.size))
+                coords = probes // 2
+                stack = np.repeat(flat[None], probes.size, axis=0)
+                stack[np.arange(probes.size), coords] += np.where(probes % 2 == 0, epsilon, -epsilon)
+                if copies == 1:
+                    t.data = stack.reshape(orig.shape)
+                    values[start] = float(f())
+                else:
+                    t.data = stack.reshape((probes.size,) + orig.shape)
+                    got = np.asarray(f(), dtype=np.float64)
+                    if got.shape != (probes.size,):
+                        raise ValueError(f"objective returned shape {got.shape} for a block of "
+                                         f"{probes.size} copies")
+                    values[probes] = got
+                if not np.isfinite(values[probes]).all():
+                    raise ValueError("objective returned a non-finite value during probing")
+        finally:
+            t.data = orig
+        grads.append(((values[0::2] - values[1::2]) / (2.0 * epsilon)).reshape(orig.shape))
     return grads
 
 

@@ -88,6 +88,8 @@ def lora_delta(bank: ExpertBank, experts, h: Value, weights: Value | None = None
     without it each listed expert counts once. The listed factors are
     concatenated along the rank axis, so any number of experts costs two
     products, and the weights scale the rank-space activations in between.
+    A factor may hold one copy per sample, (B, r, d_in) or (B, d_out, r),
+    for a batch h (B, L, d_in); the concatenation broadcasts the others.
     """
     experts = [experts] if isinstance(experts, (int, np.integer)) else [int(j) for j in experts]
     if not experts or min(experts) < 0 or max(experts) >= bank.n_experts:
@@ -97,8 +99,8 @@ def lora_delta(bank: ExpertBank, experts, h: Value, weights: Value | None = None
     if len(experts) == 1:
         down, up = bank.down[experts[0]], bank.up[experts[0]]
     else:
-        down = concat([bank.down[j] for j in experts], axis=0)     # (U r, d_in)
-        up = concat([bank.up[j] for j in experts], axis=1)         # (d_out, U r)
+        down = concat([bank.down[j] for j in experts], axis=-2)    # (U r, d_in)
+        up = concat([bank.up[j] for j in experts], axis=-1)        # (d_out, U r)
     z = matmul(h, transpose(down))                                 # (..., L, U r)
     if weights is not None:
         # a 0/1 (N, U r) matrix copies w_j onto expert j's r columns, exactly

@@ -43,6 +43,7 @@ from .autograd import (
     mul,
     named_rng,
     powi,
+    reshape,
     softmax,
     take_rows,
     tanh,
@@ -56,6 +57,7 @@ from .routing import (
     init_routing_state,
     per_token,
     pool_text,
+    project,
     route_with_straight_through,
     select_experts,
     subset_indices,
@@ -423,11 +425,16 @@ def forward(
         x = x + matmul(tanh(up), transpose(layer.ffn_down))
 
     pooled = mean(layer_norm(x), axis=1)                 # (B, d)
-    result.logits = add(matmul(pooled, transpose(model.head_weight)), model.head_bias)
+    result.logits = add(project(pooled, model.head_weight), model.head_bias)
     return result
 
 
-def task_loss(logits: Value, labels) -> Value:
+def task_loss(logits: Value, labels, blocks: int = 1) -> Value:
     """Mean cross-entropy against the gold answer classes: (B, C) logits
-    with B labels, or (C,) logits with one label."""
-    return mean(cross_entropy(logits, labels))
+    with B labels, or (C,) logits with one label. With `blocks` > 1 the
+    rows form that many equal consecutive blocks and each block gets its
+    own mean, a (blocks,) value."""
+    losses = cross_entropy(logits, labels)
+    if blocks == 1:
+        return mean(losses)
+    return mean(reshape(losses, (blocks, -1)), axis=-1)

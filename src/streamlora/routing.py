@@ -50,6 +50,10 @@ class RoutingState:
     query:  (D, d_hidden) token projection for stage two.
     key:    (D, d_e) instruction projection for stage two.
     experts: (N, D) one feature row per expert, modulating the key.
+
+    Any of them may instead hold one copy per sample of the batch, with a
+    leading axis B (the gradient audit probes several perturbed copies in
+    one forward this way).
     """
 
     select: Value
@@ -59,11 +63,11 @@ class RoutingState:
 
     @property
     def n_experts(self) -> int:
-        return self.experts.data.shape[0]
+        return self.experts.data.shape[-2]
 
     @property
     def routing_dim(self) -> int:
-        return self.experts.data.shape[1]
+        return self.experts.data.shape[-1]
 
 
 @dataclass
@@ -121,6 +125,17 @@ def per_token(v: Value) -> Value:
     return reshape(v, v.data.shape[:-1] + (1, v.data.shape[-1]))
 
 
+def project(x: Value, weight: Value) -> Value:
+    """x W^T for pooled vectors x, (d,) or (B, d). A weight with one copy
+    per sample, (B, k, d), meets each row with its own copy; the rows are
+    lifted to (B, 1, d) only then, because one (B, d) @ (d, k) product and
+    B row products differ in the last bits."""
+    if weight.data.ndim == 2:
+        return matmul(x, transpose(weight))
+    out = matmul(per_token(x), transpose(weight))                   # (B, 1, k)
+    return reshape(out, out.data.shape[:-2] + out.data.shape[-1:])
+
+
 def subset_mask(subset, n_experts: int) -> np.ndarray:
     """Boolean membership over the N experts. `subset` is one sample's
     expert indices, giving an (N,) mask, or a boolean mask already (one
@@ -158,8 +173,7 @@ def select_experts(state: RoutingState, x_text: Value, top_k: int) -> tuple[Valu
     n = state.n_experts
     if not 1 <= top_k <= n:
         raise ValueError(f"top_k must be in [1, {n}], got {top_k}")
-    logits = matmul(x_text, transpose(state.select))
-    probs = softmax(logits)
+    probs = softmax(project(x_text, state.select))
     order = np.argsort(-probs.data, axis=-1, kind="stable")
     rank = np.argsort(order, axis=-1, kind="stable")        # each expert's place in that order
     return probs, rank < top_k
@@ -175,7 +189,7 @@ def token_logits(state: RoutingState, hidden: Value, x_text: Value, subset) -> V
     subset_mask(subset, state.n_experts)
     if hidden.data.ndim < 2:
         raise ValueError("hidden must be a (tokens, d_hidden) matrix")
-    text_key = matmul(x_text, transpose(state.key))                 # (D,) or (B, D)
+    text_key = project(x_text, state.key)                           # (D,) or (B, D)
     keys = mul(state.experts, per_token(text_key))                  # (N, D) or (B, N, D)
     queries = matmul(hidden, transpose(state.query))                # (L, D) or (B, L, D)
     scale = 1.0 / np.sqrt(state.routing_dim)

@@ -18,13 +18,14 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .autograd import (
     ParamStore,
     Value,
+    atomic_open,
     backward,
     finite_diff_grad,
     named_rng,
@@ -339,7 +340,8 @@ def _mean_value(parts: list[Value]) -> Value:
     return acc * (1.0 / len(parts))
 
 
-def _batch_reg(shadow: EmaShadow | None, result, pinned: dict[str, FrozenRouting] | None) -> Value:
+def _batch_reg(shadow: EmaShadow | None, result, pinned: dict[str, FrozenRouting] | None,
+               blocks: int) -> Value:
     terms = []
     for rec in result.sites:
         if rec.token_weights is None:
@@ -348,7 +350,7 @@ def _batch_reg(shadow: EmaShadow | None, result, pinned: dict[str, FrozenRouting
             ref = reference_weights(shadow, rec.site, rec.hidden_data, result.x_text.data, rec.mask)
         else:
             ref = pinned[rec.site].reference
-        terms.append(reg_loss(ref, rec.token_weights, rec.mask))
+        terms.append(reg_loss(ref, rec.token_weights, rec.mask, blocks))
     return _mean_value(terms)
 
 
@@ -358,15 +360,19 @@ def _batch_loss(
     shadow: EmaShadow | None,
     reg_weight: float,
     pinned: dict[str, FrozenRouting] | None = None,
+    blocks: int = 1,
 ) -> tuple[Value, Value | None, Value, ForwardResult]:
     """(task, reg, total, forward result) of the training objective on one
     batch, from one forward over the whole batch. `pinned` fixes the
     routing constants and the EMA reference of every site for the gradient
-    audit; training leaves it unset."""
+    audit; training leaves it unset. With `blocks` > 1 the batch is that
+    many equal consecutive blocks of rows and task, reg and total hold one
+    objective per block, each the value the block alone would give (the
+    audit's probe copies); one block gives today's scalars."""
     use_reg = model.variant.use_reg
     result = forward(model, batch, pinned=pinned)
-    task = task_loss(result.logits, [sample.label for sample in batch])
-    reg = _batch_reg(shadow, result, pinned) if use_reg else None
+    task = task_loss(result.logits, [sample.label for sample in batch], blocks)
+    reg = _batch_reg(shadow, result, pinned, blocks) if use_reg else None
     return task, reg, total_loss(task, reg, reg_weight if use_reg else 0.0), result
 
 
@@ -545,8 +551,10 @@ def run_stream(config: RunConfig, out_dir: str | Path | None = None) -> RunResul
 
     metrics_csv = ledger.to_csv()
     if out is not None:
-        (out / "metrics.csv").write_text(metrics_csv)
-        with open(out / "traces.jsonl", "w") as fh:
+        # every artifact appears whole or not at all (atomic_open)
+        with atomic_open(out / "metrics.csv") as fh:
+            fh.write(metrics_csv)
+        with atomic_open(out / "traces.jsonl") as fh:
             for record in traces:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
         ema_records = {} if shadow is None else {f"ema.{k}": v for k, v in shadow.arrays.items()}
@@ -562,8 +570,10 @@ def run_stream(config: RunConfig, out_dir: str | Path | None = None) -> RunResul
                 "runlog": "runlog.json",
             },
         }
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-        (out / "runlog.json").write_text(runlog.to_json())
+        with atomic_open(out / "manifest.json") as fh:
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True))
+        with atomic_open(out / "runlog.json") as fh:
+            fh.write(runlog.to_json())
 
     return RunResult(
         config=config,
@@ -607,35 +617,28 @@ def audit_config() -> RunConfig:
     )
 
 
-def gradient_audit(
-    config: RunConfig | None = None,
-    n_samples: int = 3,
-    epsilon: float = 1e-5,
-    rtol: float = 1e-4,
-    atol: float = 1e-7,
-    seed: int = 7,
-) -> tuple[bool, list[AuditRow]]:
-    """Check every trainable parameter's gradient against central differences.
+# Probe copies per audit forward. Each copy adds the audit batch's rows to
+# one forward; 16 copies ran faster than 8 but raised peak memory.
+AUDIT_COPIES = 8
 
-    The objective is `_batch_loss`, the training loss (task + weighted
-    stability term) through the training forward, on a fixed batch.
-    Finite differences probe the same surrogate the analytic gradient
-    differentiates: the expert subset, the detached half of the
-    straight-through gate, and the EMA reference weights stay pinned at
-    their baseline values while parameters move. Adapters are
-    re-randomized first (a fresh bank has B = 0, which would hide half the
-    bank behind zero gradients), and the shadow is nudged off the live
-    parameters so the regularizer term is active.
+
+def _audit_problem(
+    config: RunConfig, n_samples: int, seed: int,
+) -> tuple[Model, Callable[[int], Value], Callable[[], float | np.ndarray]]:
+    """The audit's model and objective, and the probe `finite_diff_grad`
+    evaluates.
+
+    `objective(blocks)` is `_batch_loss`, the training loss (task +
+    weighted stability term) through the training forward, on a fixed
+    batch repeated `blocks` times, one value per repeat. The routing
+    constants (the expert subset, the detached half of the
+    straight-through gate, the EMA reference weights) are pinned at their
+    baseline values, so probing a parameter can never flip the selection.
+    `probe()` evaluates it under `no_grad`: a scalar while every parameter
+    has its own shape, and one value per copy while one parameter holds an
+    (n, *shape) stack of copies, which it lays out per row, copy p on the
+    rows of repeat p.
     """
-    if n_samples < 1:
-        raise ValueError(f"the audit needs at least one sample, got n_samples={n_samples}")
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    config = config or audit_config()
-    config.validate()
-    if config.variant() != FULL:
-        raise ValueError("the audit exercises the full variant; enable all three stages")
-
     model = Model(
         config.backbone(),
         n_experts=config.n_experts,
@@ -665,8 +668,6 @@ def gradient_audit(
             uid=f"audit-{i}",
         ))
 
-    # baseline pass: pin the routing constants (subset, detached gate term,
-    # EMA reference) so probing a parameter can never flip the selection
     with no_grad():
         result = forward(model, samples)
     pins = {
@@ -677,22 +678,79 @@ def gradient_audit(
         )
         for rec in result.sites
     }
+    tiled = {1: pins}
 
-    def objective() -> Value:
-        return _batch_loss(model, samples, shadow, config.reg_weight, pinned=pins)[2]
+    def objective(blocks: int = 1) -> Value:
+        if blocks not in tiled:
+            tiled[blocks] = {
+                site: FrozenRouting(*(np.concatenate([a] * blocks)
+                                      for a in (pin.mask, pin.sample_probs, pin.reference)))
+                for site, pin in pins.items()
+            }
+        return _batch_loss(model, samples * blocks, shadow, config.reg_weight,
+                           pinned=tiled[blocks], blocks=blocks)[2]
 
+    ndims = {path: p.data.ndim for path, p in model.params.items()}
+
+    def probe() -> float | np.ndarray:
+        stacked = [p for path, p in model.params.items() if p.data.ndim > ndims[path]]
+        if not stacked:
+            with no_grad():
+                return float(objective().data)
+        (leaf,) = stacked
+        copies = leaf.data
+        leaf.data = np.repeat(copies, n_samples, axis=0)
+        try:
+            with no_grad():
+                return objective(len(copies)).data
+        finally:
+            leaf.data = copies
+
+    return model, objective, probe
+
+
+def gradient_audit(
+    config: RunConfig | None = None,
+    n_samples: int = 3,
+    epsilon: float = 1e-5,
+    rtol: float = 1e-4,
+    atol: float = 1e-7,
+    seed: int = 7,
+) -> tuple[bool, list[AuditRow]]:
+    """Check every trainable parameter's gradient against central differences.
+
+    The objective is `_batch_loss`, the training loss through the training
+    forward, on a fixed batch (`_audit_problem`). Finite differences probe
+    the same surrogate the analytic gradient differentiates: the expert
+    subset, the detached half of the straight-through gate, and the EMA
+    reference weights stay pinned at their baseline values while
+    parameters move. They probe in blocks of `AUDIT_COPIES` perturbed
+    copies per forward, each copy on its own rows of the batch. Adapters
+    are re-randomized first (a fresh bank has B = 0, which would hide half
+    the bank behind zero gradients), and the shadow is nudged off the live
+    parameters so the regularizer term is active.
+    """
+    if n_samples < 1:
+        raise ValueError(f"the audit needs at least one sample, got n_samples={n_samples}")
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not rtol >= 0.0:
+        raise ValueError(f"rtol must be non-negative, got {rtol}")
+    if not atol >= 0.0:
+        raise ValueError(f"atol must be non-negative, got {atol}")
+    config = config or audit_config()
+    config.validate()
+    if config.variant() != FULL:
+        raise ValueError("the audit exercises the full variant; enable all three stages")
+
+    model, objective, probe = _audit_problem(config, n_samples, seed)
     model.params.zero_grad()
     backward(objective())
     analytic = {
         path: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
         for path, p in model.params.items()
     }
-
-    def probe() -> float:
-        with no_grad():
-            return float(objective().data)
-
-    numeric = finite_diff_grad(probe, model.params, epsilon=epsilon)
+    numeric = finite_diff_grad(probe, model.params, epsilon=epsilon, copies=AUDIT_COPIES)
 
     rows: list[AuditRow] = []
     for (path, _), fd in zip(model.params.items(), numeric):

@@ -6,7 +6,10 @@ The name does not match pytest's `test_*.py` pattern, so the plain test
 suite never collects this file; naming it runs it. Shapes follow the
 default `RunConfig`: a batch of B = 32 samples of L = 4 visual + 3
 template + 3 noise = 10 tokens, d_hidden = 32, N = 4 experts with top-2
-selection, rank 16 and routing_dim 64.
+selection, rank 16 and routing_dim 64. The two audit benchmarks use the
+gradient audit's model (`audit_config`, 3 samples): one finite-difference
+probe, and one block of AUDIT_COPIES probes in a single forward; the
+block's time over AUDIT_COPIES is its cost per probe.
 """
 
 import numpy as np
@@ -18,7 +21,15 @@ from streamlora.model import Model
 from streamlora.routing import init_routing_state, route_with_straight_through
 from streamlora.stability import EmaShadow, ema_update
 from streamlora.stream import TaskSampler
-from streamlora.trainer import Adam, RunConfig, _batch_loss, build_stream
+from streamlora.trainer import (
+    AUDIT_COPIES,
+    Adam,
+    RunConfig,
+    _audit_problem,
+    _batch_loss,
+    audit_config,
+    build_stream,
+)
 
 CONFIG = RunConfig()
 B, D = CONFIG.batch_size, CONFIG.d_hidden
@@ -105,3 +116,26 @@ def test_training_step(benchmark):
         ema_update(shadow, model.routing_states(), CONFIG.ema_momentum)
 
     benchmark(step)
+
+
+@pytest.fixture(scope="module")
+def audit():
+    return _audit_problem(audit_config(), n_samples=3, seed=7)
+
+
+def test_audit_single_probe(benchmark, audit):
+    _, _, probe = audit
+    benchmark(probe)
+
+
+def test_audit_probe_block(benchmark, audit):
+    # every leaf goes through the same forward; a stage-two query is typical
+    model, _, probe = audit
+    leaf = model.params["layer.0.attn_out.router.query"]
+    shared = leaf.data
+    leaf.data = np.repeat(shared[None], AUDIT_COPIES, axis=0)
+    try:
+        values = benchmark(probe)
+    finally:
+        leaf.data = shared
+    assert values.shape == (AUDIT_COPIES,)

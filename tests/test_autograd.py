@@ -9,6 +9,7 @@ import pytest
 from streamlora.autograd import (
     ParamStore,
     Value,
+    atomic_open,
     backward,
     cols,
     concat,
@@ -125,6 +126,9 @@ def test_every_op_matches_finite_differences(seed):
         (lambda: scalarize(transpose(tokens)), [tokens]),
         (lambda: scalarize(reshape(tokens, (bsz, m * n))), [tokens]),
         (lambda: scalarize(concat([tokens, other_tokens], axis=1)), [tokens, other_tokens]),
+        # a shared operand broadcasts over the leading axis of a per-sample one
+        (lambda: scalarize(concat([a, tokens], axis=-2)), [a, tokens]),
+        (lambda: scalarize(concat([tokens, b], axis=-1)), [tokens, b]),
         (lambda: scalarize(mean(tokens, axis=-2)), [tokens]),
         (lambda: scalarize(take_rows(table, batch_ids)), [table]),
         (lambda: scalarize(masked_softmax(tokens, mask)), [tokens]),
@@ -132,6 +136,16 @@ def test_every_op_matches_finite_differences(seed):
     ]
     for build, tensors in cases:
         check_gradients(build, tensors)
+
+
+def test_concat_broadcasts_operands_only_along_a_negative_axis():
+    shared, stacked = Value(np.ones((2, 3))), Value(np.zeros((4, 5, 3)))
+    assert concat([shared, stacked], axis=-2).data.shape == (4, 7, 3)
+    for axis in (1, -3):            # no axis 1 common to both; no axis -3 in a 2-D operand
+        with pytest.raises(ValueError):
+            concat([shared, stacked], axis=axis)
+    with pytest.raises(ValueError, match="broadcast"):
+        concat([shared, Value(np.zeros((4, 5, 4)))], axis=-2)
 
 
 def test_broadcast_gradients_match_finite_differences():
@@ -344,6 +358,55 @@ def test_finite_diff_restores_parameters_exactly():
     np.testing.assert_array_equal(x.data, before)
 
 
+@pytest.mark.parametrize("copies", [1, 4])
+def test_finite_diff_restores_parameters_when_the_objective_raises(copies):
+    x = Value(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+    before = x.data.copy()
+    calls = []
+
+    def f():
+        calls.append(x.data.copy())
+        if len(calls) == 3:
+            raise RuntimeError("objective failed")
+        return (x.data ** 2).sum(axis=-1)
+
+    with pytest.raises(RuntimeError, match="objective failed"):
+        finite_diff_grad(f, [x], epsilon=1e-3, copies=copies)
+    assert not np.array_equal(calls[-1].reshape(-1, 5)[0], before)   # it failed mid-probe
+    assert x.data.tobytes() == before.tobytes()
+
+
+def test_finite_diff_in_blocks_matches_one_probe_at_a_time():
+    # f reduces the last two axes, so the same function serves one probe
+    # (a (2, 3) tensor) and a block of them ((n, 2, 3) copies, n values)
+    rng = named_rng(0, "fd-blocks")
+    x = Value(rng.normal(size=(2, 3)))
+    y = Value(rng.normal(size=(3,)))
+    c = rng.normal(size=(2, 3))
+
+    def f():
+        return (np.sin(x.data) * c * np.cosh(y.data)[..., None, :]).sum(axis=(-2, -1))
+
+    one = finite_diff_grad(f, [x, y], epsilon=1e-5)
+    blocked = finite_diff_grad(f, [x, y], epsilon=1e-5, copies=4)
+    seen = []
+    odd = finite_diff_grad(lambda: seen.append(x.data.shape) or f(), [x], copies=5)
+    assert seen == [(5, 2, 3), (5, 2, 3), (2, 2, 3)]     # 12 probes, pairs split across blocks
+    np.testing.assert_allclose(odd[0], one[0], rtol=1e-12, atol=0)
+    for g1, g4 in zip(one, blocked):
+        np.testing.assert_allclose(g4, g1, rtol=1e-12, atol=0)
+
+
+def test_finite_diff_blocks_check_every_value():
+    x = Value(np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        finite_diff_grad(lambda: np.where(x.data[:, 2] > 3.0, np.inf, 0.0), [x], copies=4)
+    with pytest.raises(ValueError, match="shape"):
+        finite_diff_grad(lambda: 0.0, [x], copies=4)
+    with pytest.raises(ValueError, match="copies"):
+        finite_diff_grad(lambda: 0.0, [x], copies=0)
+
+
 # ---------------------------------------------------------------------------
 # parameter store and checkpoints
 # ---------------------------------------------------------------------------
@@ -384,6 +447,27 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
         assert loaded[name].dtype == np.float64
         assert loaded[name].shape == arr.shape
         assert np.array_equal(loaded[name], arr), name  # bitwise, no tolerance
+
+
+def test_atomic_open_leaves_no_partial_file_when_the_write_fails(tmp_path):
+    path = tmp_path / "artifact.txt"
+    path.write_text("old contents\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path) as fh:
+            fh.write("half of the new")
+            fh.flush()
+            raise RuntimeError("interrupted midway")
+    assert path.read_text() == "old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.txt"]
+    with pytest.raises(RuntimeError):
+        with atomic_open(tmp_path / "fresh.bin", "wb") as fh:
+            fh.write(b"x")
+            raise RuntimeError("interrupted midway")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.txt"]
+    with atomic_open(path) as fh:
+        fh.write("new contents\n")
+    assert path.read_text() == "new contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.txt"]
 
 
 def test_checkpoint_rejects_wrong_magic(tmp_path):

@@ -395,3 +395,40 @@ def test_experts_no_sample_of_the_batch_selected_get_no_gradient():
                     unused += 1
                     assert bank.down[j].grad is None and bank.up[j].grad is None
     assert unused >= 4 * 2 * CFG.n_layers       # at most 2 of 6 experts chosen per site
+
+
+@pytest.mark.parametrize("leaf", [
+    "expert.A", "expert.B", "router.select", "router.query", "router.key", "router.experts",
+    "head.weight", "head.bias",
+])
+def test_a_leaf_with_one_copy_per_row_gives_each_block_its_copys_forward(leaf):
+    # the gradient audit's blocked probes: a trainable leaf holding one copy
+    # per batch row, (B, *shape), gives every block of rows the forward that
+    # block's copy gives as the model's shared leaf
+    model = make_model(FULL, seed=25)
+    randomize_adapters(model, seed=26)
+    samples = [make_sample(seed=50 + i) for i in range(3)]
+    if leaf.startswith("expert"):
+        j = forward(model, samples).sites[1].subset[0][0]       # used at layer.0.ffn_up
+        path = f"layer.0.ffn_up.expert.{j}.{leaf[-1]}"
+    elif leaf.startswith("router"):
+        path = f"layer.1.attn_out.{leaf}"
+    else:
+        path = leaf
+    param = model.params[path]
+    copies = param.data + 0.05 * named_rng(27, path).normal(size=(2,) + param.data.shape)
+    param.data = np.repeat(copies, len(samples), axis=0)
+    blocked = forward(model, samples * 2)
+    assert param.data.shape == (6,) + copies.shape[1:]
+    for c, rows in enumerate((slice(0, 3), slice(3, 6))):
+        param.data = copies[c]
+        alone = forward(model, samples)
+        np.testing.assert_allclose(blocked.logits.data[rows], alone.logits.data, rtol=0, atol=1e-12)
+        for rec, rec_alone in zip(blocked.sites, alone.sites):
+            assert rec.subset[rows] == rec_alone.subset
+            np.testing.assert_allclose(rec.weights_data[rows], rec_alone.weights_data,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(rec.sample_probs[rows], rec_alone.sample_probs,
+                                       rtol=0, atol=1e-12)
+    moved = [blocked.logits.data] + [rec.sample_probs for rec in blocked.sites]
+    assert any(not np.array_equal(a[:3], a[3:]) for a in moved)     # the copies differ

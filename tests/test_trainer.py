@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from streamlora.autograd import ParamStore, Value, backward, named_rng
+import streamlora.trainer as trainer_module
+from streamlora.autograd import ParamStore, Value, backward, finite_diff_grad, named_rng
 from streamlora.cli import main
 from streamlora.model import FROZEN, FULL, SHARED_LORA, UNIFORM_MOE, Model, Variant
 from streamlora.stability import EmaShadow
@@ -328,6 +329,30 @@ def test_run_stream_writes_the_artifact_set(tmp_path):
     assert json.loads(lines[0])["chunk"] == 1
 
 
+def test_run_stream_leaves_no_partial_artifact_when_a_write_fails(tmp_path, monkeypatch):
+    cfg = tiny_config()
+    run_stream(cfg, out_dir=tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    dumps = json.dumps
+    written = []
+
+    def failing_dumps(obj, **kwargs):
+        written.append(obj)
+        if len(written) == 3:          # the third trace record: traces.jsonl is half written
+            raise OSError("disk full")
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(trainer_module.json, "dumps", failing_dumps)
+    with pytest.raises(OSError, match="disk full"):
+        run_stream(replace(cfg, seed=1), out_dir=tmp_path)
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert set(after) == set(before)                 # no temporary file left behind
+    assert after["traces.jsonl"] == before["traces.jsonl"]
+    assert after["checkpoint.bin"] == before["checkpoint.bin"]
+    assert after["metrics.csv"] != before["metrics.csv"]    # written whole before the failure
+
+
 def test_checkpoint_restores_the_exact_parameters(tmp_path):
     cfg = tiny_config()
     result = run_stream(cfg, out_dir=tmp_path)
@@ -432,6 +457,51 @@ def test_gradient_audit_rejects_bad_sample_counts_and_steps():
         gradient_audit(small_audit_config(), n_samples=1, epsilon=0.0)
     with pytest.raises(ValueError, match="epsilon must be positive"):
         gradient_audit(small_audit_config(), n_samples=1, epsilon=-1e-5)
+    with pytest.raises(ValueError, match="rtol must be non-negative"):
+        gradient_audit(small_audit_config(), n_samples=1, rtol=-1.0)
+    with pytest.raises(ValueError, match="atol must be non-negative"):
+        gradient_audit(small_audit_config(), n_samples=1, atol=-1.0)
+    with pytest.raises(ValueError, match="rtol must be non-negative"):
+        main(["gradcheck", "--rtol", "-1"])
+
+
+def test_audit_numeric_gradients_in_blocks_match_one_probe_at_a_time(monkeypatch):
+    numeric = {}
+    for copies in (1, 8):
+        def capture(*args, **kwargs):
+            numeric[copies] = finite_diff_grad(*args, **kwargs)
+            return numeric[copies]
+
+        monkeypatch.setattr(trainer_module, "AUDIT_COPIES", copies)
+        monkeypatch.setattr(trainer_module, "finite_diff_grad", capture)
+        ok, _ = gradient_audit(small_audit_config(), n_samples=2)
+        assert ok
+    assert len(numeric[1]) == len(numeric[8])
+    for one, blocked in zip(numeric[1], numeric[8]):
+        np.testing.assert_allclose(blocked, one, rtol=0, atol=1e-9)
+
+
+def test_each_block_objective_is_the_loss_of_its_own_rows():
+    cfg = small_audit_config()
+    model = Model(cfg.backbone(), n_experts=cfg.n_experts, top_k=cfg.top_k, rank=cfg.rank,
+                  routing_dim=cfg.routing_dim, variant=cfg.variant(), seed=5)
+    rng = named_rng(5, "block-loss")
+    for _, p in model.params.items():
+        p.data = 0.2 * rng.normal(size=p.data.shape)
+    shadow = EmaShadow.from_states(model.routing_states())
+    for arr in shadow.arrays.values():
+        arr += 0.1 * rng.normal(size=arr.shape)
+    spec = make_task_specs(
+        0, n_tasks=2, d_e=cfg.d_hidden, classes_per_task=2, sigma=0.25,
+        visual_tokens=cfg.visual_tokens, noise_tokens=cfg.noise_tokens, test_size=6, vocab_size=64,
+    )[0]
+    samples = TaskSampler(spec, 0).test_set()
+    blocked = _batch_loss(model, samples, shadow, cfg.reg_weight, blocks=3)
+    for b in range(3):
+        alone = _batch_loss(model, samples[2 * b : 2 * b + 2], shadow, cfg.reg_weight)
+        for per_block, scalar in zip(blocked[:3], alone[:3]):
+            assert per_block.data.shape == (3,)
+            np.testing.assert_allclose(per_block.data[b], scalar.data, rtol=1e-14, atol=0)
 
 
 def test_gradient_audit_checks_the_graph_training_builds(monkeypatch):
