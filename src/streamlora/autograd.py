@@ -317,7 +317,7 @@ def mean(a: Value, axis: int | None = None, keepdims: bool = False) -> Value:
     return _make_node(data, (a,), backward)
 
 
-def vsum(a: Value, axis: int | None = None, keepdims: bool = False) -> Value:
+def vsum(a: Value, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Value:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(out: Value) -> None:
@@ -455,17 +455,16 @@ def softmax(logits: Value) -> Value:
 
 def cross_entropy(logits: Value, target) -> Value:
     """Negative log-likelihood of `target` under softmax(logits) along the
-    last axis: (C,) logits with an int target give a scalar, (B, C) logits
-    with B targets give the B per-row losses.
+    last axis: (C,) logits with an int target give a scalar, (..., B, C)
+    logits with B targets give the (..., B) per-row losses, the targets
+    shared by every leading index of the logits.
 
     Computed as logsumexp(logits) - logits[target]; the backward pass is
     the classic softmax-minus-onehot.
     """
     x = logits.data
-    if x.ndim not in (1, 2):
-        raise ValueError("cross_entropy expects (C,) or (B, C) logits")
     t = np.asarray(target, dtype=np.intp)
-    if t.shape != x.shape[:-1]:
+    if x.ndim <= t.ndim or t.shape != x.shape[x.ndim - 1 - t.ndim : -1]:
         raise ValueError(f"{t.size} targets for logits of shape {x.shape}")
     if t.size and not (0 <= t.min() and t.max() < x.shape[-1]):
         raise ValueError(f"target out of range for {x.shape[-1]} classes")
@@ -473,7 +472,8 @@ def cross_entropy(logits: Value, target) -> Value:
     m = x.max(axis=-1, keepdims=True)
     e = np.exp(x - m)
     total = e.sum(axis=-1, keepdims=True)
-    data = (m + np.log(total))[..., 0] - x[onehot].reshape(t.shape)
+    picked = np.take_along_axis(x, np.broadcast_to(t[..., None], x.shape[:-1] + (1,)), axis=-1)
+    data = (m + np.log(total) - picked)[..., 0]
 
     def backward(out: Value) -> None:
         if logits.requires_grad:
@@ -652,9 +652,10 @@ def save_checkpoint(path, records: dict[str, Array]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, Array]:
-    """Read a `save_checkpoint` file. A file cut anywhere, or carrying
-    bytes after its last record, raises `ValueError` naming the file and
-    the part that is missing or extra."""
+    """Read a `save_checkpoint` file. A file cut anywhere, carrying bytes
+    after its last record, or holding a NaN or infinity (which no run can
+    save: training stops on a non-finite loss) raises `ValueError` naming
+    the file and the part at fault."""
     with open(path, "rb") as fh:
         raw = fh.read()
     off = 0
@@ -680,6 +681,8 @@ def load_checkpoint(path) -> dict[str, Array]:
         shape = tuple(uint(f"record {name!r} shape") for _ in range(ndim))
         payload = take(8 * int(np.prod(shape)), f"record {name!r} payload")
         records[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(records[name]).all():
+            raise ValueError(f"{path}: record {name!r} holds non-finite values")
     if off != len(raw):
         raise ValueError(f"{path}: {len(raw) - off} trailing bytes after the last record")
     return records
@@ -704,8 +707,8 @@ def finite_diff_grad(
     With `copies > 1` the probes are evaluated in blocks: each call of `f`
     sees the tensor's `data` as an (n, *shape) stack of n <= copies nudged
     copies, the +/- pair of each coordinate on neighbouring copies, and
-    must return the n values (a block-aware objective puts each copy on
-    its own rows of one batch). Raises if any probe value is non-finite.
+    must return the n values (the gradient audit's probe puts the copies
+    on a leading axis of the leaf). Raises if any probe value is non-finite.
     The tensors are restored exactly afterwards, also when `f` raises.
     """
     if copies < 1:

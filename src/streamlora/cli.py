@@ -17,6 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .autograd import atomic_open
 from .metrics import MetricLedger, homogeneity_report
 from .stream import write_stream
 from .trainer import (
@@ -114,7 +115,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     ledger = MetricLedger.from_accuracy_rows(_read_accuracy_rows(args.input))
     text = ledger.to_csv()
     if args.out:
-        Path(args.out).write_text(text)
+        with atomic_open(args.out) as fh:
+            fh.write(text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -148,8 +150,9 @@ def _cmd_diag(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "cka_matrix.csv").write_text(matrix.getvalue())
-    (out / "activation.csv").write_text(activation.getvalue())
+    for name, table in (("cka_matrix.csv", matrix), ("activation.csv", activation)):
+        with atomic_open(out / name) as fh:
+            fh.write(table.getvalue())
     print(f"tasks: {list(report.task_ids)}")
     print(f"mean off-diagonal CKA: {report.mean_off_diagonal():.4f}")
     print(f"wrote {out / 'cka_matrix.csv'} and {out / 'activation.csv'}")

@@ -88,8 +88,9 @@ def lora_delta(bank: ExpertBank, experts, h: Value, weights: Value | None = None
     without it each listed expert counts once. The listed factors are
     concatenated along the rank axis, so any number of experts costs two
     products, and the weights scale the rank-space activations in between.
-    A factor may hold one copy per sample, (B, r, d_in) or (B, d_out, r),
-    for a batch h (B, L, d_in); the concatenation broadcasts the others.
+    A factor may hold n copies of itself, (n, 1, r, d_in) or
+    (n, 1, d_out, r); the concatenation broadcasts the others and the
+    result gains the copy axis, (n, B, L, d_out).
     """
     experts = [experts] if isinstance(experts, (int, np.integer)) else [int(j) for j in experts]
     if not experts or min(experts) < 0 or max(experts) >= bank.n_experts:

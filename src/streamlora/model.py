@@ -22,6 +22,9 @@ Forward behavior is controlled by a `Variant`:
 `forward` runs a batch: samples that share their visual-token count and
 instruction length go through one graph over (B, L, d) tensors, and each
 sample is routed on its own (its own top-K subset, its own token weights).
+A trainable leaf may hold n copies of itself, (n, 1, *shape), as the
+gradient audit's probes do: activations then gain a leading copy axis
+where they first meet that leaf, so everything upstream runs once.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .autograd import (
     mul,
     named_rng,
     powi,
-    reshape,
     softmax,
     take_rows,
     tanh,
@@ -174,7 +176,7 @@ class SiteRecord:
 
     site: str
     mask: np.ndarray                  # (B, N) each sample's subset
-    weights_data: np.ndarray          # (B, L, N) as applied
+    weights_data: np.ndarray          # (B, L, N) as applied, (n, B, L, N) past a copy leaf
     hidden_data: np.ndarray           # (B, L, d_in) site input
     token_weights: Value | None       # live stage-two weights (B, L, N) when present
     sample_probs: np.ndarray | None   # stage-one distributions (B, N) when present
@@ -204,7 +206,7 @@ class FrozenRouting:
 
 @dataclass
 class ForwardResult:
-    logits: Value                     # (B, n_classes)
+    logits: Value                     # (B, n_classes), (n, B, n_classes) with a copy leaf
     x_text: Value                     # (B, d_e) pooled instruction embeddings
     sites: list[SiteRecord] = field(default_factory=list)
 
@@ -344,7 +346,7 @@ def _site_forward(
     if variant.mode == "frozen":
         return matmul(hidden, transpose(bank.base)), None
     n = bank.n_experts
-    mask = np.ones((hidden.data.shape[0], n), dtype=bool)     # every expert, every sample
+    mask = np.ones((x_text.data.shape[0], n), dtype=bool)     # every expert, every sample
     gate, live, probs = None, None, None
     if variant.mode == "shared_lora":
         weights = Value(np.ones(n))
@@ -367,7 +369,7 @@ def _site_forward(
         # dense per-token mixture on the hidden state, no text conditioning
         weights = live = softmax(matmul(hidden, transpose(router.select)))
     out = adapted_forward(bank, hidden, weights, mask, gate)
-    applied = np.empty(hidden.data.shape[:-1] + (n,))
+    applied = np.empty(np.broadcast_shapes(hidden.data.shape[:-1] + (n,), weights.data.shape))
     applied[...] = weights.data                      # per-sample weights repeat on every token
     return out, SiteRecord(
         site=site_key,
@@ -424,17 +426,14 @@ def forward(
         up = site(i, layer, "ffn_up", layer_norm(x))
         x = x + matmul(tanh(up), transpose(layer.ffn_down))
 
-    pooled = mean(layer_norm(x), axis=1)                 # (B, d)
+    pooled = mean(layer_norm(x), axis=-2)                # (B, d) or (n, B, d)
     result.logits = add(project(pooled, model.head_weight), model.head_bias)
     return result
 
 
-def task_loss(logits: Value, labels, blocks: int = 1) -> Value:
-    """Mean cross-entropy against the gold answer classes: (B, C) logits
-    with B labels, or (C,) logits with one label. With `blocks` > 1 the
-    rows form that many equal consecutive blocks and each block gets its
-    own mean, a (blocks,) value."""
+def task_loss(logits: Value, labels) -> Value:
+    """Mean cross-entropy against the gold answer classes: (..., B, C)
+    logits with B labels, one mean per leading index, or (C,) logits with
+    one label."""
     losses = cross_entropy(logits, labels)
-    if blocks == 1:
-        return mean(losses)
-    return mean(reshape(losses, (blocks, -1)), axis=-1)
+    return mean(losses, axis=-1) if losses.data.ndim else losses

@@ -51,9 +51,9 @@ class RoutingState:
     key:    (D, d_e) instruction projection for stage two.
     experts: (N, D) one feature row per expert, modulating the key.
 
-    Any of them may instead hold one copy per sample of the batch, with a
-    leading axis B (the gradient audit probes several perturbed copies in
-    one forward this way).
+    Any of them may instead hold n copies of itself, (n, 1, *shape), that
+    broadcast over the batch (the gradient audit probes several perturbed
+    copies in one forward this way).
     """
 
     select: Value
@@ -126,10 +126,10 @@ def per_token(v: Value) -> Value:
 
 
 def project(x: Value, weight: Value) -> Value:
-    """x W^T for pooled vectors x, (d,) or (B, d). A weight with one copy
-    per sample, (B, k, d), meets each row with its own copy; the rows are
-    lifted to (B, 1, d) only then, because one (B, d) @ (d, k) product and
-    B row products differ in the last bits."""
+    """x W^T for pooled vectors x, (d,) or (B, d). A weight holding n
+    copies, (n, 1, k, d), meets every row with each copy, (n, B, k); the
+    rows are lifted to (B, 1, d) only then, because one (B, d) @ (d, k)
+    product and B row products differ in the last bits."""
     if weight.data.ndim == 2:
         return matmul(x, transpose(weight))
     out = matmul(per_token(x), transpose(weight))                   # (B, 1, k)

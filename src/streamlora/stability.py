@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .autograd import Value, log, mul, no_grad, reshape, vsum
+from .autograd import Value, log, mul, no_grad, vsum
 from .routing import RoutingState, subset_mask, token_logits, token_weights
 
 LOG_FLOOR = 1e-12
@@ -93,38 +93,34 @@ def reference_weights(
         return token_weights(logits, subset, state.n_experts).data
 
 
-def reg_loss(reference: np.ndarray, live: Value, subset, blocks: int = 1) -> Value:
+def reg_loss(reference: np.ndarray, live: Value, subset) -> Value:
     """Mean per-token KL(reference || live) over the subset.
 
     Both inputs are (tokens, N), or (B, tokens, N) for a batch whose
     `subset` is a (B, N) mask, with zeros outside the subset. The mean runs
-    over every token of every sample; with `blocks` > 1 the samples form
-    that many equal consecutive blocks and each block gets its own mean, a
-    (blocks,) value. The reference term is a constant, so the whole
-    gradient lands on the live weights through the log. Live entries are
-    clamped at 1e-12 inside the log; off-subset columns contribute exactly
-    zero because the reference is zero there.
+    over every token of every sample. Live weights may carry leading copy
+    axes beyond the reference's shape, (n, B, tokens, N); each copy then
+    gets its own mean, an (n,) value. The reference term is a constant, so
+    the whole gradient lands on the live weights through the log. Live
+    entries are clamped at 1e-12 inside the log; off-subset columns
+    contribute exactly zero because the reference is zero there.
     """
     ref = np.asarray(reference, dtype=np.float64)
-    if ref.shape != live.data.shape:
-        raise ValueError(f"shape mismatch: reference {ref.shape} vs live {live.data.shape}")
     if ref.ndim < 2:
         raise ValueError("expected (tokens, n_experts) weight matrices")
+    if live.data.shape[max(live.data.ndim - ref.ndim, 0):] != ref.shape:
+        raise ValueError(f"shape mismatch: reference {ref.shape} vs live {live.data.shape}")
     n_experts = ref.shape[-1]
     off = ~subset_mask(subset, n_experts)[..., None, :]
     if np.any((ref != 0.0) & off) or np.any((live.data != 0.0) & off):
         raise ValueError("weight support disagrees with the routing subset")
 
     # sum_l sum_j ref * log(ref) is a constant; only the cross term needs ops
-    ref_terms = np.where(ref > 0.0, ref * np.log(np.maximum(ref, LOG_FLOOR)), 0.0)
+    ref_entropy = float(np.sum(np.where(ref > 0.0, ref * np.log(np.maximum(ref, LOG_FLOOR)), 0.0)))
     cross_terms = mul(Value(ref), log(live, floor=LOG_FLOOR))
-    if blocks == 1:
-        ref_entropy, cross = float(np.sum(ref_terms)), vsum(cross_terms)
-    else:
-        ref_entropy = ref_terms.reshape(blocks, -1).sum(axis=-1)
-        cross = vsum(reshape(cross_terms, (blocks, -1)), axis=-1)
+    cross = vsum(cross_terms, axis=tuple(range(-ref.ndim, 0)))
     kl_total = Value(ref_entropy) - cross
-    return kl_total * (n_experts * blocks / ref.size)      # 1 / (tokens per block)
+    return kl_total * (n_experts / ref.size)      # 1 / tokens
 
 
 def total_loss(task: Value, reg: Value | None, weight: float) -> Value:

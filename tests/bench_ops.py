@@ -8,8 +8,9 @@ default `RunConfig`: a batch of B = 32 samples of L = 4 visual + 3
 template + 3 noise = 10 tokens, d_hidden = 32, N = 4 experts with top-2
 selection, rank 16 and routing_dim 64. The two audit benchmarks use the
 gradient audit's model (`audit_config`, 3 samples): one finite-difference
-probe, and one block of AUDIT_COPIES probes in a single forward; the
-block's time over AUDIT_COPIES is its cost per probe.
+probe, and one block of AUDIT_COPIES probes in a single forward, the
+copies on a leading axis of the probed leaf; the block's time over
+AUDIT_COPIES is its cost per probe.
 """
 
 import numpy as np
@@ -129,13 +130,17 @@ def test_audit_single_probe(benchmark, audit):
 
 
 def test_audit_probe_block(benchmark, audit):
-    # every leaf goes through the same forward; a stage-two query is typical
+    # a block as finite_diff_grad hands it over, an (n, *shape) stack; the
+    # probe sets it as an (n, 1, *shape) leaf, so the copies ride a leading
+    # axis from the leaf's site on. A first-layer stage-two query puts
+    # nearly the whole forward on that axis: the block's worst case
     model, _, probe = audit
     leaf = model.params["layer.0.attn_out.router.query"]
     shared = leaf.data
-    leaf.data = np.repeat(shared[None], AUDIT_COPIES, axis=0)
+    leaf.data = np.stack([shared] * AUDIT_COPIES)
     try:
         values = benchmark(probe)
     finally:
         leaf.data = shared
     assert values.shape == (AUDIT_COPIES,)
+    np.testing.assert_allclose(values, probe(), rtol=1e-12, atol=0)

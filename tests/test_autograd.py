@@ -492,6 +492,22 @@ def test_checkpoint_rejects_every_truncation_and_trailing_bytes(tmp_path):
         load_checkpoint(cut)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_checkpoint_rejects_non_finite_records(tmp_path, bad):
+    records = {"w": np.arange(6.0).reshape(2, 3), "v": np.ones(2)}
+    records["v"][1] = bad
+    path = tmp_path / "state.bin"
+    save_checkpoint(path, records)
+    with pytest.raises(ValueError, match="state.bin: record 'v' holds non-finite values"):
+        load_checkpoint(path)
+    store = ParamStore()
+    store.add("w", Value(np.zeros((2, 3))))
+    store.add("v", Value(np.zeros(2)))
+    with pytest.raises(ValueError, match="record 'v' holds non-finite"):
+        store.load(path)
+    assert not store["v"].data.any()          # nothing restored from the bad file
+
+
 def test_param_store_save_load_with_extras(tmp_path):
     store = ParamStore()
     store.add("w", Value(np.arange(6.0).reshape(2, 3)))

@@ -20,6 +20,7 @@ from streamlora.model import (
     layer_norm,
     task_loss,
 )
+from streamlora.routing import subset_indices
 
 CFG = BackboneConfig(n_layers=2, d_hidden=16, n_heads=2, vocab_size=32, n_classes=6)
 
@@ -402,9 +403,10 @@ def test_experts_no_sample_of_the_batch_selected_get_no_gradient():
     "head.weight", "head.bias",
 ])
 def test_a_leaf_with_one_copy_per_row_gives_each_block_its_copys_forward(leaf):
-    # the gradient audit's blocked probes: a trainable leaf holding one copy
-    # per batch row, (B, *shape), gives every block of rows the forward that
-    # block's copy gives as the model's shared leaf
+    # the gradient audit's blocked probes: a trainable leaf holding n copies
+    # of itself, one per row of a leading copy axis, (n, 1, *shape), gives
+    # every index of that axis the forward its copy gives as the model's
+    # own leaf
     model = make_model(FULL, seed=25)
     randomize_adapters(model, seed=26)
     samples = [make_sample(seed=50 + i) for i in range(3)]
@@ -417,18 +419,41 @@ def test_a_leaf_with_one_copy_per_row_gives_each_block_its_copys_forward(leaf):
         path = leaf
     param = model.params[path]
     copies = param.data + 0.05 * named_rng(27, path).normal(size=(2,) + param.data.shape)
-    param.data = np.repeat(copies, len(samples), axis=0)
-    blocked = forward(model, samples * 2)
-    assert param.data.shape == (6,) + copies.shape[1:]
-    for c, rows in enumerate((slice(0, 3), slice(3, 6))):
+    param.data = copies[:, None]
+    stacked = forward(model, samples)
+    assert stacked.logits.data.shape == (2, 3, CFG.n_classes)
+
+    def copy(a, c, solo):       # copy c of a record array, if it has the copy axis
+        return a[c] if a.ndim > solo.ndim else a
+
+    for c in range(2):
         param.data = copies[c]
         alone = forward(model, samples)
-        np.testing.assert_allclose(blocked.logits.data[rows], alone.logits.data, rtol=0, atol=1e-12)
-        for rec, rec_alone in zip(blocked.sites, alone.sites):
-            assert rec.subset[rows] == rec_alone.subset
-            np.testing.assert_allclose(rec.weights_data[rows], rec_alone.weights_data,
-                                       rtol=0, atol=1e-12)
-            np.testing.assert_allclose(rec.sample_probs[rows], rec_alone.sample_probs,
-                                       rtol=0, atol=1e-12)
-    moved = [blocked.logits.data] + [rec.sample_probs for rec in blocked.sites]
-    assert any(not np.array_equal(a[:3], a[3:]) for a in moved)     # the copies differ
+        np.testing.assert_allclose(stacked.logits.data[c], alone.logits.data, rtol=0, atol=1e-12)
+        for rec, rec_alone in zip(stacked.sites, alone.sites):
+            assert subset_indices(copy(rec.mask, c, rec_alone.mask)) == rec_alone.subset
+            for got, solo in ((rec.weights_data, rec_alone.weights_data),
+                              (rec.sample_probs, rec_alone.sample_probs)):
+                np.testing.assert_allclose(copy(got, c, solo), solo, rtol=0, atol=1e-12)
+    assert not np.array_equal(stacked.logits.data[0], stacked.logits.data[1])   # the copies differ
+
+
+@pytest.mark.parametrize("leaf", ["expert.A", "router.query"])
+def test_a_copy_leaf_leaves_the_sites_upstream_of_it_without_the_copy_axis(leaf):
+    # the copy axis starts where activations meet the leaf, so every layer
+    # upstream of it runs once for the batch
+    model = make_model(FULL, seed=28)
+    samples = [make_sample(seed=60 + i) for i in range(3)]
+    if leaf == "expert.A":
+        leaf = f"expert.{forward(model, samples).sites[3].subset[0][0]}.A"
+    param = model.params[f"layer.1.ffn_up.{leaf}"]
+    param.data = np.stack([param.data] * 4)[:, None]
+    result = forward(model, samples)
+    L = 5 + 4
+    records = {rec.site: rec for rec in result.sites}
+    for site in ("layer.0.attn_out", "layer.0.ffn_up", "layer.1.attn_out"):
+        rec = records[site]
+        assert rec.hidden_data.shape == (3, L, CFG.d_hidden)
+        assert rec.weights_data.shape == (3, L, 4) and rec.sample_probs.shape == (3, 4)
+    assert records["layer.1.ffn_up"].hidden_data.shape == (3, L, CFG.d_hidden)
+    assert result.logits.data.shape == (4, 3, CFG.n_classes)

@@ -4,15 +4,25 @@ import json
 import re
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import streamlora.trainer as trainer_module
-from streamlora.autograd import ParamStore, Value, backward, finite_diff_grad, named_rng
+from streamlora.autograd import ParamStore, Value, backward, finite_diff_grad, named_rng, no_grad
 from streamlora.cli import main
-from streamlora.model import FROZEN, FULL, SHARED_LORA, UNIFORM_MOE, Model, Variant
-from streamlora.stability import EmaShadow
+from streamlora.model import (
+    FROZEN,
+    FULL,
+    SHARED_LORA,
+    UNIFORM_MOE,
+    FrozenRouting,
+    Model,
+    Variant,
+    forward,
+)
+from streamlora.stability import EmaShadow, reference_weights
 from streamlora.stream import TaskSampler, build_default_stream, compose_chunk, make_task_specs
 from streamlora.trainer import (
     ABLATION_ROWS,
@@ -20,6 +30,7 @@ from streamlora.trainer import (
     RunConfig,
     RunLog,
     TrainingDiverged,
+    _audit_problem,
     _batch_loss,
     apply_variant,
     audit_config,
@@ -368,7 +379,7 @@ def test_checkpoint_restores_the_exact_parameters(tmp_path):
         np.testing.assert_array_equal(arr, result.shadow.arrays[key[len("ema."):]])
 
 
-def test_divergence_raises_and_dumps_the_batch(tmp_path):
+def train_a_diverging_chunk(out_dir):
     cfg = tiny_config(use_reg=False)
     model = Model(
         cfg.backbone(), n_experts=cfg.n_experts, top_k=cfg.top_k, rank=cfg.rank,
@@ -381,15 +392,84 @@ def test_divergence_raises_and_dumps_the_batch(tmp_path):
     )
     schedule = build_default_stream(0, n_tasks=2, n_chunks=7, chunk_size=12)
     chunk = compose_chunk(schedule, 1, [TaskSampler(s, 0) for s in specs])
+    train_chunk(
+        model, chunk, cfg, Adam(model.params, lr=cfg.learning_rate),
+        None, RunLog(config={}), [], out_dir=out_dir,
+    )
+
+
+def test_divergence_raises_and_dumps_the_batch(tmp_path):
     with pytest.raises(TrainingDiverged, match="non-finite loss in chunk 1"):
-        train_chunk(
-            model, chunk, cfg, Adam(model.params, lr=cfg.learning_rate),
-            None, RunLog(config={}), [], out_dir=tmp_path,
-        )
+        train_a_diverging_chunk(tmp_path)
     dump_path = tmp_path / "diverged_chunk1_batch0.json"
     assert dump_path.exists()
     dump = json.loads(dump_path.read_text())
     assert dump["chunk"] == 1 and len(dump["sample_uids"]) == 6
+
+
+class HalfWriter:
+    """A file that takes half of its first write, then fails: a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError("disk full")
+
+
+def write_ablation_table(out):
+    trainer_module.run_ablation_suite(tiny_config(), out_dir=out)
+
+
+def write_metrics(out):
+    rows = out / "accuracies.csv"
+    rows.write_text("0,0,0.5\n1,0,0.25\n1,1,0.75\n")
+    main(["metrics", "--input", str(rows), "--out", str(out / "metrics.csv")])
+
+
+def write_diag_tables(out):
+    traces = out / "traces.jsonl"
+    rng = named_rng(0, "diag-traces")
+    with open(traces, "w") as fh:
+        for task in range(2):
+            for i in range(3):
+                fh.write(json.dumps({"chunk": 0, "task_id": task, "sample_id": f"{task}-{i}",
+                                     "layer": 0, "site": "ffn_up",
+                                     "s_mean": rng.dirichlet(np.ones(3)).tolist()}) + "\n")
+    main(["diag", "--traces", str(traces), "--out", str(out)])
+
+
+@pytest.mark.parametrize("write, names", [
+    (write_ablation_table, ["ablation.csv"]),
+    (train_a_diverging_chunk, ["diverged_chunk1_batch0.json"]),
+    (write_metrics, ["metrics.csv"]),
+    (write_diag_tables, ["cka_matrix.csv", "activation.csv"]),
+], ids=["ablation", "divergence-dump", "metrics", "diag"])
+def test_reports_keep_the_old_file_when_a_write_fails(tmp_path, monkeypatch, write, names):
+    import builtins
+
+    import streamlora.autograd as autograd_module
+
+    for name in names:
+        (tmp_path / name).write_text("old contents\n")
+    # the ablation's runs are stubbed out: only its table is written here
+    monkeypatch.setattr(trainer_module, "run_stream",
+                        lambda config, out_dir=None: SimpleNamespace(summary=lambda: (0.5, 0.25)))
+    monkeypatch.setattr(autograd_module, "open",
+                        lambda path, mode="r": HalfWriter(builtins.open(path, mode)), raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write(tmp_path)
+    for name in names:
+        assert (tmp_path / name).read_text() == "old contents\n"
+    assert not list(tmp_path.rglob("*.tmp"))       # no temporary file left behind
 
 
 def test_batch_gradient_is_the_mean_of_the_one_sample_gradients():
@@ -467,7 +547,8 @@ def test_gradient_audit_rejects_bad_sample_counts_and_steps():
 
 def test_audit_numeric_gradients_in_blocks_match_one_probe_at_a_time(monkeypatch):
     numeric = {}
-    for copies in (1, 8):
+    block = trainer_module.AUDIT_COPIES
+    for copies in (1, block):
         def capture(*args, **kwargs):
             numeric[copies] = finite_diff_grad(*args, **kwargs)
             return numeric[copies]
@@ -476,16 +557,20 @@ def test_audit_numeric_gradients_in_blocks_match_one_probe_at_a_time(monkeypatch
         monkeypatch.setattr(trainer_module, "finite_diff_grad", capture)
         ok, _ = gradient_audit(small_audit_config(), n_samples=2)
         assert ok
-    assert len(numeric[1]) == len(numeric[8])
-    for one, blocked in zip(numeric[1], numeric[8]):
+    assert len(numeric[1]) == len(numeric[block])
+    for one, blocked in zip(numeric[1], numeric[block]):
         np.testing.assert_allclose(blocked, one, rtol=0, atol=1e-9)
 
 
-def test_each_block_objective_is_the_loss_of_its_own_rows():
+@pytest.mark.parametrize("leaf", [
+    "layer.0.attn_out.expert.{j}.A", "layer.0.ffn_up.router.select", "layer.0.ffn_up.router.key",
+    "head.weight",
+], ids=["expert.A", "router.select", "router.key", "head.weight"])
+def test_each_copy_objective_is_the_loss_with_that_copy_as_the_leaf(leaf):
     cfg = small_audit_config()
     model = Model(cfg.backbone(), n_experts=cfg.n_experts, top_k=cfg.top_k, rank=cfg.rank,
                   routing_dim=cfg.routing_dim, variant=cfg.variant(), seed=5)
-    rng = named_rng(5, "block-loss")
+    rng = named_rng(5, "copy-loss")
     for _, p in model.params.items():
         p.data = 0.2 * rng.normal(size=p.data.shape)
     shadow = EmaShadow.from_states(model.routing_states())
@@ -496,12 +581,37 @@ def test_each_block_objective_is_the_loss_of_its_own_rows():
         visual_tokens=cfg.visual_tokens, noise_tokens=cfg.noise_tokens, test_size=6, vocab_size=64,
     )[0]
     samples = TaskSampler(spec, 0).test_set()
-    blocked = _batch_loss(model, samples, shadow, cfg.reg_weight, blocks=3)
-    for b in range(3):
-        alone = _batch_loss(model, samples[2 * b : 2 * b + 2], shadow, cfg.reg_weight)
-        for per_block, scalar in zip(blocked[:3], alone[:3]):
-            assert per_block.data.shape == (3,)
-            np.testing.assert_allclose(per_block.data[b], scalar.data, rtol=1e-14, atol=0)
+    with no_grad():
+        result = forward(model, samples)
+    pins = {
+        rec.site: FrozenRouting(rec.mask, rec.sample_probs, reference_weights(
+            shadow, rec.site, rec.hidden_data, result.x_text.data, rec.mask))
+        for rec in result.sites
+    }
+    param = model.params[leaf.format(j=result.sites[0].subset[0][0])]
+    copies = param.data + 0.05 * rng.normal(size=(3,) + param.data.shape)
+    param.data = copies[:, None]
+    stacked = _batch_loss(model, samples, shadow, cfg.reg_weight, pinned=pins)
+    assert stacked[0].data.shape == stacked[2].data.shape == (3,)
+    # the stability term gets the copy axis only from a leaf stage two reads
+    assert stacked[1].data.shape == (() if leaf.endswith(("select", "weight")) else (3,))
+    for c in range(3):
+        param.data = copies[c]
+        alone = _batch_loss(model, samples, shadow, cfg.reg_weight, pinned=pins)
+        for per_copy, scalar in zip(stacked[:3], alone[:3]):
+            assert scalar.data.shape == ()
+            np.testing.assert_allclose(np.broadcast_to(per_copy.data, (3,))[c], scalar.data,
+                                       rtol=1e-14, atol=0)
+    assert len(set(stacked[2].data)) == 3       # the copies differ
+
+
+def test_an_expert_no_sample_selected_probes_to_an_exactly_zero_difference():
+    model, objective, probe = _audit_problem(small_audit_config(), n_samples=1, seed=7)
+    backward(objective())
+    unused = [p for path, p in model.params.items() if ".expert." in path and p.grad is None]
+    assert len(unused) == 2 * 2 * 2         # per site 2 of 4 experts, A and B each
+    for fd in finite_diff_grad(probe, unused, copies=trainer_module.AUDIT_COPIES):
+        assert not fd.any()
 
 
 def test_gradient_audit_checks_the_graph_training_builds(monkeypatch):
