@@ -239,16 +239,16 @@ def matmul(a: Value, b: Value) -> Value:
     return _make_node(data, (a, b), backward)
 
 
-def transpose(a: Value) -> Value:
-    """Swap the last two axes."""
+def transpose(a: Value, axis1: int = -1, axis2: int = -2) -> Value:
+    """Swap two axes, by default the last two."""
     if a.data.ndim < 2:
         raise ValueError("transpose expects a value of at least two dimensions")
 
     def backward(out: Value) -> None:
         if a.requires_grad:
-            a.accumulate_grad(np.swapaxes(out.grad, -1, -2))
+            a.accumulate_grad(np.swapaxes(out.grad, axis1, axis2))
 
-    return _make_node(np.swapaxes(a.data, -1, -2), (a,), backward)
+    return _make_node(np.swapaxes(a.data, axis1, axis2), (a,), backward)
 
 
 def reshape(a: Value, shape: tuple[int, ...]) -> Value:
@@ -389,23 +389,6 @@ def take_rows(table: Value, ids) -> Value:
             table.accumulate_grad(g)
 
     return _make_node(data, (table,), backward)
-
-
-def cols(a: Value, start: int, stop: int) -> Value:
-    """Contiguous slice along the last axis."""
-    data = a.data[..., start:stop]
-
-    def backward(out: Value) -> None:
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            g[..., start:stop] = out.grad
-            a.accumulate_grad(g)
-
-    return _make_node(data, (a,), backward)
-
-
-def detach(a: Value) -> Value:
-    return a.detach()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Command-line entry points.
 
-Subcommands: compose-stream (materialize a stream to disk), train (one
-streaming run), ablate (all stage-toggle variants on one stream), metrics
-(rebuild the full ledger from dumped accuracies), diag (routing homogeneity
-report from a trace file), gradcheck (finite-difference audit of every
-trainable parameter).
+Subcommands: train (one streaming run), ablate (all stage-toggle variants
+on one stream), metrics (rebuild the full ledger from dumped accuracies),
+diag (routing homogeneity report from a trace file), gradcheck
+(finite-difference audit of every trainable parameter).
 """
 
 from __future__ import annotations
@@ -19,12 +18,10 @@ from pathlib import Path
 
 from .autograd import atomic_open
 from .metrics import MetricLedger, homogeneity_report
-from .stream import write_stream
 from .trainer import (
     RunConfig,
     apply_variant,
     audit_config,
-    build_stream,
     gradient_audit,
     load_config,
     parse_config_text,
@@ -53,14 +50,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "variant", None):
         config = apply_variant(config, args.variant)
     return config
-
-
-def _cmd_compose_stream(args: argparse.Namespace) -> int:
-    specs, schedule = build_stream(_build_config(args))
-    manifest_path = write_stream(args.out, schedule, specs)
-    print(f"wrote {schedule.n_chunks} chunks of {schedule.chunk_size} samples to {args.out}")
-    print(f"manifest: {manifest_path}")
-    return 0
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -182,11 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Routed low-rank adapters on single-pass synthetic task streams.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compose-stream", help="materialize stream chunks, test sets, and manifest")
-    _add_config_options(p)
-    p.add_argument("--out", required=True, metavar="DIR")
-    p.set_defaults(func=_cmd_compose_stream)
 
     p = sub.add_parser("train", help="single-pass training over the default stream")
     _add_config_options(p)

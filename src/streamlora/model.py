@@ -38,7 +38,6 @@ from .autograd import (
     ParamStore,
     Value,
     add,
-    cols,
     concat,
     cross_entropy,
     matmul,
@@ -46,6 +45,7 @@ from .autograd import (
     mul,
     named_rng,
     powi,
+    reshape,
     softmax,
     take_rows,
     tanh,
@@ -303,25 +303,24 @@ def layer_norm(x: Value) -> Value:
 
 
 def _attention(layer: Layer, x: Value, n_heads: int) -> Value:
-    """Multi-head self attention over (B, L, d) up to (not including) the
+    """Multi-head self attention over (..., L, d) up to (not including) the
     output projection.
 
-    Returns the concatenated head outputs; the adapted output projection
-    is applied by the caller so the adapter site sees this tensor.
+    Each of q, k and v splits its last axis into (H, dh) and swaps the head
+    axis in front of the tokens, so every head runs in one batched matmul.
+    Returns the head outputs joined back into (..., L, d); the adapted
+    output projection is applied by the caller so the adapter site sees
+    this tensor.
     """
-    d = x.data.shape[-1]
+    *lead, d = x.data.shape
     dh = d // n_heads
-    q = matmul(x, transpose(layer.attn_q))
-    k = matmul(x, transpose(layer.attn_k))
-    v = matmul(x, transpose(layer.attn_v))
-    scale = 1.0 / np.sqrt(dh)
-    heads = []
-    for h in range(n_heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh, kh, vh = cols(q, lo, hi), cols(k, lo, hi), cols(v, lo, hi)
-        scores = mul(matmul(qh, transpose(kh)), Value(scale))
-        heads.append(matmul(softmax(scores), vh))
-    return concat(heads, axis=-1)
+
+    def heads(w: Value) -> Value:                        # (..., H, L, dh)
+        return transpose(reshape(matmul(x, transpose(w)), (*lead, n_heads, dh)), -3, -2)
+
+    q, k, v = heads(layer.attn_q), heads(layer.attn_k), heads(layer.attn_v)
+    scores = mul(matmul(q, transpose(k)), Value(1.0 / np.sqrt(dh)))
+    return reshape(transpose(matmul(softmax(scores), v), -3, -2), (*lead, d))
 
 
 def _site_forward(

@@ -14,19 +14,19 @@ exactly once by the trainer. The default schedule retires task 0 after
 chunk 4, which is what makes forgetting measurable.
 
 All randomness comes from named Philox streams keyed by (seed, purpose),
-so regenerating any piece is independent of generation order.
+so regenerating any piece is independent of generation order. The
+stream is never written to disk: a run recomposes it from the seed and
+the config, and its manifest records the schedule (`stream_manifest`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .autograd import named_rng
-from .model import Sample, check_uniform_batch
+from .model import Sample
 
 STREAM_FORMAT = "streamlora-stream-v1"
 
@@ -295,36 +295,13 @@ def build_default_stream(
 
 
 # ---------------------------------------------------------------------------
-# on-disk form
+# manifest
 # ---------------------------------------------------------------------------
 
 
-def _samples_to_arrays(samples: list[Sample]) -> dict[str, np.ndarray]:
-    check_uniform_batch(samples)       # one stacked array per field
-    return {
-        "visual": np.stack([s.visual for s in samples]),
-        "instruction": np.asarray([s.instruction for s in samples], dtype=np.int64),
-        "label": np.asarray([s.label for s in samples], dtype=np.int64),
-        "task": np.asarray([s.task_id for s in samples], dtype=np.int64),
-        "uid": np.asarray([s.uid for s in samples]),
-    }
-
-
-def _arrays_to_samples(arrays) -> list[Sample]:
-    return [
-        Sample(
-            visual=arrays["visual"][i],
-            instruction=tuple(int(t) for t in arrays["instruction"][i]),
-            label=int(arrays["label"][i]),
-            task_id=int(arrays["task"][i]),
-            uid=str(arrays["uid"][i]),
-        )
-        for i in range(arrays["label"].shape[0])
-    ]
-
-
 def stream_manifest(schedule: StreamSchedule, specs: list[TaskSpec]) -> dict:
-    """The JSON-ready description both the composer and the trainer emit."""
+    """The JSON-ready stream description a run records under `stream` in
+    its `manifest.json`: schedule, per-chunk counts and task specs."""
     counts = [apportion(schedule.mixtures[t - 1], schedule.chunk_size).tolist()
               for t in range(1, schedule.n_chunks + 1)]
     return {
@@ -335,7 +312,6 @@ def stream_manifest(schedule: StreamSchedule, specs: list[TaskSpec]) -> dict:
         "n_tasks": schedule.n_tasks,
         "mixtures": schedule.mixtures.tolist(),
         "counts": counts,
-        "chunk_files": [f"chunk_{t:03d}.npz" for t in range(1, schedule.n_chunks + 1)],
         "tasks": [
             {
                 "task_id": spec.task_id,
@@ -353,24 +329,3 @@ def stream_manifest(schedule: StreamSchedule, specs: list[TaskSpec]) -> dict:
             for spec in specs
         ],
     }
-
-
-def write_stream(out_dir, schedule: StreamSchedule, specs: list[TaskSpec]) -> Path:
-    """Materialize every chunk plus test sets and the manifest under out_dir."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    samplers = [TaskSampler(spec, schedule.seed) for spec in specs]
-    for t in range(1, schedule.n_chunks + 1):
-        chunk = compose_chunk(schedule, t, samplers)
-        np.savez(out / f"chunk_{t:03d}.npz", **_samples_to_arrays(chunk.samples))
-    for sampler in samplers:
-        np.savez(out / f"test_task_{sampler.spec.task_id}.npz",
-                 **_samples_to_arrays(sampler.test_set()))
-    manifest_path = out / "stream_manifest.json"
-    manifest_path.write_text(json.dumps(stream_manifest(schedule, specs), indent=2, sort_keys=True))
-    return manifest_path
-
-
-def load_chunk_file(path) -> list[Sample]:
-    with np.load(path, allow_pickle=False) as arrays:
-        return _arrays_to_samples(arrays)

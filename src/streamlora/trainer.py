@@ -130,6 +130,12 @@ class RunConfig:
         return Variant("routed", self.use_selection, self.use_token_weighting, self.use_reg)
 
     def validate(self) -> None:
+        if self.classes_per_task < 1:
+            raise ValueError(f"classes_per_task must be at least 1, got {self.classes_per_task}")
+        if self.noise_tokens < 0:
+            raise ValueError(f"noise_tokens must be >= 0, got {self.noise_tokens}")
+        if self.visual_noise < 0.0:
+            raise ValueError(f"visual_noise must be >= 0, got {self.visual_noise}")
         self.backbone().validate()
         self.variant().validate()
         if not 1 <= self.top_k <= self.n_experts:
@@ -159,25 +165,20 @@ class RunConfig:
 
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_KIND_NAMES = {bool: "a boolean", int: "an int", float: "a float"}
 
 
-def _coerce(name: str, kind: type, raw: str):
-    if kind is bool:
-        word = raw.strip().lower()
-        if word not in _BOOL_WORDS:
-            raise ValueError(f"{name}: expected a boolean, got {raw!r}")
-        return _BOOL_WORDS[word]
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    return raw.strip()
+def _coerce(where: str, kind: type, raw: str):
+    try:
+        return _BOOL_WORDS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"{where}: expected {_KIND_NAMES[kind]}, got {raw!r}") from None
 
 
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     """Parse `key = value` lines ('#' starts a comment) into a RunConfig."""
     config = base or RunConfig()
-    types = {f.name: type(getattr(config, f.name)) for f in fields(RunConfig)}
+    types = {f.name: type(f.default) for f in fields(RunConfig)}
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -188,7 +189,7 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in types:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        updates[key] = _coerce(key, types[key], raw)
+        updates[key] = _coerce(f"line {lineno}: {key}", types[key], raw)
     return replace(config, **updates)
 
 

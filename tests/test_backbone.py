@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from streamlora.autograd import Value, backward, named_rng
+from streamlora.autograd import Value, backward, masked_softmax_np, named_rng
 from streamlora.model import (
     FROZEN,
     FULL,
@@ -16,6 +16,7 @@ from streamlora.model import (
     Model,
     Sample,
     Variant,
+    _attention,
     forward,
     layer_norm,
     task_loss,
@@ -295,6 +296,23 @@ def test_layer_norm_centers_and_scales_rows():
     out = layer_norm(x).data
     np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-12)
     np.testing.assert_allclose(out.var(axis=1), 1.0, atol=1e-3)  # eps shifts it slightly
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+@pytest.mark.parametrize("shape", [(3, 9, 16), (2, 3, 9, 16)], ids=["batch", "copy-axis"])
+def test_attention_equals_a_per_head_numpy_reference(n_heads, shape):
+    config = BackboneConfig(n_layers=1, d_hidden=16, n_heads=n_heads, vocab_size=32, n_classes=6)
+    layer = make_model(FULL, config=config).layers[0]
+    x = named_rng(14, "attention").normal(size=shape)
+    q, k, v = (x @ w.data.T for w in (layer.attn_q, layer.attn_k, layer.attn_v))
+    dh = 16 // n_heads
+    heads = []
+    for h in range(n_heads):
+        cut = slice(h * dh, (h + 1) * dh)
+        scores = (q[..., cut] @ np.swapaxes(k[..., cut], -1, -2)) * (1.0 / np.sqrt(dh))
+        heads.append(masked_softmax_np(scores, None) @ v[..., cut])
+    np.testing.assert_array_equal(_attention(layer, Value(x), n_heads).data,
+                                  np.concatenate(heads, axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from streamlora.autograd import named_rng
-from streamlora.model import Sample
 from streamlora.stream import (
     STREAM_FORMAT,
     Chunk,
@@ -16,11 +15,8 @@ from streamlora.stream import (
     apportion,
     build_default_stream,
     compose_chunk,
-    load_chunk_file,
     make_task_specs,
     stream_manifest,
-    _samples_to_arrays,
-    write_stream,
 )
 
 
@@ -276,40 +272,23 @@ def test_single_pass_stream_retires_each_chunk_behind_itself():
 
 
 # ---------------------------------------------------------------------------
-# on-disk form
+# manifest
 # ---------------------------------------------------------------------------
 
 
-def test_write_stream_emits_chunks_tests_and_manifest(tmp_path):
+def test_manifest_describes_the_schedule_and_tasks():
     schedule, specs, samplers = default_setup(seed=6, n_chunks=7, chunk_size=30)
-    manifest_path = write_stream(tmp_path, schedule, specs)
-    assert manifest_path.name == "stream_manifest.json"
-    for t in range(1, 8):
-        assert (tmp_path / f"chunk_{t:03d}.npz").exists()
-    for m in range(5):
-        assert (tmp_path / f"test_task_{m}.npz").exists()
-
-    manifest = json.loads(manifest_path.read_text())
+    manifest = json.loads(json.dumps(stream_manifest(schedule, specs)))
+    assert set(manifest) == {"format", "seed", "n_chunks", "chunk_size", "n_tasks", "mixtures",
+                             "counts", "tasks"}
     assert manifest["format"] == STREAM_FORMAT
     assert manifest["n_chunks"] == 7
     assert manifest["chunk_size"] == 30
     assert manifest["n_tasks"] == 5
-    assert len(manifest["tasks"]) == 5
-    assert manifest["chunk_files"][0] == "chunk_001.npz"
+    assert [task["task_id"] for task in manifest["tasks"]] == list(range(5))
     np.testing.assert_allclose(np.asarray(manifest["mixtures"]), schedule.mixtures)
     for row, total in zip(manifest["counts"], [30] * 7):
         assert sum(row) == total
-
-
-def test_chunk_files_round_trip_every_field(tmp_path):
-    schedule, specs, samplers = default_setup(seed=7, n_chunks=7, chunk_size=25)
-    write_stream(tmp_path, schedule, specs)
-    direct = compose_chunk(schedule, 2, samplers).samples
-    loaded = load_chunk_file(tmp_path / "chunk_002.npz")
-    assert len(loaded) == len(direct)
-    for a, b in zip(loaded, direct):
-        assert (a.uid, a.label, a.task_id, a.instruction) == (b.uid, b.label, b.task_id, b.instruction)
-        np.testing.assert_array_equal(a.visual, b.visual)
 
 
 def test_manifest_counts_agree_with_composed_chunks():
@@ -318,14 +297,3 @@ def test_manifest_counts_agree_with_composed_chunks():
     for t in range(1, 8):
         chunk = compose_chunk(schedule, t, samplers)
         assert manifest["counts"][t - 1] == chunk.counts.tolist()
-
-
-def test_chunk_arrays_reject_ragged_samples_naming_the_first_odd_one():
-    visual = np.zeros((2, 4))
-    samples = [Sample(visual, (1, 2, 3), 0, 0, "a"), Sample(visual, (1, 2, 3), 0, 0, "b"),
-               Sample(visual, (1, 2, 3, 4), 0, 0, "c")]
-    with pytest.raises(ValueError, match=r"sample 2 \('c'\).*4 instruction tokens"):
-        _samples_to_arrays(samples)
-    samples[2] = Sample(np.zeros((3, 4)), (1, 2, 3), 0, 0, "d")
-    with pytest.raises(ValueError, match=r"sample 2 \('d'\) has visual tokens \(3, 4\)"):
-        _samples_to_arrays(samples)

@@ -11,7 +11,7 @@ import pytest
 
 import streamlora.trainer as trainer_module
 from streamlora.autograd import ParamStore, Value, backward, finite_diff_grad, named_rng, no_grad
-from streamlora.cli import main
+from streamlora.cli import build_parser, main
 from streamlora.model import (
     FROZEN,
     FULL,
@@ -97,6 +97,14 @@ def test_parse_config_rejects_unknown_keys_and_bad_lines():
         parse_config_text("learning_rte = 0.1")
     with pytest.raises(ValueError, match="expected 'key = value'"):
         parse_config_text("just some words")
+    with pytest.raises(ValueError, match=r"^line 1: n_layers: expected an int, got '2\.5'$"):
+        parse_config_text("n_layers = 2.5")
+    with pytest.raises(ValueError, match=r"^line 2: learning_rate: expected a float, got 'fast'$"):
+        parse_config_text("seed = 1\nlearning_rate = fast")
+    with pytest.raises(ValueError, match=r"^line 1: n_layers: expected an int, got '2\.5'$"):
+        main(["train", "--set", "n_layers=2.5"])
+    # the declared type decides, not the type of the base config's value
+    assert parse_config_text("learning_rate = 0.5", base=RunConfig(learning_rate=1)).learning_rate == 0.5
 
 
 def test_every_config_field_survives_a_text_round_trip():
@@ -172,15 +180,23 @@ def test_config_rejects_a_negative_trace_sample_count():
         tiny_config(trace_eval_samples=-1).validate()
 
 
-def test_cli_compose_stream_validates_the_config(tmp_path):
+def test_cli_train_validates_the_config_before_writing(tmp_path):
     with pytest.raises(ValueError, match="test_size"):
-        main(["compose-stream", "--set", "test_size=0", "--out", str(tmp_path / "stream")])
-    assert not (tmp_path / "stream").exists()
+        main(["train", "--set", "test_size=0", "--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_stream_rejects_an_empty_test_set_before_training(tmp_path):
     with pytest.raises(ValueError, match="test_size"):
         run_stream(tiny_config(test_size=0), out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, value", [("visual_noise", -0.1), ("noise_tokens", -1),
+                                        ("classes_per_task", 0)])
+def test_run_stream_rejects_a_bad_stream_key_before_training(tmp_path, key, value):
+    with pytest.raises(ValueError, match=key):
+        run_stream(tiny_config(**{key: value}), out_dir=tmp_path / "run")
     assert not (tmp_path / "run").exists()
 
 
@@ -190,6 +206,13 @@ def test_readme_defaults_block_is_the_run_config():
     pairs = re.findall(r"(\w+) = (\S+)", block)
     assert [key for key, _ in pairs] == [f.name for f in fields(RunConfig)]
     assert parse_config_text("\n".join(f"{k} = {v}" for k, v in pairs)) == RunConfig()
+
+
+def test_readme_documents_every_cli_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = set(re.findall(r"^streamlora ([\w-]+)", readme, flags=re.MULTILINE))
+    (commands,) = [action for action in build_parser()._actions if action.dest == "command"]
+    assert documented == set(commands.choices)
 
 
 def test_config_derived_properties():
@@ -645,16 +668,6 @@ def config_file(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text(tiny_config_text() + "\n")
     return path
-
-
-def test_cli_compose_stream_writes_chunks(tmp_path, config_file, capsys):
-    out = tmp_path / "stream"
-    rc = main(["compose-stream", "--config", str(config_file), "--out", str(out)])
-    assert rc == 0
-    assert (out / "stream_manifest.json").exists()
-    assert (out / "chunk_001.npz").exists()
-    assert (out / "test_task_1.npz").exists()
-    assert "stream_manifest.json" in capsys.readouterr().out
 
 
 def test_cli_train_then_metrics_round_trip(tmp_path, config_file, capsys):
