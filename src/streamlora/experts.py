@@ -8,11 +8,12 @@ the caller:
 
     out = W0 h + sum_{j in subset} w_j * B_j (A_j h)
 
-A batch of token matrices (B, L, d_in), each sample with its own subset,
-is served by one product over the union of the batch's subsets: the
-factors of those experts are concatenated at forward time (so in-place
-parameter edits are always seen) and every sample weights the experts
-outside its own subset by exactly zero.
+A batch of token matrices (B, L, d_in) comes with the router's subsets as
+one (B, N) boolean mask, one row per sample. It is served by one product
+over the union of those subsets: the factors of the union's experts are
+concatenated at forward time (so in-place parameter edits are always
+seen), and every sample weights the experts outside its own subset by
+exactly zero.
 
 A is initialized uniform in [-1/sqrt(d_in), 1/sqrt(d_in)] and B starts at
 zero, so a fresh bank is exactly the frozen base regardless of routing.
@@ -21,11 +22,12 @@ zero, so a fresh bank is exactly the frozen base regardless of routing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .autograd import Value, concat, matmul, mul, transpose
-from .routing import per_token, subset_mask
+from .routing import check_mask, per_token
 
 WEIGHT_SUM_TOL = 1e-6
 
@@ -55,20 +57,14 @@ def init_expert_bank(
     d_in: int,
     d_out: int,
     rng: np.random.Generator,
-    base: np.ndarray | Value | None = None,
+    base: np.ndarray | Value,
 ) -> ExpertBank:
-    """Build a bank with the standard low-rank init.
-
-    The base matrix is normally handed in by the backbone; when omitted a
-    frozen random one is drawn from `rng`, which is only useful for tests.
-    """
+    """Build a bank around the backbone's frozen (d_out, d_in) `base`
+    with the standard low-rank init, drawn from `rng`."""
     if n_experts < 1:
         raise ValueError("need at least one expert")
     if not 0 < rank < min(d_in, d_out):
         raise ValueError(f"rank must be in (0, {min(d_in, d_out)}), got {rank}")
-    if base is None:
-        bound = 1.0 / np.sqrt(d_in)
-        base = rng.uniform(-bound, bound, size=(d_out, d_in))
     base_v = base if isinstance(base, Value) else Value(np.asarray(base, dtype=np.float64))
     if base_v.data.shape != (d_out, d_in):
         raise ValueError(f"base shape {base_v.data.shape} != ({d_out}, {d_in})")
@@ -79,36 +75,30 @@ def init_expert_bank(
     return ExpertBank(n_experts=n_experts, rank=rank, base=base_v, down=down, up=up)
 
 
-def lora_delta(bank: ExpertBank, experts, h: Value, weights: Value | None = None) -> Value:
-    """Low-rank correction of token matrices h (..., L, d_in) by one
-    adapter, h A_j^T B_j^T, or by several: sum_j w_j h A_j^T B_j^T.
+def lora_delta(bank: ExpertBank, experts: Sequence[int], h: Value, weights: Value) -> Value:
+    """Weighted low-rank correction of token matrices h (..., L, d_in) by
+    the listed experts: sum_j w_j h A_j^T B_j^T.
 
-    `experts` is one index or a sequence of them. `weights` (..., N) holds
-    w_j for every expert of the bank, per token or broadcast over tokens;
-    without it each listed expert counts once. The listed factors are
-    concatenated along the rank axis, so any number of experts costs two
-    products, and the weights scale the rank-space activations in between.
-    A factor may hold n copies of itself, (n, 1, r, d_in) or
-    (n, 1, d_out, r); the concatenation broadcasts the others and the
-    result gains the copy axis, (n, B, L, d_out).
+    `weights` (..., N) holds w_j for every expert of the bank, per token or
+    broadcast over tokens. The listed factors are concatenated along the
+    rank axis, so any number of experts costs two products, and the
+    weights scale the rank-space activations in between. A factor may
+    hold n copies of itself, (n, 1, r, d_in) or (n, 1, d_out, r); the
+    concatenation broadcasts the others and the result gains the copy
+    axis, (n, B, L, d_out).
     """
-    experts = [experts] if isinstance(experts, (int, np.integer)) else [int(j) for j in experts]
+    experts = [int(j) for j in experts]
     if not experts or min(experts) < 0 or max(experts) >= bank.n_experts:
         raise ValueError(f"expert index out of range for a bank of {bank.n_experts}")
     if h.data.ndim < 2:
         raise ValueError("hidden state must be a (tokens, d_in) matrix")
-    if len(experts) == 1:
-        down, up = bank.down[experts[0]], bank.up[experts[0]]
-    else:
-        down = concat([bank.down[j] for j in experts], axis=-2)    # (U r, d_in)
-        up = concat([bank.up[j] for j in experts], axis=-1)        # (d_out, U r)
-    z = matmul(h, transpose(down))                                 # (..., L, U r)
-    if weights is not None:
-        # a 0/1 (N, U r) matrix copies w_j onto expert j's r columns, exactly
-        spread = np.zeros((bank.n_experts, len(experts) * bank.rank))
-        for u, j in enumerate(experts):
-            spread[j, u * bank.rank : (u + 1) * bank.rank] = 1.0
-        z = mul(z, matmul(weights, Value(spread)))
+    down = concat([bank.down[j] for j in experts], axis=-2)        # (U r, d_in)
+    up = concat([bank.up[j] for j in experts], axis=-1)            # (d_out, U r)
+    # a 0/1 (N, U r) matrix copies w_j onto expert j's r columns, exactly
+    spread = np.zeros((bank.n_experts, len(experts) * bank.rank))
+    for u, j in enumerate(experts):
+        spread[j, u * bank.rank : (u + 1) * bank.rank] = 1.0
+    z = mul(matmul(h, transpose(down)), matmul(weights, Value(spread)))   # (..., L, U r)
     return matmul(z, transpose(up))
 
 
@@ -126,21 +116,21 @@ def adapted_forward(
     bank: ExpertBank,
     h: Value,
     weights: Value,
-    subset,
+    mask: np.ndarray,
     gate: Value | None = None,
 ) -> Value:
-    """Base projection plus the routed low-rank corrections to a token
-    matrix h (L, d_in), or to a batch of them (B, L, d_in).
+    """Base projection plus the routed low-rank corrections to a batch of
+    token matrices h (B, L, d_in).
 
-    `subset` is one sample's expert indices or a boolean mask, (B, N) for
-    a batch. `weights` is per token, (L, N) or (B, L, N), or one
-    distribution per sample broadcast over its tokens, (N,) or (B, 1, N).
-    Off-subset entries must be exactly zero and each distribution must sum
-    to one. Experts outside every sample's subset are never touched, so
-    their adapters get no gradient. A `gate` (N,) or (B, N), the
-    straight-through factor, scales the weights after that check.
+    `mask` is the router's (B, N) boolean subset mask. `weights` is per
+    token, (B, L, N), or one distribution per sample broadcast over its
+    tokens, (B, 1, N). Off-subset entries must be exactly zero and each
+    distribution must sum to one. Experts outside every sample's subset
+    are never touched, so their adapters get no gradient. A `gate`
+    (B, N), the straight-through factor, scales the weights after that
+    check. A single sample drops B from every argument.
     """
-    mask = subset_mask(subset, bank.n_experts)
+    mask = check_mask(mask, bank.n_experts)
     _check_weights(weights, mask, bank.n_experts)
     if h.data.ndim < 2:
         raise ValueError("hidden state must be a (tokens, d_in) matrix")

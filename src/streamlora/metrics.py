@@ -80,28 +80,20 @@ class MetricLedger:
     def dataset_ids(self) -> list[int]:
         return sorted(self.histories)
 
-    def summary(self, upto: int | None = None) -> tuple[float, float]:
-        """(MAP, MAF) after the last chunk, or after `upto` evaluations."""
+    def summary(self) -> tuple[float, float]:
+        """(MAP, MAF) after the last chunk."""
         if not self.chunks:
             raise ValueError("nothing recorded yet")
-        if upto is None:
-            upto = len(self.chunks)
-        aps, afs = [], []
-        for m in self.dataset_ids():
-            hist = self.histories[m]
-            offset = len(self.chunks) - len(hist)  # chunks before m appeared
-            visible = hist[: max(0, upto - offset)]
-            if visible:
-                ap, af = ap_af(visible)
-                aps.append(ap)
-                afs.append(af)
+        aps, afs = zip(*(ap_af(self.histories[m]) for m in self.dataset_ids()))
         return float(np.mean(aps)), float(np.mean(afs))
 
     def rows(self) -> list[dict]:
         """Flat export: one row per (chunk, dataset) and one summary row per
-        chunk with dataset set to None."""
+        chunk with dataset set to None, whose MAP/MAF average the AP/AF of
+        that chunk's dataset rows."""
         out: list[dict] = []
         for k, chunk in enumerate(self.chunks, start=1):
+            aps, afs = [], []
             for m in self.dataset_ids():
                 hist = self.histories[m]
                 offset = len(self.chunks) - len(hist)
@@ -109,14 +101,16 @@ class MetricLedger:
                     continue  # dataset not seen yet at this chunk
                 visible = hist[: k - offset]
                 ap, af = ap_af(visible)
+                aps.append(ap)
+                afs.append(af)
                 out.append({
                     "t": chunk, "m": m,
                     "a": visible[-1],
                     "F": forgetting(visible),
                     "AP": ap, "AF": af,
                 })
-            map_t, maf_t = self.summary(upto=k)
-            out.append({"t": chunk, "m": None, "MAP": map_t, "MAF": maf_t})
+            out.append({"t": chunk, "m": None,
+                        "MAP": float(np.mean(aps)), "MAF": float(np.mean(afs))})
         return out
 
     def to_csv(self) -> str:

@@ -94,6 +94,9 @@ class BackboneConfig:
     def validate(self) -> None:
         if self.n_layers < 1:
             raise ValueError("need at least one layer")
+        for key in ("d_hidden", "n_heads"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         if self.d_hidden % self.n_heads != 0:
             raise ValueError(f"d_hidden {self.d_hidden} not divisible by n_heads {self.n_heads}")
         if self.vocab_size < 2 or self.n_classes < 2:
@@ -352,7 +355,7 @@ def _site_forward(
     elif variant.use_selection and variant.use_token_weighting:
         decision = route_with_straight_through(
             router, hidden, x_text, model.top_k,
-            subset=None if pinned is None else pinned.mask,
+            mask=None if pinned is None else pinned.mask,
             detached_probs=None if pinned is None else pinned.sample_probs,
         )
         weights = live = decision.token_weights
@@ -363,7 +366,7 @@ def _site_forward(
         # renormalized over each sample's subset, one row for all its tokens
         weights = per_token(mul(kept, powi(vsum(kept, axis=-1, keepdims=True), -1.0)))
     elif variant.use_token_weighting:
-        weights = live = token_weights(token_logits(router, hidden, x_text, mask), mask, n)
+        weights = live = token_weights(token_logits(router, hidden, x_text), mask)
     else:
         # dense per-token mixture on the hidden state, no text conditioning
         weights = live = softmax(matmul(hidden, transpose(router.select)))

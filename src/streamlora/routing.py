@@ -17,11 +17,12 @@ detach(p)), which is bit-identical to s in the forward pass but leaks the
 task gradient into the gate matrix on the backward pass (Bengio et al.
 2013, arXiv:1308.3432).
 
-Every function routes one sample or a batch of them. One sample has hidden
-states (L, d_hidden), a pooled instruction embedding (d_e,) and a subset
-given as expert indices or an (N,) mask; a batch adds a leading axis B to
-each, and its subsets are one (B, N) boolean mask, one row per sample (the
-masked dispatch of sparse MoE layers, Fedus et al. 2021, arXiv:2101.03961).
+Every function routes a batch: hidden states (B, L, d_hidden), pooled
+instruction embeddings (B, d_e), and the subsets as one (B, N) boolean
+mask, one row per sample (the masked dispatch of sparse MoE layers, Fedus
+et al. 2021, arXiv:2101.03961). That mask is the only subset format, from
+`select_experts` through the adapters to the regularizer. A single sample
+drops the leading axis from every array, its mask included.
 """
 
 from __future__ import annotations
@@ -72,25 +73,12 @@ class RoutingState:
 
 @dataclass
 class RoutingDecision:
-    """Everything the routing of one sample, or of a batch, produced at one
-    site; a batch adds a leading axis B to every array."""
+    """Everything the two-stage routing of a batch produced at one site."""
 
-    sample_probs: Value          # (N,) stage-one distribution p
-    mask: np.ndarray             # (N,) selected experts
-    token_weights: Value         # (L, N) stage-two distributions, zero off subset
-    token_logits: Value          # (L, N) raw stage-two scores before masking
-    gate: Value                  # (N,) straight-through factor 1 + p - detach(p)
-
-    @property
-    def subset(self) -> tuple:
-        """The selected experts as ascending indices (one tuple per sample
-        for a batch)."""
-        return subset_indices(self.mask)
-
-    @property
-    def gated_weights(self) -> Value:
-        """(L, N) straight-through product used downstream."""
-        return mul(self.token_weights, per_token(self.gate))
+    sample_probs: Value          # (B, N) stage-one distributions p
+    mask: np.ndarray             # (B, N) selected experts
+    token_weights: Value         # (B, L, N) stage-two distributions, zero off subset
+    gate: Value                  # (B, N) straight-through factor 1 + p - detach(p)
 
 
 def init_routing_state(
@@ -136,31 +124,25 @@ def project(x: Value, weight: Value) -> Value:
     return reshape(out, out.data.shape[:-2] + out.data.shape[-1:])
 
 
-def subset_mask(subset, n_experts: int) -> np.ndarray:
-    """Boolean membership over the N experts. `subset` is one sample's
-    expert indices, giving an (N,) mask, or a boolean mask already (one
-    row per sample), which is checked and returned as is."""
-    if isinstance(subset, np.ndarray) and subset.dtype == bool:
-        if subset.shape[-1] != n_experts:
-            raise ValueError(f"subset mask covers {subset.shape[-1]} experts, not {n_experts}")
-        mask = subset
-    else:
-        mask = np.zeros(n_experts, dtype=bool)
-        for j in subset:
-            if not 0 <= j < n_experts:
-                raise ValueError(f"subset index out of range: {j} not in [0, {n_experts})")
-            mask[j] = True
+def check_mask(mask: np.ndarray, n_experts: int) -> np.ndarray:
+    """Return `mask` after checking that it is a boolean subset mask over
+    the N experts, (B, N), with no empty row."""
+    if getattr(mask, "dtype", None) != bool or mask.ndim == 0:
+        got = getattr(mask, "dtype", type(mask).__name__)
+        raise ValueError(f"a routing subset must be a boolean mask, got {got}")
+    if mask.shape[-1] != n_experts:
+        raise ValueError(f"subset mask covers {mask.shape[-1]} experts, not {n_experts}")
     if not mask.any(axis=-1).all():
         raise ValueError("empty routing subset")
     return mask
 
 
-def subset_indices(mask: np.ndarray) -> tuple:
-    """Ascending expert indices of an (N,) mask; one tuple per row of a
-    (B, N) mask."""
-    if mask.ndim == 1:
-        return tuple(int(j) for j in np.flatnonzero(mask))
-    return tuple(subset_indices(row) for row in mask)
+def subset_indices(mask: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Each sample's selected experts as ascending indices, one tuple per
+    row of a (B, N) mask."""
+    if mask.ndim != 2:
+        raise ValueError(f"expected a (B, N) subset mask, got shape {mask.shape}")
+    return tuple(tuple(int(j) for j in np.flatnonzero(row)) for row in mask)
 
 
 def select_experts(state: RoutingState, x_text: Value, top_k: int) -> tuple[Value, np.ndarray]:
@@ -179,14 +161,13 @@ def select_experts(state: RoutingState, x_text: Value, top_k: int) -> tuple[Valu
     return probs, rank < top_k
 
 
-def token_logits(state: RoutingState, hidden: Value, x_text: Value, subset) -> Value:
+def token_logits(state: RoutingState, hidden: Value, x_text: Value) -> Value:
     """Stage-two scores for every (token, expert) pair.
 
-    score[l, j] = (query(h_l) . (key(x_text) * e_j)) / sqrt(D). The subset
-    only gates what happens next; scores for inactive experts are computed
-    but masked out by `token_weights`, never materialized as infinities.
+    score[l, j] = (query(h_l) . (key(x_text) * e_j)) / sqrt(D). Scores of
+    experts outside a sample's subset are computed too; `token_weights`
+    masks them out, so they never materialize as infinities.
     """
-    subset_mask(subset, state.n_experts)
     if hidden.data.ndim < 2:
         raise ValueError("hidden must be a (tokens, d_hidden) matrix")
     text_key = project(x_text, state.key)                           # (D,) or (B, D)
@@ -196,9 +177,10 @@ def token_logits(state: RoutingState, hidden: Value, x_text: Value, subset) -> V
     return mul(matmul(queries, transpose(keys)), Value(scale))
 
 
-def token_weights(logits: Value, subset, n_experts: int) -> Value:
-    """Stage two: per-token softmax restricted to the subset."""
-    return masked_softmax(logits, subset_mask(subset, n_experts)[..., None, :])
+def token_weights(logits: Value, mask: np.ndarray) -> Value:
+    """Stage two: per-token softmax of (B, L, N) scores restricted to each
+    sample's subset, a (B, N) mask."""
+    return masked_softmax(logits, check_mask(mask, logits.data.shape[-1])[..., None, :])
 
 
 def route_with_straight_through(
@@ -206,29 +188,25 @@ def route_with_straight_through(
     hidden: Value,
     x_text: Value,
     top_k: int,
-    subset=None,
+    mask: np.ndarray | None = None,
     detached_probs: np.ndarray | None = None,
 ) -> RoutingDecision:
-    """Full two-stage routing for one sample (or a batch) at one site.
+    """Full two-stage routing for a batch at one site.
 
     The gate multiplies each token weight by 1 + p_j - detach(p_j). The
     parenthesized difference is computed first and is exactly zero in the
     forward pass, so the gate is exactly 1; only the backward pass sees the
-    extra path into the selection gate. `subset` and `detached_probs` pin
+    extra path into the selection gate. `mask` and `detached_probs` pin
     the top-K choice and detach(p) to given values: the gradient audit
     holds them at their baseline so probing a parameter cannot move them
     (off baseline the gate is then no longer exactly 1).
     """
-    probs, mask = select_experts(state, x_text, top_k)
-    if subset is not None:
-        mask = subset_mask(subset, state.n_experts)
+    probs, selected = select_experts(state, x_text, top_k)
+    mask = selected if mask is None else mask
     detached = probs.detach() if detached_probs is None else Value(detached_probs)
-    logits = token_logits(state, hidden, x_text, mask)
-    weights = token_weights(logits, mask, state.n_experts)
     return RoutingDecision(
         sample_probs=probs,
         mask=mask,
-        token_weights=weights,
-        token_logits=logits,
+        token_weights=token_weights(token_logits(state, hidden, x_text), mask),
         gate=Value(1.0) + (probs - detached),
     )

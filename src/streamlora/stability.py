@@ -8,7 +8,8 @@ live and the regularizer conditions on it.
 
 The regularizer reruns stage two (the same `routing.token_logits` and
 `routing.token_weights` the live router runs) with the shadow parameters
-over the subset the live router chose, under `no_grad`, and penalizes
+over the subsets the live router chose, (B, N) boolean masks like every
+subset in the package, under `no_grad`, and penalizes
 KL(reference || live) per token. Gradients therefore flow into the live
 token weights only; the shadow is a pure target.
 """
@@ -20,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .autograd import Value, log, mul, no_grad, vsum
-from .routing import RoutingState, subset_mask, token_logits, token_weights
+from .routing import RoutingState, check_mask, token_logits, token_weights
 
 LOG_FLOOR = 1e-12
 
@@ -76,29 +77,29 @@ def reference_weights(
     site: str,
     hidden: np.ndarray,
     x_text: np.ndarray,
-    subset,
+    mask: np.ndarray,
 ) -> np.ndarray:
-    """Stage-two weights recomputed with the shadow parameters.
+    """Stage-two weights recomputed with the shadow parameters over the
+    live subsets, a (B, N) mask.
 
     Runs the live router's own stage two on the shadow arrays, so a shadow
     that still equals the live parameters reproduces the live weights
-    bit-exactly. Takes one sample or a batch, like the router. Plain numpy
-    in, plain numpy out: nothing here ever joins the autodiff graph.
+    bit-exactly. Takes the same shapes as the router. Plain numpy in,
+    plain numpy out: nothing here ever joins the autodiff graph.
     """
     query, key, experts = shadow.site_arrays(site)
     # stage two never reads the selection gate, which the shadow does not track
     state = RoutingState(select=None, query=Value(query), key=Value(key), experts=Value(experts))
     with no_grad():
-        logits = token_logits(state, Value(hidden), Value(x_text), subset)
-        return token_weights(logits, subset, state.n_experts).data
+        return token_weights(token_logits(state, Value(hidden), Value(x_text)), mask).data
 
 
-def reg_loss(reference: np.ndarray, live: Value, subset) -> Value:
+def reg_loss(reference: np.ndarray, live: Value, mask: np.ndarray) -> Value:
     """Mean per-token KL(reference || live) over the subset.
 
-    Both inputs are (tokens, N), or (B, tokens, N) for a batch whose
-    `subset` is a (B, N) mask, with zeros outside the subset. The mean runs
-    over every token of every sample. Live weights may carry leading copy
+    Both inputs are (B, tokens, N), with zeros outside each sample's
+    subset, a row of the (B, N) `mask`. The mean runs over every token of
+    every sample. Live weights may carry leading copy
     axes beyond the reference's shape, (n, B, tokens, N); each copy then
     gets its own mean, an (n,) value. The reference term is a constant, so
     the whole gradient lands on the live weights through the log. Live
@@ -111,7 +112,7 @@ def reg_loss(reference: np.ndarray, live: Value, subset) -> Value:
     if live.data.shape[max(live.data.ndim - ref.ndim, 0):] != ref.shape:
         raise ValueError(f"shape mismatch: reference {ref.shape} vs live {live.data.shape}")
     n_experts = ref.shape[-1]
-    off = ~subset_mask(subset, n_experts)[..., None, :]
+    off = ~check_mask(mask, n_experts)[..., None, :]
     if np.any((ref != 0.0) & off) or np.any((live.data != 0.0) & off):
         raise ValueError("weight support disagrees with the routing subset")
 

@@ -156,7 +156,6 @@ class Chunk:
 
     index: int
     counts: np.ndarray
-    mixture: np.ndarray
     _samples: list[Sample] | None
 
     @property
@@ -179,8 +178,7 @@ def compose_chunk(schedule: StreamSchedule, index: int, samplers: list[TaskSampl
         raise ValueError(f"chunk index {index} outside 1..{schedule.n_chunks}")
     if len(samplers) != schedule.n_tasks:
         raise ValueError("one sampler per task, in task order")
-    mixture = schedule.mixtures[index - 1]
-    counts = apportion(mixture, schedule.chunk_size)
+    counts = apportion(schedule.mixtures[index - 1], schedule.chunk_size)
     samples: list[Sample] = []
     for task_id, count in enumerate(counts):
         if count > 0:
@@ -188,7 +186,7 @@ def compose_chunk(schedule: StreamSchedule, index: int, samplers: list[TaskSampl
     rng = named_rng(schedule.seed, f"chunk.{index}.shuffle")
     order = rng.permutation(len(samples))
     samples = [samples[i] for i in order]
-    return Chunk(index=index, counts=counts, mixture=mixture.copy(), _samples=samples)
+    return Chunk(index=index, counts=counts, _samples=samples)
 
 
 class SinglePassStream:

@@ -130,13 +130,16 @@ class RunConfig:
         return Variant("routed", self.use_selection, self.use_token_weighting, self.use_reg)
 
     def validate(self) -> None:
-        if self.classes_per_task < 1:
-            raise ValueError(f"classes_per_task must be at least 1, got {self.classes_per_task}")
+        for key in ("classes_per_task", "test_size", "routing_dim", "visual_tokens"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         if self.noise_tokens < 0:
             raise ValueError(f"noise_tokens must be >= 0, got {self.noise_tokens}")
         if self.visual_noise < 0.0:
             raise ValueError(f"visual_noise must be >= 0, got {self.visual_noise}")
         self.backbone().validate()
+        if not 0 < self.rank < self.d_hidden:
+            raise ValueError(f"rank must be in (0, d_hidden = {self.d_hidden}), got {self.rank}")
         self.variant().validate()
         if not 1 <= self.top_k <= self.n_experts:
             raise ValueError(f"top_k must be in [1, {self.n_experts}]")
@@ -150,8 +153,6 @@ class RunConfig:
             raise ValueError("batch and chunk sizes must be positive")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
-        if self.test_size < 1:
-            raise ValueError(f"test_size must be at least 1, got {self.test_size}")
         if self.trace_eval_samples < 0:
             raise ValueError(f"trace_eval_samples must be >= 0, got {self.trace_eval_samples}")
         if self.grad_clip < 0.0:
@@ -296,18 +297,7 @@ class RunLog:
     wall_seconds: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config": self.config,
-                "steps": self.steps,
-                "evals": self.evals,
-                "optimizer_steps": self.optimizer_steps,
-                "ema_updates": self.ema_updates,
-                "wall_seconds": self.wall_seconds,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 @dataclass

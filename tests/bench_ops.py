@@ -82,7 +82,7 @@ def test_masked_softmax(benchmark, rng):
 
 def test_adapted_forward(benchmark, rng):
     # one routed site: routing decision, then the batched adapter product
-    bank = init_expert_bank(N, CONFIG.rank, D, D, rng)
+    bank = init_expert_bank(N, CONFIG.rank, D, D, rng, base=rng.normal(scale=D ** -0.5, size=(D, D)))
     for j in range(N):
         bank.up[j].data = 0.1 * rng.normal(size=bank.up[j].data.shape)
         bank.down[j].requires_grad = bank.up[j].requires_grad = True

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from streamlora.autograd import Value
+from streamlora.experts import adapted_forward, init_expert_bank
 from streamlora.metrics import MetricLedger, ap_af, cka, forgetting, homogeneity_report
 from streamlora.routing import (
     init_routing_state,
@@ -83,8 +84,19 @@ def test_criterion_1_gradient_audit():
 # ---------------------------------------------------------------------------
 
 
+def _live_bank(n, d_hidden, rng):
+    """A rank-1 bank whose adapters all start nonzero, so a gate that moved
+    any routing weight would move the adapted forward."""
+    base = rng.normal(size=(d_hidden, d_hidden))
+    bank = init_expert_bank(n, 1, d_hidden, d_hidden, rng, base=base)
+    for up in bank.up:
+        up.data = rng.normal(size=up.data.shape)
+    return bank
+
+
 def test_criterion_2_routing_invariants():
     rng = np.random.default_rng(2024)
+    bank_rng = np.random.default_rng(2025)      # kept apart so the routing cases stay fixed
     bad: list[str] = []
     for case in range(1000):
         n = int(rng.integers(2, 9))
@@ -101,17 +113,17 @@ def test_criterion_2_routing_invariants():
         p = decision.sample_probs.data
         order = np.argsort(-p, kind="stable")
         weights = decision.token_weights.data
-        off = np.ones(n, dtype=bool)
-        off[list(decision.subset)] = False
+        subset = tuple(int(j) for j in np.flatnonzero(decision.mask))
+        bank = _live_bank(n, d_hidden, bank_rng)
+        args = (bank, hidden, decision.token_weights, decision.mask)
         checks = {
             "p is a distribution": abs(p.sum() - 1.0) < 1e-12 and np.all(p > 0.0),
-            "subset is stable top-k": decision.subset == tuple(sorted(int(j) for j in order[:k])),
-            "subset size and order": len(decision.subset) == k
-                and list(decision.subset) == sorted(set(decision.subset)),
+            "subset is stable top-k": subset == tuple(sorted(int(j) for j in order[:k])),
+            "subset size and order": len(subset) == k and list(subset) == sorted(set(subset)),
             "weight rows normalized": np.allclose(weights.sum(axis=1), 1.0, atol=1e-12),
-            "weights vanish off subset": np.all(weights[:, off] == 0.0),
+            "weights vanish off subset": np.all(weights[:, ~decision.mask] == 0.0),
             "gate leaves forward untouched": np.array_equal(
-                decision.gated_weights.data, weights),
+                adapted_forward(*args, decision.gate).data, adapted_forward(*args).data),
         }
         bad.extend(f"case {case}: {label}" for label, held in checks.items() if not held)
     passed = not bad
@@ -125,9 +137,9 @@ def test_criterion_2_routing_invariants():
 # ---------------------------------------------------------------------------
 
 
-def _distribution_over(rng, n_tokens, subset, n_experts):
-    w = np.zeros((n_tokens, n_experts))
-    w[:, list(subset)] = rng.uniform(0.1, 1.0, size=(n_tokens, len(subset)))
+def _distribution_over(rng, n_tokens, mask):
+    w = np.zeros((n_tokens, mask.size))
+    w[:, mask] = rng.uniform(0.1, 1.0, size=(n_tokens, int(mask.sum())))
     return w / w.sum(axis=1, keepdims=True)
 
 
@@ -143,10 +155,9 @@ def test_criterion_3_regularizer_exactness():
         shadow = EmaShadow.from_states({"site": state})
         hidden = rng.normal(size=(n_tokens, d_hidden))
         x_text = rng.normal(size=d_e)
-        _, subset = select_experts(state, Value(x_text), k)
-        live = token_weights(
-            token_logits(state, Value(hidden), Value(x_text), subset), subset, n)
-        ref = reference_weights(shadow, "site", hidden, x_text, subset)
+        _, mask = select_experts(state, Value(x_text), k)
+        live = token_weights(token_logits(state, Value(hidden), Value(x_text)), mask)
+        ref = reference_weights(shadow, "site", hidden, x_text, mask)
         if not np.array_equal(ref, live.data):
             bad.append(f"fresh shadow mismatch in case {case}")
 
@@ -154,12 +165,13 @@ def test_criterion_3_regularizer_exactness():
     for case in range(1000):
         n = int(rng.integers(2, 7))
         k = int(rng.integers(1, n + 1))
-        subset = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-        w = _distribution_over(rng, int(rng.integers(1, 5)), subset, n)
-        if float(reg_loss(w, Value(w.copy()), subset).data) != 0.0:
+        mask = np.zeros(n, dtype=bool)
+        mask[rng.choice(n, size=k, replace=False)] = True
+        w = _distribution_over(rng, int(rng.integers(1, 5)), mask)
+        if float(reg_loss(w, Value(w.copy()), mask).data) != 0.0:
             bad.append(f"self divergence nonzero in case {case}")
-        other = _distribution_over(rng, w.shape[0], subset, n)
-        if float(reg_loss(w, Value(other), subset).data) < 0.0:
+        other = _distribution_over(rng, w.shape[0], mask)
+        if float(reg_loss(w, Value(other), mask).data) < 0.0:
             bad.append(f"negative divergence in case {case}")
 
     # ten decay steps against a fixed live target match the closed form

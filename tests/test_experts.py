@@ -13,7 +13,10 @@ from streamlora.experts import (
 
 
 def make_bank(n_experts=3, rank=2, d_in=6, d_out=5, seed=0):
-    return init_expert_bank(n_experts, rank, d_in, d_out, named_rng(seed, "bank"))
+    rng = named_rng(seed, "bank")
+    bound = 1.0 / np.sqrt(d_in)
+    base = rng.uniform(-bound, bound, size=(d_out, d_in))
+    return init_expert_bank(n_experts, rank, d_in, d_out, rng, base=base)
 
 
 def one_hot(n, j):
@@ -55,17 +58,17 @@ def test_init_accepts_supplied_base_and_checks_shape():
 def test_init_rejects_bad_counts_and_rank():
     rng = named_rng(2, "bad")
     with pytest.raises(ValueError, match="at least one expert"):
-        init_expert_bank(0, 1, 4, 4, rng)
+        init_expert_bank(0, 1, 4, 4, rng, base=np.zeros((4, 4)))
     with pytest.raises(ValueError, match="rank must be in"):
-        init_expert_bank(2, 0, 4, 4, rng)
+        init_expert_bank(2, 0, 4, 4, rng, base=np.zeros((4, 4)))
     with pytest.raises(ValueError, match="rank must be in"):
-        init_expert_bank(2, 4, 4, 6, rng)  # rank == min(d_in, d_out)
+        init_expert_bank(2, 4, 4, 6, rng, base=np.zeros((6, 4)))  # rank == min(d_in, d_out)
 
 
 def test_fresh_bank_is_exactly_the_base_projection():
     bank = make_bank()
     h = Value(named_rng(3, "h").normal(size=(4, 6)))
-    out = adapted_forward(bank, h, one_hot(3, 1), [1])
+    out = adapted_forward(bank, h, one_hot(3, 1), np.array([False, True, False]))
     np.testing.assert_array_equal(out.data, h.data @ bank.base.data.T)
 
 
@@ -79,7 +82,7 @@ def test_lora_delta_rank_one_hand_case():
     bank = make_bank(n_experts=1, rank=1, d_in=2, d_out=2)
     bank.down[0].data = np.array([[1.0, 0.0]])
     bank.up[0].data = np.array([[2.0], [0.0]])
-    out = lora_delta(bank, 0, Value([[3.0, 5.0]]))
+    out = lora_delta(bank, [0], Value([[3.0, 5.0]]), one_hot(1, 0))
     np.testing.assert_array_equal(out.data, [[6.0, 0.0]])
 
 
@@ -92,7 +95,7 @@ def test_lora_delta_matches_dense_product():
     for j in range(bank.n_experts):
         dense = bank.up[j].data @ bank.down[j].data
         np.testing.assert_allclose(
-            lora_delta(bank, j, h).data, h.data @ dense.T, rtol=0, atol=1e-12
+            lora_delta(bank, [j], h, one_hot(3, j)).data, h.data @ dense.T, rtol=0, atol=1e-12
         )
 
 
@@ -102,10 +105,10 @@ def test_lora_delta_token_matrix_rows_equal_vector_calls():
     for j in range(bank.n_experts):
         bank.up[j].data = rng.normal(size=bank.up[j].data.shape)
     tokens = rng.normal(size=(4, 6))
-    batch = lora_delta(bank, 2, Value(tokens))
+    batch = lora_delta(bank, [2], Value(tokens), one_hot(3, 2))
     assert batch.data.shape == (4, 5)
     for i in range(len(tokens)):
-        single = lora_delta(bank, 2, Value(tokens[i : i + 1])).data
+        single = lora_delta(bank, [2], Value(tokens[i : i + 1]), one_hot(3, 2)).data
         assert single.shape == (1, 5)
         np.testing.assert_allclose(batch.data[i], single[0], rtol=0, atol=1e-12)
 
@@ -115,25 +118,26 @@ def test_lora_delta_is_linear_in_h():
     rng = named_rng(10, "lin")
     bank.up[0].data = rng.normal(size=bank.up[0].data.shape)
     h1, h2 = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
-    lhs = lora_delta(bank, 0, Value(2.0 * h1 + 3.0 * h2)).data
-    rhs = 2.0 * lora_delta(bank, 0, Value(h1)).data + 3.0 * lora_delta(bank, 0, Value(h2)).data
+    w = one_hot(3, 0)
+    lhs = lora_delta(bank, [0], Value(2.0 * h1 + 3.0 * h2), w).data
+    rhs = (2.0 * lora_delta(bank, [0], Value(h1), w).data
+           + 3.0 * lora_delta(bank, [0], Value(h2), w).data)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
 def test_lora_delta_rejects_bad_expert_index():
     bank = make_bank()
-    with pytest.raises(ValueError, match="out of range"):
-        lora_delta(bank, 3, Value(np.zeros((1, 6))))
-    with pytest.raises(ValueError, match="out of range"):
-        lora_delta(bank, -1, Value(np.zeros((1, 6))))
+    for experts in ([3], [-1], [0, 3], []):
+        with pytest.raises(ValueError, match="out of range"):
+            lora_delta(bank, experts, Value(np.zeros((1, 6))), one_hot(3, 0))
 
 
 def test_hidden_state_must_be_a_token_matrix():
     bank = make_bank()
     with pytest.raises(ValueError, match="token"):
-        lora_delta(bank, 0, Value(np.zeros(6)))
+        lora_delta(bank, [0], Value(np.zeros(6)), one_hot(3, 0))
     with pytest.raises(ValueError, match="token"):
-        adapted_forward(bank, Value(np.zeros(6)), one_hot(3, 0), [0])
+        adapted_forward(bank, Value(np.zeros(6)), one_hot(3, 0), np.array([True, False, False]))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +153,7 @@ def test_even_split_hand_case():
     bank.down[1].data = np.array([[0.0, 1.0]])
     bank.up[1].data = np.array([[0.0], [6.0]])
     h = Value([[1.0, 2.0]])
-    out = adapted_forward(bank, h, Value([0.5, 0.5]), [0, 1])
+    out = adapted_forward(bank, h, Value([0.5, 0.5]), np.array([True, True]))
     # 0.5 * [4*1, 0] + 0.5 * [0, 6*2] = [2, 6]
     np.testing.assert_allclose(out.data, [[2.0, 6.0]], rtol=0, atol=1e-15)
 
@@ -160,13 +164,13 @@ def test_weighted_combination_matches_dense_recompute():
     for j in range(4):
         bank.up[j].data = rng.normal(size=bank.up[j].data.shape)
     h = rng.normal(size=(3, 6))
-    subset = [0, 2]
+    mask = np.array([True, False, True, False])
     w = np.zeros(4)
     w[0], w[2] = 0.3, 0.7
     expected = h @ bank.base.data.T
-    for j in subset:
+    for j in np.flatnonzero(mask):
         expected = expected + w[j] * (h @ (bank.up[j].data @ bank.down[j].data).T)
-    out = adapted_forward(bank, Value(h), Value(w), subset)
+    out = adapted_forward(bank, Value(h), Value(w), mask)
     np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
 
 
@@ -177,9 +181,10 @@ def test_per_token_weights_apply_row_wise():
         bank.up[j].data = rng.normal(size=bank.up[j].data.shape)
     tokens = rng.normal(size=(3, 6))
     w = np.array([[1.0, 0.0], [0.0, 1.0], [0.25, 0.75]])
-    out = adapted_forward(bank, Value(tokens), Value(w), [0, 1])
+    both = np.array([True, True])
+    out = adapted_forward(bank, Value(tokens), Value(w), both)
     for i in range(3):
-        row = adapted_forward(bank, Value(tokens[i : i + 1]), Value(w[i : i + 1]), [0, 1])
+        row = adapted_forward(bank, Value(tokens[i : i + 1]), Value(w[i : i + 1]), both)
         np.testing.assert_allclose(out.data[i], row.data[0], rtol=0, atol=1e-12)
 
 
@@ -188,21 +193,38 @@ def test_shared_weights_broadcast_over_tokens():
     bank.up[0].data = named_rng(16, "u").normal(size=bank.up[0].data.shape)
     tokens = named_rng(17, "t").normal(size=(4, 6))
     w = Value([0.6, 0.4])
-    out = adapted_forward(bank, Value(tokens), w, [0, 1])
+    both = np.array([True, True])
+    out = adapted_forward(bank, Value(tokens), w, both)
     for i in range(4):
         np.testing.assert_allclose(
-            out.data[i], adapted_forward(bank, Value(tokens[i : i + 1]), w, [0, 1]).data[0],
+            out.data[i], adapted_forward(bank, Value(tokens[i : i + 1]), w, both).data[0],
             rtol=0, atol=1e-12,
         )
+
+
+def test_batch_rows_each_use_their_own_subset():
+    bank = make_bank(n_experts=4, seed=24)
+    rng = named_rng(25, "batch")
+    for j in range(4):
+        bank.up[j].data = rng.normal(size=bank.up[j].data.shape)
+    h = rng.normal(size=(2, 3, 6))
+    mask = np.array([[True, False, True, False], [False, True, False, False]])
+    w = np.array([[[0.3, 0.0, 0.7, 0.0]], [[0.0, 1.0, 0.0, 0.0]]])     # (B, 1, N)
+    out = adapted_forward(bank, Value(h), Value(w), mask)
+    for i in range(2):
+        alone = adapted_forward(bank, Value(h[i]), Value(w[i, 0]), mask[i])
+        np.testing.assert_allclose(out.data[i], alone.data, rtol=0, atol=1e-12)
 
 
 def test_rejects_empty_subset_and_out_of_range():
     bank = make_bank()
     h = Value(np.zeros((1, 6)))
+    with pytest.raises(ValueError, match="boolean"):
+        adapted_forward(bank, h, one_hot(3, 0), np.array([0, 1, 2]))   # indices, not a mask
     with pytest.raises(ValueError, match="empty routing subset"):
-        adapted_forward(bank, h, Value(np.zeros(3)), [])
-    with pytest.raises(ValueError, match="subset index out of range"):
-        adapted_forward(bank, h, one_hot(3, 0), [0, 3])
+        adapted_forward(bank, h, Value(np.zeros(3)), np.zeros(3, dtype=bool))
+    with pytest.raises(ValueError, match="covers 4 experts, not 3"):
+        adapted_forward(bank, h, one_hot(3, 0), np.array([True, False, False, True]))
 
 
 def test_rejects_weight_mass_outside_subset():
@@ -210,24 +232,27 @@ def test_rejects_weight_mass_outside_subset():
     h = Value(np.zeros((1, 6)))
     w = np.array([0.5, 0.5, 0.0])
     with pytest.raises(ValueError, match="outside the selected subset"):
-        adapted_forward(bank, h, Value(w), [0])
+        adapted_forward(bank, h, Value(w), np.array([True, False, False]))
 
 
 def test_rejects_unnormalized_weights():
     bank = make_bank()
     h = Value(np.zeros((1, 6)))
+    first_two = np.array([True, True, False])
     bad = np.array([0.5, 0.4, 0.0])  # sums to 0.9
     with pytest.raises(ValueError, match="unnormalized routing weights"):
-        adapted_forward(bank, h, Value(bad), [0, 1])
+        adapted_forward(bank, h, Value(bad), first_two)
     # a drift below the tolerance must still be accepted
     ok = np.array([0.5, 0.5 + 0.5 * WEIGHT_SUM_TOL, 0.0])
-    adapted_forward(bank, h, Value(ok), [0, 1])
+    adapted_forward(bank, h, Value(ok), first_two)
 
 
 def test_rejects_weight_vector_of_wrong_width():
     bank = make_bank(n_experts=3)
     with pytest.raises(ValueError, match="n_experts"):
-        adapted_forward(bank, Value(np.zeros((1, 6))), Value(np.zeros(4)), [0])
+        adapted_forward(
+            bank, Value(np.zeros((1, 6))), Value(np.zeros(4)), np.array([True, False, False])
+        )
 
 
 def test_gate_scales_the_weights_after_the_normalization_check():
@@ -238,14 +263,15 @@ def test_gate_scales_the_weights_after_the_normalization_check():
     h = rng.normal(size=(2, 6))
     w = np.array([[0.25, 0.0, 0.75], [0.5, 0.0, 0.5]])
     gate = np.array([1.5, 1.0, 0.5])   # the gated rows no longer sum to one
-    out = adapted_forward(bank, Value(h), Value(w), [0, 2], Value(gate))
+    mask = np.array([True, False, True])
+    out = adapted_forward(bank, Value(h), Value(w), mask, Value(gate))
     expected = h @ bank.base.data.T
     for j in (0, 2):
         delta = h @ (bank.up[j].data @ bank.down[j].data).T
         expected = expected + (w[:, j] * gate[j])[:, None] * delta
     np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
     with pytest.raises(ValueError, match="unnormalized"):
-        adapted_forward(bank, Value(h), Value(w * gate), [0, 2])
+        adapted_forward(bank, Value(h), Value(w * gate), mask)
 
 
 def test_off_subset_experts_receive_no_gradient():
@@ -258,7 +284,7 @@ def test_off_subset_experts_receive_no_gradient():
     h = Value(rng.normal(size=(2, 6)))
     w = np.zeros(3)
     w[0], w[1] = 0.25, 0.75
-    backward(vsum(adapted_forward(bank, h, Value(w), [0, 1])))
+    backward(vsum(adapted_forward(bank, h, Value(w), np.array([True, True, False]))))
     for j in (0, 1):
         assert bank.down[j].grad is not None and np.any(bank.down[j].grad != 0.0)
     assert bank.down[2].grad is None
@@ -278,7 +304,7 @@ def test_adapter_gradients_match_finite_differences():
     w = Value([0.35, 0.65])
 
     def objective():
-        out = adapted_forward(bank, h, w, [0, 1])
+        out = adapted_forward(bank, h, w, np.array([True, True]))
         return vsum(out * out)
 
     backward(objective())

@@ -139,12 +139,14 @@ def test_ledger_summary_prefixes_match_full_recomputation():
     ledger.add_chunk(1, {0: 0.5})
     ledger.add_chunk(2, {0: 0.7, 1: 0.2})
     ledger.add_chunk(3, {0: 0.4, 1: 0.6})
+    summaries = {row["t"]: (row["MAP"], row["MAF"]) for row in ledger.rows() if row["m"] is None}
     # after chunk 2: dataset 0 has [0.5, 0.7], dataset 1 has [0.2]
-    map2, maf2 = ledger.summary(upto=2)
+    map2, maf2 = summaries[2]
     assert map2 == pytest.approx((0.6 + 0.2) / 2.0, abs=1e-15)
     assert maf2 == pytest.approx(0.0, abs=1e-15)
     # after chunk 3: dataset 0 drops from 0.7 to 0.4
-    map3, maf3 = ledger.summary(upto=3)
+    map3, maf3 = summaries[3]
+    assert (map3, maf3) == ledger.summary()
     f0 = (0.7 - 0.4) / 0.7
     assert map3 == pytest.approx(((0.5 + 0.7 + 0.4) / 3 + (0.2 + 0.6) / 2) / 2, abs=1e-15)
     assert maf3 == pytest.approx((f0 / 3 + 0.0) / 2, abs=1e-15)

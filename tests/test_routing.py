@@ -14,8 +14,10 @@ from streamlora.autograd import (
     no_grad,
     vsum,
 )
+from streamlora.experts import adapted_forward, init_expert_bank
 from streamlora.routing import (
     RoutingState,
+    check_mask,
     init_routing_state,
     pool_text,
     route_with_straight_through,
@@ -32,6 +34,21 @@ def gate_only_state(logit_column, d_hidden=3, routing_dim=2, seed=0):
     state = init_routing_state(n, 1, d_hidden, routing_dim, named_rng(seed, "gate"))
     state.select.data = np.asarray(logit_column, dtype=np.float64).reshape(n, 1)
     return state
+
+
+def members(mask):
+    """One sample's (N,) subset mask as ascending expert indices."""
+    return tuple(int(j) for j in np.flatnonzero(mask))
+
+
+def live_bank(n_experts, d_hidden, rng):
+    """A rank-1 bank whose adapters all start nonzero, so any change in
+    the routing weights shows in its output."""
+    bank = init_expert_bank(n_experts, 1, d_hidden, d_hidden, rng,
+                            base=rng.normal(size=(d_hidden, d_hidden)))
+    for up in bank.up:
+        up.data = rng.normal(size=up.data.shape)
+    return bank
 
 
 # ---------------------------------------------------------------------------
@@ -84,24 +101,24 @@ def test_select_experts_known_logits():
     z = sum(math.exp(v) for v in (2.0, -1.0, 3.0, 0.0))
     expected = [math.exp(v) / z for v in (2.0, -1.0, 3.0, 0.0)]
     np.testing.assert_allclose(probs.data, expected, rtol=1e-12, atol=0)
-    assert subset_indices(subset) == (0, 2)
+    assert members(subset) == (0, 2)
 
 
 def test_select_experts_breaks_ties_toward_lower_index():
     state = gate_only_state([0.0, 0.0, 0.0, 0.0, 0.0])
     probs, subset = select_experts(state, Value([1.0]), top_k=2)
     np.testing.assert_allclose(probs.data, np.full(5, 0.2), rtol=1e-15)
-    assert subset_indices(subset) == (0, 1)
+    assert members(subset) == (0, 1)
     # a partial tie on the second slot resolves the same way
     state = gate_only_state([1.0, 5.0, 1.0, 1.0])
     _, subset = select_experts(state, Value([1.0]), top_k=2)
-    assert subset_indices(subset) == (0, 1)
+    assert members(subset) == (0, 1)
 
 
 def test_select_experts_with_k_equal_n_keeps_everyone():
     state = gate_only_state([3.0, 1.0, 2.0])
     _, subset = select_experts(state, Value([1.0]), top_k=3)
-    assert subset_indices(subset) == (0, 1, 2)
+    assert members(subset) == (0, 1, 2)
 
 
 def test_select_experts_subset_is_invariant_to_logit_shift():
@@ -109,7 +126,7 @@ def test_select_experts_subset_is_invariant_to_logit_shift():
     p_base, s_base = select_experts(gate_only_state(base), Value([1.0]), top_k=2)
     shifted = [v + 7.5 for v in base]
     p_shift, s_shift = select_experts(gate_only_state(shifted), Value([1.0]), top_k=2)
-    assert subset_indices(s_base) == subset_indices(s_shift) == (2, 3)
+    assert members(s_base) == members(s_shift) == (2, 3)
     np.testing.assert_allclose(p_base.data, p_shift.data, rtol=1e-12)
 
 
@@ -121,7 +138,38 @@ def test_select_experts_is_permutation_equivariant():
         gate_only_state([logits[i] for i in perm]), Value([1.0]), top_k=2
     )
     np.testing.assert_allclose(p2.data, p.data[perm], rtol=1e-12)
-    assert subset_indices(s2) == tuple(sorted(perm.index(j) for j in subset_indices(s)))
+    assert members(s2) == tuple(sorted(perm.index(j) for j in members(s)))
+
+
+def test_select_experts_routes_each_sample_of_a_batch_on_its_own():
+    state = init_routing_state(5, 3, 4, 2, named_rng(12, "batch"))
+    x_text = named_rng(13, "rows").normal(size=(4, 3))
+    probs, mask = select_experts(state, Value(x_text), top_k=2)
+    assert probs.data.shape == mask.shape == (4, 5) and mask.dtype == bool
+    for i in range(4):
+        p_row, mask_row = select_experts(state, Value(x_text[i]), top_k=2)
+        np.testing.assert_allclose(probs.data[i], p_row.data, rtol=1e-12, atol=0)
+        assert subset_indices(mask)[i] == members(mask_row)
+
+
+def test_subset_indices_lists_each_rows_experts_and_needs_a_batch_mask():
+    mask = np.array([[True, False, True], [False, True, False]])
+    assert subset_indices(mask) == ((0, 2), (1,))
+    with pytest.raises(ValueError, match=r"\(B, N\) subset mask"):
+        subset_indices(mask[0])
+
+
+def test_check_mask_accepts_only_boolean_masks_without_empty_rows():
+    mask = np.array([[True, False, True], [False, True, False]])
+    assert check_mask(mask, 3) is mask
+    with pytest.raises(ValueError, match="boolean mask, got int64"):
+        check_mask(mask.astype(np.int64), 3)
+    with pytest.raises(ValueError, match="boolean"):
+        check_mask(np.flatnonzero(mask[0]), 2)      # expert indices, not a mask
+    with pytest.raises(ValueError, match="covers 3 experts, not 4"):
+        check_mask(mask, 4)
+    with pytest.raises(ValueError, match="empty routing subset"):
+        check_mask(np.array([[True, False, False], [False, False, False]]), 3)
 
 
 def test_select_experts_rejects_bad_k():
@@ -145,7 +193,7 @@ def test_token_logits_one_dimensional_hand_case():
         key=Value([[0.5]]),
         experts=Value([[3.0]]),
     )
-    scores = token_logits(state, Value([[1.0]]), Value([1.0]), (0,))
+    scores = token_logits(state, Value([[1.0]]), Value([1.0]))
     assert scores.data.shape == (1, 1)
     assert scores.data[0, 0] == pytest.approx(3.0, abs=1e-15)
 
@@ -155,7 +203,7 @@ def test_token_logits_match_direct_loop():
     state = init_routing_state(5, 4, 6, 3, rng)
     hidden = rng.normal(size=(7, 6))
     x_text = rng.normal(size=4)
-    scores = token_logits(state, Value(hidden), Value(x_text), (0, 1)).data
+    scores = token_logits(state, Value(hidden), Value(x_text)).data
     key_vec = state.key.data @ x_text
     for l in range(7):
         q = state.query.data @ hidden[l]
@@ -169,39 +217,47 @@ def test_token_logits_scale_linearly_with_hidden_state():
     state = init_routing_state(3, 4, 5, 2, rng)
     hidden = rng.normal(size=(2, 5))
     x_text = Value(rng.normal(size=4))
-    once = token_logits(state, Value(hidden), x_text, (0,)).data
-    twice = token_logits(state, Value(2.0 * hidden), x_text, (0,)).data
+    once = token_logits(state, Value(hidden), x_text).data
+    twice = token_logits(state, Value(2.0 * hidden), x_text).data
     np.testing.assert_allclose(twice, 2.0 * once, rtol=1e-12)
 
 
 def test_token_logits_rejects_bad_inputs():
     state = init_routing_state(3, 4, 5, 2, named_rng(5, "bad"))
-    with pytest.raises(ValueError, match="empty routing subset"):
-        token_logits(state, Value(np.zeros((2, 5))), Value(np.zeros(4)), ())
     with pytest.raises(ValueError, match="hidden must be"):
-        token_logits(state, Value(np.zeros(5)), Value(np.zeros(4)), (0,))
+        token_logits(state, Value(np.zeros(5)), Value(np.zeros(4)))
 
 
 def test_token_weights_two_expert_hand_case():
     # scores [1, 3] over both experts: softmax gap of 2
-    w = token_weights(Value([[1.0, 3.0]]), (0, 1), 2)
+    w = token_weights(Value([[1.0, 3.0]]), np.array([True, True]))
     lo = 1.0 / (1.0 + math.exp(2.0))
     np.testing.assert_allclose(w.data, [[lo, 1.0 - lo]], rtol=1e-12)
 
 
 def test_token_weights_are_exactly_zero_off_subset():
-    w = token_weights(Value([[5.0, 1.0, 4.0]]), (0, 2), 3)
+    w = token_weights(Value([[5.0, 1.0, 4.0]]), np.array([True, False, True]))
     assert w.data[0, 1] == 0.0
     assert w.data[0].sum() == pytest.approx(1.0, abs=1e-12)
-    singleton = token_weights(Value([[5.0, 1.0, 4.0]]), (1,), 3)
+    singleton = token_weights(Value([[5.0, 1.0, 4.0]]), np.array([False, True, False]))
     np.testing.assert_array_equal(singleton.data, [[0.0, 1.0, 0.0]])
 
 
+def test_token_weights_apply_each_samples_own_subset():
+    logits = Value([[[5.0, 1.0, 4.0]], [[5.0, 1.0, 4.0]]])        # (B, L, N)
+    w = token_weights(logits, np.array([[True, False, True], [False, True, False]]))
+    np.testing.assert_array_equal(
+        w.data[0], token_weights(Value([[5.0, 1.0, 4.0]]), np.array([True, False, True])).data)
+    np.testing.assert_array_equal(w.data[1], [[0.0, 1.0, 0.0]])
+
+
 def test_token_weights_rejects_bad_subsets():
-    with pytest.raises(ValueError, match="out of range"):
-        token_weights(Value([[1.0, 2.0]]), (0, 2), 2)
+    with pytest.raises(ValueError, match="covers 3 experts, not 2"):
+        token_weights(Value([[1.0, 2.0]]), np.array([True, False, True]))
     with pytest.raises(ValueError, match="empty routing subset"):
-        token_weights(Value([[1.0, 2.0]]), (), 2)
+        token_weights(Value([[1.0, 2.0]]), np.array([False, False]))
+    with pytest.raises(ValueError, match="boolean"):
+        token_weights(Value([[1.0, 2.0]]), np.array([0, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +265,15 @@ def test_token_weights_rejects_bad_subsets():
 # ---------------------------------------------------------------------------
 
 
-def test_gated_weights_are_bit_identical_to_plain_weights():
+def test_gate_leaves_the_adapted_forward_bit_identical():
     rng = named_rng(6, "st")
     state = init_routing_state(6, 4, 5, 3, rng)
-    decision = route_with_straight_through(
-        state, Value(rng.normal(size=(8, 5))), Value(rng.normal(size=4)), top_k=2
-    )
-    assert np.array_equal(decision.gated_weights.data, decision.token_weights.data)
+    hidden = Value(rng.normal(size=(8, 8, 5)))
+    decision = route_with_straight_through(state, hidden, Value(rng.normal(size=(8, 4))), top_k=2)
+    bank = live_bank(6, 5, rng)
+    gated = adapted_forward(bank, hidden, decision.token_weights, decision.mask, decision.gate)
+    plain = adapted_forward(bank, hidden, decision.token_weights, decision.mask)
+    assert np.array_equal(gated.data, plain.data)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -228,14 +286,12 @@ def test_routing_invariants_hold_on_random_inputs(seed):
     d_route = int(rng.integers(1, 6))
     tokens = int(rng.integers(1, 10))
     state = init_routing_state(n, d_e, d_hidden, d_route, rng)
-    decision = route_with_straight_through(
-        state, Value(rng.normal(size=(tokens, d_hidden))),
-        Value(rng.normal(size=d_e)), top_k=k,
-    )
+    hidden = Value(rng.normal(size=(tokens, d_hidden)))
+    decision = route_with_straight_through(state, hidden, Value(rng.normal(size=d_e)), top_k=k)
     p = decision.sample_probs.data
     assert p.shape == (n,) and np.all(p > 0.0)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
-    subset = decision.subset
+    subset = members(decision.mask)
     assert len(subset) == k == len(set(subset))
     assert list(subset) == sorted(subset)
     expected = tuple(sorted(int(j) for j in np.argsort(-p, kind="stable")[:k]))
@@ -246,7 +302,10 @@ def test_routing_invariants_hold_on_random_inputs(seed):
     assert np.all(w[:, off] == 0.0)
     np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.all(w >= 0.0)
-    assert np.array_equal(decision.gated_weights.data, w)
+    bank = live_bank(n, d_hidden, rng)
+    gated = adapted_forward(bank, hidden, decision.token_weights, decision.mask, decision.gate)
+    plain = adapted_forward(bank, hidden, decision.token_weights, decision.mask)
+    assert np.array_equal(gated.data, plain.data)
 
 
 def test_gate_receives_gradient_only_through_the_straight_through_path():
@@ -256,35 +315,44 @@ def test_gate_receives_gradient_only_through_the_straight_through_path():
         v.requires_grad = True
     hidden = Value(rng.normal(size=(3, 5)))
     x_text = Value(rng.normal(size=3))
-    coeff = Value(rng.normal(size=(3, 4)))
+    bank = live_bank(4, 5, rng)
+    coeff = Value(rng.normal(size=(3, 5)))
 
     decision = route_with_straight_through(state, hidden, x_text, top_k=2)
-    backward(vsum(mul(decision.gated_weights, coeff)))
+    out = adapted_forward(bank, hidden, decision.token_weights, decision.mask, decision.gate)
+    backward(vsum(mul(out, coeff)))
     assert state.select.grad is not None and np.any(state.select.grad != 0.0)
     assert state.query.grad is not None and np.any(state.query.grad != 0.0)
 
     state.select.grad = None
     decision = route_with_straight_through(state, hidden, x_text, top_k=2)
-    backward(vsum(mul(decision.token_weights, coeff)))  # plain weights, no gate path
+    out = adapted_forward(bank, hidden, decision.token_weights, decision.mask)   # no gate path
+    backward(vsum(mul(out, coeff)))
     assert state.select.grad is None
 
 
 def test_straight_through_gate_gradient_matches_closed_form():
-    # loss = sum_{l,j} C[l,j] * s[l,j] * (1 + p_j - detach(p_j)) has, at the
-    # evaluation point, dL/d(select) = sum_j G_j dp_j/d(select) with
-    # G_j = sum_l C[l,j] s[l,j] and the usual softmax Jacobian against x_text.
+    # loss = sum_l c_l . out_l over the adapted forward, whose expert j adds
+    # s[l,j] * (1 + p_j - detach(p_j)) * delta_j(h_l). At the evaluation
+    # point dL/d(select) = sum_j G_j dp_j/d(select) with
+    # G_j = sum_l s[l,j] (c_l . delta_j(h_l)) and the usual softmax Jacobian
+    # against x_text.
     rng = named_rng(8, "closed")
     state = init_routing_state(5, 3, 4, 2, rng)
     state.select.requires_grad = True
     hidden = Value(rng.normal(size=(6, 4)))
     x_text = Value(rng.normal(size=3))
-    coeff = rng.normal(size=(6, 5))
+    bank = live_bank(5, 4, rng)
+    coeff = rng.normal(size=(6, 4))
 
     decision = route_with_straight_through(state, hidden, x_text, top_k=2)
-    backward(vsum(mul(decision.gated_weights, Value(coeff))))
+    out = adapted_forward(bank, hidden, decision.token_weights, decision.mask, decision.gate)
+    backward(vsum(mul(out, Value(coeff))))
 
     p = decision.sample_probs.data
-    g = (coeff * decision.token_weights.data).sum(axis=0)
+    dense = [up.data @ down.data for down, up in zip(bank.down, bank.up)]
+    deltas = np.stack([hidden.data @ d.T for d in dense], axis=1)   # (L, N, d_out)
+    g = (np.einsum("lo,ljo->lj", coeff, deltas) * decision.token_weights.data).sum(axis=0)
     dlogits = p * (g - float(g @ p))
     expected = np.outer(dlogits, x_text.data)
     np.testing.assert_allclose(state.select.grad, expected, rtol=1e-10, atol=1e-12)
@@ -300,11 +368,13 @@ def test_stage_two_gradients_match_finite_differences():
         v.requires_grad = True
     hidden = Value(rng.normal(size=(3, 5)))
     x_text = Value(rng.normal(size=3))
-    coeff = Value(rng.normal(size=(3, 4)))
+    bank = live_bank(4, 5, rng)
+    coeff = Value(rng.normal(size=(3, 5)))
 
     def objective():
         decision = route_with_straight_through(state, hidden, x_text, top_k=2)
-        return vsum(mul(decision.gated_weights, coeff))
+        out = adapted_forward(bank, hidden, decision.token_weights, decision.mask, decision.gate)
+        return vsum(mul(out, coeff))
 
     backward(objective())
     analytic = [v.grad.copy() for v in params]
@@ -324,30 +394,19 @@ def test_pinned_constants_replace_the_live_subset_and_detached_probs():
     hidden = Value(rng.normal(size=(3, 5)))
     x_text = Value(rng.normal(size=3))
     live = route_with_straight_through(state, hidden, x_text, top_k=2)
-    other = tuple(j for j in range(4) if j not in live.subset)
+    other = ~live.mask
     pinned_probs = np.full(4, 0.25)
     decision = route_with_straight_through(
-        state, hidden, x_text, top_k=2, subset=other, detached_probs=pinned_probs
+        state, hidden, x_text, top_k=2, mask=other, detached_probs=pinned_probs
     )
-    assert decision.subset == other
+    assert decision.mask is other
     np.testing.assert_array_equal(decision.sample_probs.data, live.sample_probs.data)
     np.testing.assert_array_equal(
         decision.token_weights.data,
-        token_weights(token_logits(state, hidden, x_text, other), other, 4).data,
+        token_weights(token_logits(state, hidden, x_text), other).data,
     )
     np.testing.assert_array_equal(
         decision.gate.data, 1.0 + (live.sample_probs.data - pinned_probs)
     )
     np.testing.assert_array_equal(live.gate.data, np.ones(4))
 
-
-def test_decision_records_the_raw_scores():
-    rng = named_rng(10, "raw")
-    state = init_routing_state(3, 4, 5, 2, rng)
-    hidden = Value(rng.normal(size=(2, 5)))
-    x_text = Value(rng.normal(size=4))
-    decision = route_with_straight_through(state, hidden, x_text, top_k=2)
-    np.testing.assert_array_equal(
-        decision.token_logits.data,
-        token_logits(state, hidden, x_text, decision.subset).data,
-    )

@@ -133,7 +133,7 @@ def test_reference_matches_live_weights_bit_exactly_when_shadow_is_fresh():
     x_text = rng.normal(size=3)
     for site, state in states.items():
         decision = route_with_straight_through(state, Value(hidden), Value(x_text), top_k=2)
-        ref = reference_weights(shadow, site, hidden, x_text, decision.subset)
+        ref = reference_weights(shadow, site, hidden, x_text, decision.mask)
         assert np.array_equal(ref, decision.token_weights.data)  # no tolerance at all
 
 
@@ -146,7 +146,8 @@ def test_reference_weights_two_expert_hand_case():
         experts=Value([[1.0], [2.0]]),
     )
     shadow = EmaShadow.from_states({"s": state})
-    ref = reference_weights(shadow, "s", np.array([[1.0]]), np.array([1.0]), (0, 1))
+    both = np.array([True, True])
+    ref = reference_weights(shadow, "s", np.array([[1.0]]), np.array([1.0]), both)
     lo = 1.0 / (1.0 + math.e)
     np.testing.assert_allclose(ref, [[lo, 1.0 - lo]], rtol=1e-15)
 
@@ -156,7 +157,8 @@ def test_reference_weights_singleton_subset_is_degenerate():
     shadow = EmaShadow.from_states(states)
     rng = named_rng(10, "single")
     ref = reference_weights(
-        shadow, "layer.0.attn", rng.normal(size=(4, 5)), rng.normal(size=3), (2,)
+        shadow, "layer.0.attn", rng.normal(size=(4, 5)), rng.normal(size=3),
+        np.array([False, False, True, False]),
     )
     np.testing.assert_array_equal(ref[:, 2], 1.0)
     assert np.all(ref[:, [0, 1, 3]] == 0.0)
@@ -167,7 +169,8 @@ def test_reference_weights_rows_are_distributions_over_the_subset():
     shadow = EmaShadow.from_states(states)
     rng = named_rng(12, "dist")
     ref = reference_weights(
-        shadow, "layer.0.ffn", rng.normal(size=(5, 5)), rng.normal(size=3), (1, 3)
+        shadow, "layer.0.ffn", rng.normal(size=(5, 5)), rng.normal(size=3),
+        np.array([False, True, False, True]),
     )
     np.testing.assert_allclose(ref.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.all(ref[:, [0, 2]] == 0.0)
@@ -178,17 +181,21 @@ def test_reference_weights_rows_are_distributions_over_the_subset():
 # ---------------------------------------------------------------------------
 
 
-def weight_matrix(rng, n_tokens, subset, n_experts):
-    w = np.zeros((n_tokens, n_experts))
-    raw = rng.uniform(0.1, 1.0, size=(n_tokens, len(subset)))
-    w[:, list(subset)] = raw / raw.sum(axis=1, keepdims=True)
+def weight_matrix(rng, n_tokens, mask):
+    """Random (tokens, N) distributions supported on one sample's (N,) mask."""
+    w = np.zeros((n_tokens, mask.size))
+    raw = rng.uniform(0.1, 1.0, size=(n_tokens, int(mask.sum())))
+    w[:, mask] = raw / raw.sum(axis=1, keepdims=True)
     return w
+
+
+FIRST_AND_THIRD = np.array([True, False, True, False])
 
 
 def test_kl_of_identical_weights_is_exactly_zero():
     rng = named_rng(13, "self")
-    w = weight_matrix(rng, 5, (0, 2), 4)
-    loss = reg_loss(w, Value(w.copy()), (0, 2))
+    w = weight_matrix(rng, 5, FIRST_AND_THIRD)
+    loss = reg_loss(w, Value(w.copy()), FIRST_AND_THIRD)
     assert loss.data == 0.0
 
 
@@ -196,7 +203,7 @@ def test_kl_two_point_hand_case():
     # KL([.5 .5] || [.9 .1]) = .5 log(.5/.9) + .5 log(.5/.1)
     ref = np.array([[0.5, 0.5]])
     live = np.array([[0.9, 0.1]])
-    loss = reg_loss(ref, Value(live), (0, 1))
+    loss = reg_loss(ref, Value(live), np.array([True, True]))
     want = 0.5 * math.log(0.5 / 0.9) + 0.5 * math.log(0.5 / 0.1)
     assert loss.data == pytest.approx(want, rel=1e-12)
 
@@ -206,29 +213,31 @@ def test_kl_is_nonnegative_on_random_pairs():
     for _ in range(1000):
         n = int(rng.integers(2, 8))
         k = int(rng.integers(1, n + 1))
-        subset = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+        mask = np.zeros(n, dtype=bool)
+        mask[rng.choice(n, size=k, replace=False)] = True
         tokens = int(rng.integers(1, 5))
-        ref = weight_matrix(rng, tokens, subset, n)
-        live = weight_matrix(rng, tokens, subset, n)
-        assert float(reg_loss(ref, Value(live), subset).data) >= 0.0
+        ref = weight_matrix(rng, tokens, mask)
+        live = weight_matrix(rng, tokens, mask)
+        assert float(reg_loss(ref, Value(live), mask).data) >= 0.0
 
 
 def test_kl_averages_over_tokens():
     rng = named_rng(15, "avg")
-    ref_row = weight_matrix(rng, 1, (0, 1), 3)
-    live_row = weight_matrix(rng, 1, (0, 1), 3)
-    single = reg_loss(ref_row, Value(live_row), (0, 1))
+    mask = np.array([True, True, False])
+    ref_row = weight_matrix(rng, 1, mask)
+    live_row = weight_matrix(rng, 1, mask)
+    single = reg_loss(ref_row, Value(live_row), mask)
     stacked = reg_loss(
-        np.repeat(ref_row, 4, axis=0), Value(np.repeat(live_row, 4, axis=0)), (0, 1)
+        np.repeat(ref_row, 4, axis=0), Value(np.repeat(live_row, 4, axis=0)), mask
     )
     assert stacked.data == pytest.approx(float(single.data), rel=1e-12)
 
 
 def test_kl_gradient_lands_on_live_weights_only():
     rng = named_rng(16, "grad")
-    ref = weight_matrix(rng, 3, (0, 2), 4)
-    live = Value(weight_matrix(rng, 3, (0, 2), 4), requires_grad=True)
-    backward(reg_loss(ref, live, (0, 2)))
+    ref = weight_matrix(rng, 3, FIRST_AND_THIRD)
+    live = Value(weight_matrix(rng, 3, FIRST_AND_THIRD), requires_grad=True)
+    backward(reg_loss(ref, live, FIRST_AND_THIRD))
     expected = -ref / np.maximum(live.data, LOG_FLOOR) / 3.0
     np.testing.assert_allclose(live.grad, expected, rtol=1e-12, atol=0)
     assert np.all(live.grad[:, [1, 3]] == 0.0)
@@ -236,30 +245,35 @@ def test_kl_gradient_lands_on_live_weights_only():
 
 def test_kl_rejects_support_outside_the_subset():
     rng = named_rng(17, "support")
-    good = weight_matrix(rng, 2, (0, 1), 3)
+    mask = np.array([True, True, False])
+    good = weight_matrix(rng, 2, mask)
     leaky = good.copy()
     leaky[0, 2] = 0.001
     with pytest.raises(ValueError, match="support disagrees"):
-        reg_loss(leaky, Value(good), (0, 1))
+        reg_loss(leaky, Value(good), mask)
     with pytest.raises(ValueError, match="support disagrees"):
-        reg_loss(good, Value(leaky), (0, 1))
+        reg_loss(good, Value(leaky), mask)
+    with pytest.raises(ValueError, match="boolean"):
+        reg_loss(good, Value(good), np.array([0, 1, 1]))
 
 
 def test_kl_rejects_mismatched_shapes_and_flat_inputs():
     rng = named_rng(18, "shape")
-    a = weight_matrix(rng, 2, (0, 1), 3)
-    b = weight_matrix(rng, 3, (0, 1), 3)
+    mask = np.array([True, True, False])
+    a = weight_matrix(rng, 2, mask)
+    b = weight_matrix(rng, 3, mask)
     with pytest.raises(ValueError, match="shape mismatch"):
-        reg_loss(a, Value(b), (0, 1))
+        reg_loss(a, Value(b), mask)
     with pytest.raises(ValueError, match="tokens, n_experts"):
-        reg_loss(a[0], Value(b[0]), (0, 1))
+        reg_loss(a[0], Value(b[0]), mask)
 
 
 def test_reg_loss_accepts_weights_straight_from_the_router():
     rng = named_rng(19, "router")
-    live = token_weights(Value(rng.normal(size=(4, 5))), (1, 4), 5)
-    ref = weight_matrix(rng, 4, (1, 4), 5)
-    loss = reg_loss(ref, live, (1, 4))
+    mask = np.array([False, True, False, False, True])
+    live = token_weights(Value(rng.normal(size=(4, 5))), mask)
+    ref = weight_matrix(rng, 4, mask)
+    loss = reg_loss(ref, live, mask)
     assert float(loss.data) >= 0.0
 
 

@@ -1,5 +1,6 @@
 """Config parsing, the optimizer, the training loop, artifacts, and the CLI."""
 
+import importlib.util
 import json
 import re
 from dataclasses import fields, replace
@@ -192,8 +193,11 @@ def test_run_stream_rejects_an_empty_test_set_before_training(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("key, value", [("visual_noise", -0.1), ("noise_tokens", -1),
-                                        ("classes_per_task", 0)])
+@pytest.mark.parametrize("key, value", [
+    ("visual_noise", -0.1), ("noise_tokens", -1), ("classes_per_task", 0),
+    ("n_heads", 0), ("n_heads", -2), ("d_hidden", 0), ("rank", 0), ("rank", 8),
+    ("routing_dim", 0), ("visual_tokens", 0),
+])
 def test_run_stream_rejects_a_bad_stream_key_before_training(tmp_path, key, value):
     with pytest.raises(ValueError, match=key):
         run_stream(tiny_config(**{key: value}), out_dir=tmp_path / "run")
@@ -206,6 +210,26 @@ def test_readme_defaults_block_is_the_run_config():
     pairs = re.findall(r"(\w+) = (\S+)", block)
     assert [key for key, _ in pairs] == [f.name for f in fields(RunConfig)]
     assert parse_config_text("\n".join(f"{k} = {v}" for k, v in pairs)) == RunConfig()
+
+
+def test_every_benchmark_span_hook_resolves():
+    """perfbench/spans.py wraps package functions by (module, attribute
+    path); a rename in the package must fail here, not only in a traced
+    benchmark run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for name, hooks in spans.SPANS:
+        for module, attr_path in hooks:
+            owner = importlib.import_module(f"streamlora.{module}")
+            for part in attr_path.split("."):
+                owner = vars(owner).get(part)
+                if owner is None:
+                    missing.append(f"{name}: streamlora.{module}.{attr_path}")
+                    break
+    assert missing == []
 
 
 def test_readme_documents_every_cli_subcommand():
