@@ -10,9 +10,10 @@ Design choices that matter for correctness:
 
 * everything is float64, always. Mixed precision buys nothing at this scale
   and float64 keeps finite-difference checks tight.
-* gradients accumulate with `+=`. Running backward on two graphs that share
-  a leaf sums their contributions; callers reset with `zero_grad` between
-  steps.
+* leaves accumulate gradients with `+=`. Running backward on two graphs
+  that share a leaf sums their contributions; callers reset with
+  `zero_grad` between steps. An interior node's gradient lives only while
+  the sweep needs it: `backward` drops it once the node has passed it on.
 * softmax subtracts the row max before exponentiating. The max is treated
   as a constant, which is exact because softmax is shift invariant.
 * backward closures receive the output node as an argument instead of
@@ -66,9 +67,12 @@ class no_grad:
 class Value:
     """A dense float64 tensor node in the autodiff graph.
 
-    `data` is the forward value, `grad` the accumulated adjoint (lazily
-    allocated, `None` until something writes to it), `requires_grad` marks
-    leaves the optimizer owns and any node downstream of one.
+    `data` is the forward value and `requires_grad` marks leaves the
+    optimizer owns and any node downstream of one. `grad` is the adjoint,
+    `None` until something writes to it. A leaf (a node without `_parents`)
+    accumulates it over backward sweeps until `zero_grad`; an interior
+    node holds it only during a sweep, from its consumers' backward until
+    its own has run.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -85,11 +89,14 @@ class Value:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def accumulate_grad(self, g: Array) -> None:
+    def accumulate_grad(self, g: Array, owned: bool = False) -> None:
+        """Add `g` into `grad`. A first gradient of the full shape is
+        copied, since `g` may be shared, unless `owned` says the caller has
+        just computed it and keeps no other reference: then it is adopted."""
         if self.grad is not None:
             self.grad += g
         elif g.shape == self.data.shape:
-            self.grad = np.array(g, dtype=np.float64)       # a copy: g may be shared
+            self.grad = g if owned else np.array(g, dtype=np.float64)
         else:
             self.grad = np.zeros_like(self.data)
             self.grad += g
@@ -186,7 +193,7 @@ def sub(a: Value, b: Value) -> Value:
         if a.requires_grad:
             a.accumulate_grad(_unbroadcast(out.grad, a.data.shape))
         if b.requires_grad:
-            b.accumulate_grad(-_unbroadcast(out.grad, b.data.shape))
+            b.accumulate_grad(-_unbroadcast(out.grad, b.data.shape), owned=True)
 
     return _make_node(data, (a, b), backward)
 
@@ -194,7 +201,7 @@ def sub(a: Value, b: Value) -> Value:
 def neg(a: Value) -> Value:
     def backward(out: Value) -> None:
         if a.requires_grad:
-            a.accumulate_grad(-out.grad)
+            a.accumulate_grad(-out.grad, owned=True)
 
     return _make_node(-a.data, (a,), backward)
 
@@ -204,9 +211,9 @@ def mul(a: Value, b: Value) -> Value:
 
     def backward(out: Value) -> None:
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(out.grad * b.data, a.data.shape))
+            a.accumulate_grad(_unbroadcast(out.grad * b.data, a.data.shape), owned=True)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(out.grad * a.data, b.data.shape))
+            b.accumulate_grad(_unbroadcast(out.grad * a.data, b.data.shape), owned=True)
 
     return _make_node(data, (a, b), backward)
 
@@ -228,13 +235,13 @@ def matmul(a: Value, b: Value) -> Value:
             ad, g = ad[None, :], np.expand_dims(g, -2)
         if a.requires_grad:
             ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
-            a.accumulate_grad(ga.reshape(a.data.shape))
+            a.accumulate_grad(ga.reshape(a.data.shape), owned=True)
         if b.requires_grad:
             if bd.ndim == 2 and ad.ndim > 2:     # one product over every leading axis
                 gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
                 gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
-            b.accumulate_grad(gb.reshape(b.data.shape))
+            b.accumulate_grad(gb.reshape(b.data.shape), owned=True)
 
     return _make_node(data, (a, b), backward)
 
@@ -265,7 +272,7 @@ def powi(a: Value, exponent: float) -> Value:
 
     def backward(out: Value) -> None:
         if a.requires_grad:
-            a.accumulate_grad(out.grad * exponent * a.data ** (exponent - 1.0))
+            a.accumulate_grad(out.grad * exponent * a.data ** (exponent - 1.0), owned=True)
 
     return _make_node(data, (a,), backward)
 
@@ -275,7 +282,7 @@ def tanh(a: Value) -> Value:
 
     def backward(out: Value) -> None:
         if a.requires_grad:
-            a.accumulate_grad(out.grad * (1.0 - out.data ** 2))
+            a.accumulate_grad(out.grad * (1.0 - out.data ** 2), owned=True)
 
     return _make_node(data, (a,), backward)
 
@@ -297,7 +304,7 @@ def log(a: Value, floor: float | None = None) -> Value:
 
     def backward(out: Value) -> None:
         if a.requires_grad:
-            a.accumulate_grad(out.grad / clamped)
+            a.accumulate_grad(out.grad / clamped, owned=True)
 
     return _make_node(data, (a,), backward)
 
@@ -312,7 +319,7 @@ def mean(a: Value, axis: int | None = None, keepdims: bool = False) -> Value:
         g = out.grad
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a.accumulate_grad(np.broadcast_to(g, a.data.shape) / count)
+        a.accumulate_grad(np.broadcast_to(g, a.data.shape) / count, owned=True)
 
     return _make_node(data, (a,), backward)
 
@@ -326,7 +333,7 @@ def vsum(a: Value, axis: int | tuple[int, ...] | None = None, keepdims: bool = F
         g = out.grad
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a.accumulate_grad(np.broadcast_to(g, a.data.shape).copy())
+        a.accumulate_grad(np.broadcast_to(g, a.data.shape).copy(), owned=True)
 
     return _make_node(data, (a,), backward)
 
@@ -386,7 +393,7 @@ def take_rows(table: Value, ids) -> Value:
         if table.requires_grad:
             g = np.zeros_like(table.data)
             np.add.at(g, idx, out.grad)
-            table.accumulate_grad(g)
+            table.accumulate_grad(g, owned=True)
 
     return _make_node(data, (table,), backward)
 
@@ -427,7 +434,7 @@ def masked_softmax(logits: Value, mask: Array | None = None) -> Value:
         y = out.data
         g = out.grad
         dot = (g * y).sum(axis=-1, keepdims=True)
-        logits.accumulate_grad(y * (g - dot))
+        logits.accumulate_grad(y * (g - dot), owned=True)
 
     return _make_node(data, (logits,), backward)
 
@@ -460,7 +467,7 @@ def cross_entropy(logits: Value, target) -> Value:
 
     def backward(out: Value) -> None:
         if logits.requires_grad:
-            logits.accumulate_grad(out.grad[..., None] * (e / total - onehot))
+            logits.accumulate_grad(out.grad[..., None] * (e / total - onehot), owned=True)
 
     return _make_node(data, (logits,), backward)
 
@@ -473,9 +480,13 @@ def cross_entropy(logits: Value, target) -> Value:
 def backward(root: Value) -> None:
     """Reverse-mode sweep from a scalar root.
 
-    Gradients are accumulated into `.grad` of every reachable node that
-    requires grad; leaves keep theirs until `zero_grad`. The traversal is
-    iterative, so graph depth is not limited by the recursion limit.
+    Every reachable leaf that requires grad gets its gradient added to
+    `.grad`, where it accumulates until `zero_grad`. Interior nodes,
+    the root included, are released as the sweep passes them: a node's
+    `grad` is set back to `None` as soon as its own backward has handed
+    it to its parents, so at most the gradients of the sweep's frontier
+    are alive at once. The traversal is iterative, so graph depth is not
+    limited by the recursion limit.
     """
     if root.data.shape != ():
         raise ValueError(f"backward needs a scalar root, got shape {root.data.shape}")
@@ -498,10 +509,11 @@ def backward(root: Value) -> None:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
 
-    root.accumulate_grad(np.ones_like(root.data))
+    root.accumulate_grad(np.ones_like(root.data), owned=True)
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node)
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,10 @@ class RunConfig:
         return Variant("routed", self.use_selection, self.use_token_weighting, self.use_reg)
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         for key in ("classes_per_task", "test_size", "routing_dim", "visual_tokens"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
@@ -545,8 +549,9 @@ def run_stream(config: RunConfig, out_dir: str | Path | None = None) -> RunResul
         with atomic_open(out / "metrics.csv") as fh:
             fh.write(metrics_csv)
         with atomic_open(out / "traces.jsonl") as fh:
+            encoder = json.JSONEncoder(sort_keys=True)      # json.dumps would build one per record
             for record in traces:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+                fh.write(encoder.encode(record) + "\n")
         ema_records = {} if shadow is None else {f"ema.{k}": v for k, v in shadow.arrays.items()}
         model.params.save(out / "checkpoint.bin", extra=ema_records)
         manifest = {

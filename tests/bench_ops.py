@@ -6,11 +6,13 @@ The name does not match pytest's `test_*.py` pattern, so the plain test
 suite never collects this file; naming it runs it. Shapes follow the
 default `RunConfig`: a batch of B = 32 samples of L = 4 visual + 3
 template + 3 noise = 10 tokens, d_hidden = 32, N = 4 experts with top-2
-selection, rank 16 and routing_dim 64. The two audit benchmarks use the
-gradient audit's model (`audit_config`, 3 samples): one finite-difference
-probe, and one block of AUDIT_COPIES probes in a single forward, the
-copies on a leading axis of the probed leaf; the block's time over
-AUDIT_COPIES is its cost per probe.
+selection, rank 16 and routing_dim 64. `test_backward_sweep` times the
+reverse sweep alone over one default training graph, which
+`test_training_step` times together with the forward, Adam and EMA. The
+two audit benchmarks use the gradient audit's model (`audit_config`, 3
+samples): one finite-difference probe, and one block of AUDIT_COPIES
+probes in a single forward, the copies on a leading axis of the probed
+leaf; the block's time over AUDIT_COPIES is its cost per probe.
 """
 
 import numpy as np
@@ -117,6 +119,22 @@ def test_training_step(benchmark):
         ema_update(shadow, model.routing_states(), CONFIG.ema_momentum)
 
     benchmark(step)
+
+
+def test_backward_sweep(benchmark):
+    # the reverse sweep alone over one default training graph, the graph
+    # built in the untimed setup of each round
+    specs, _ = build_stream(CONFIG)
+    batch = TaskSampler(specs[0], CONFIG.seed).test_set()[:B]
+    model = Model(CONFIG.backbone(), n_experts=N, top_k=K, rank=CONFIG.rank,
+                  routing_dim=CONFIG.routing_dim, variant=CONFIG.variant(), seed=CONFIG.seed)
+    shadow = EmaShadow.from_states(model.routing_states())
+
+    def setup():
+        model.params.zero_grad()
+        return (_batch_loss(model, batch, shadow, CONFIG.reg_weight)[2],), {}
+
+    benchmark.pedantic(backward, setup=setup, rounds=50)
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,7 @@ import pytest
 from streamlora.autograd import (
     ParamStore,
     Value,
+    add,
     atomic_open,
     backward,
     concat,
@@ -273,6 +274,39 @@ def test_backward_through_shared_subexpression_sums_both_paths():
     y = mul(x, x)           # used twice below
     backward(y + y)
     assert float(x.grad) == pytest.approx(12.0)
+
+
+def test_backward_releases_interior_gradients_and_keeps_the_leaves():
+    x = Value([1.0, 2.0], requires_grad=True)
+    y = mul(x, x)
+    root = vsum(reshape(y, (2, 1)))
+    backward(root)
+    assert root.grad is None and y.grad is None
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+def test_two_roots_through_one_interior_node_each_count_once():
+    # the second sweep must not carry the first sweep's gradient of y along
+    x = Value([3.0], requires_grad=True)
+    y = mul(x, x)
+    backward(vsum(y))
+    backward(vsum(y))
+    np.testing.assert_array_equal(x.grad, [12.0])
+
+
+@pytest.mark.parametrize("join", [add, lambda a, b: concat([a, b], axis=0)],
+                         ids=["add", "concat"])
+def test_leaves_fed_by_one_node_get_gradients_of_their_own(join):
+    # add hands one array to both operands and concat hands views of one
+    # array: each leaf must end up with a copy of its own, not a view
+    a = Value(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    b = Value(np.ones((2, 3)), requires_grad=True)
+    backward(vsum(mul(join(a, b), Value(2.0))))
+    assert not np.shares_memory(a.grad, b.grad)
+    assert a.grad.base is None and b.grad.base is None
+    before = b.grad.copy()
+    a.grad += 5.0
+    np.testing.assert_array_equal(b.grad, before)
 
 
 def test_backward_rejects_non_scalar_root():

@@ -35,6 +35,7 @@ from streamlora.trainer import (
     _batch_loss,
     apply_variant,
     audit_config,
+    build_stream,
     clip_gradients,
     evaluate,
     gradient_audit,
@@ -197,6 +198,9 @@ def test_run_stream_rejects_an_empty_test_set_before_training(tmp_path):
     ("visual_noise", -0.1), ("noise_tokens", -1), ("classes_per_task", 0),
     ("n_heads", 0), ("n_heads", -2), ("d_hidden", 0), ("rank", 0), ("rank", 8),
     ("routing_dim", 0), ("visual_tokens", 0),
+    *((key, value) for key in ("learning_rate", "reg_weight", "grad_clip", "visual_noise",
+                               "ema_momentum")
+      for value in (float("nan"), float("inf"), float("-inf"))),
 ])
 def test_run_stream_rejects_a_bad_stream_key_before_training(tmp_path, key, value):
     with pytest.raises(ValueError, match=key):
@@ -392,16 +396,16 @@ def test_run_stream_leaves_no_partial_artifact_when_a_write_fails(tmp_path, monk
     run_stream(cfg, out_dir=tmp_path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
-    dumps = json.dumps
     written = []
 
-    def failing_dumps(obj, **kwargs):
-        written.append(obj)
-        if len(written) == 3:          # the third trace record: traces.jsonl is half written
-            raise OSError("disk full")
-        return dumps(obj, **kwargs)
+    class FailingEncoder(json.JSONEncoder):
+        def encode(self, obj):
+            written.append(obj)
+            if len(written) == 3:      # the third trace record: traces.jsonl is half written
+                raise OSError("disk full")
+            return super().encode(obj)
 
-    monkeypatch.setattr(trainer_module.json, "dumps", failing_dumps)
+    monkeypatch.setattr(trainer_module.json, "JSONEncoder", FailingEncoder)
     with pytest.raises(OSError, match="disk full"):
         run_stream(replace(cfg, seed=1), out_dir=tmp_path)
     after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -550,6 +554,34 @@ def test_batch_gradient_is_the_mean_of_the_one_sample_gradients():
     for path, grad in both.items():
         np.testing.assert_allclose(grad, 0.5 * (first[path] + second[path]), rtol=0, atol=1e-12,
                                    err_msg=path)
+
+
+def test_a_training_sweep_leaves_gradients_on_the_parameters_only():
+    # backward releases every interior gradient once it has been passed on;
+    # the parameters the batch reached keep theirs for the optimizer
+    cfg = RunConfig()
+    specs, _ = build_stream(cfg)
+    batch = TaskSampler(specs[0], cfg.seed).test_set()[:cfg.batch_size]
+    model = Model(cfg.backbone(), n_experts=cfg.n_experts, top_k=cfg.top_k, rank=cfg.rank,
+                  routing_dim=cfg.routing_dim, variant=cfg.variant(), seed=cfg.seed)
+    root = _batch_loss(model, batch, EmaShadow.from_states(model.routing_states()),
+                       cfg.reg_weight)[2]
+    backward(root)
+    interior, reached, seen, todo = [], set(), set(), [root]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._parents:
+            interior.append(node)
+            todo.extend(node._parents)
+        elif node.requires_grad:
+            reached.add(id(node))
+    assert interior and reached
+    assert [node for node in interior if node.grad is not None] == []
+    for path, p in model.params.items():
+        assert (p.grad is not None) == (id(p) in reached), path
 
 
 def test_evaluate_agrees_with_the_prediction_dump():
