@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 import os
 import struct
 from pathlib import Path
@@ -647,10 +648,11 @@ def save_checkpoint(path, records: dict[str, Array]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, Array]:
-    """Read a `save_checkpoint` file. A file cut anywhere, carrying bytes
-    after its last record, or holding a NaN or infinity (which no run can
-    save: training stops on a non-finite loss) raises `ValueError` naming
-    the file and the part at fault."""
+    """Read a `save_checkpoint` file. A file cut anywhere (a shape too large
+    for the file counts as a cut), carrying bytes after its last record,
+    naming a record in bytes that are not UTF-8, or holding a NaN or
+    infinity (which no run can save: training stops on a non-finite loss)
+    raises `ValueError` naming the file and the part at fault."""
     with open(path, "rb") as fh:
         raw = fh.read()
     off = 0
@@ -671,10 +673,14 @@ def load_checkpoint(path) -> dict[str, Array]:
     count = uint("the record count")
     records: dict[str, Array] = {}
     for index in range(count):
-        name = take(uint(f"record {index} name length"), f"record {index} name").decode("utf-8")
+        encoded = take(uint(f"record {index} name length"), f"record {index} name")
+        try:
+            name = encoded.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: record {index} name is not valid UTF-8: {encoded!r}") from None
         ndim = uint(f"record {name!r} ndim")
         shape = tuple(uint(f"record {name!r} shape") for _ in range(ndim))
-        payload = take(8 * int(np.prod(shape)), f"record {name!r} payload")
+        payload = take(8 * math.prod(shape), f"record {name!r} payload")   # np.prod can overflow
         records[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
         if not np.isfinite(records[name]).all():
             raise ValueError(f"{path}: record {name!r} holds non-finite values")

@@ -81,20 +81,25 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 def _read_accuracy_rows(path: str) -> list[tuple[int, int, float]]:
     """Accept either a bare t,m,a dump or a full metrics.csv.
 
-    Summary rows (empty m) and extra columns are ignored, so the command
-    can re-digest its own output.
+    The first record may be a header. Summary rows (empty m) and extra
+    columns are ignored, so the command can re-digest its own output. Any
+    other row that is not an integer t, an integer m and a float a raises
+    `ValueError` naming the file and the line.
     """
     rows: list[tuple[int, int, float]] = []
     with open(path, newline="") as fh:
-        for record in csv.reader(fh):
-            if not record or not record[0].strip():
-                continue
-            first = record[0].strip()
-            if not first.lstrip("-").isdigit():
+        reader = csv.reader(fh)
+        records = (record for record in reader if any(field.strip() for field in record))
+        for index, record in enumerate(records):
+            if index == 0 and not record[0].strip().lstrip("-").isdigit():
                 continue  # header line
-            if len(record) < 3 or not record[1].strip():
+            if len(record) > 1 and not record[1].strip():
                 continue  # per-chunk summary row
-            rows.append((int(first), int(record[1]), float(record[2])))
+            try:
+                rows.append((int(record[0]), int(record[1]), float(record[2])))
+            except (ValueError, IndexError):
+                raise ValueError(f"{path}: line {reader.line_num}: expected integer t, integer m "
+                                 f"and float a, got {','.join(record)!r}") from None
     if not rows:
         raise ValueError(f"no (t, m, a) rows found in {path}")
     return rows

@@ -174,37 +174,34 @@ class Layer:
 
 @dataclass
 class SiteRecord:
-    """Routing outcome at one adapter site for a batch of B samples, kept
-    for the regularizer and for trace export."""
+    """Routing outcome at one adapter site for a batch of B samples, the
+    one record that the regularizer, the trace writer and the gradient
+    audit's pins read.
+
+    `weights` is the very `Value` `adapted_forward` applied, before the
+    gate: the live stage-two output wherever the regularizer can run,
+    (B, 1, N) or (N,) rows where weights do not vary by token. The
+    regularizer sets `reference` to the EMA reference it compared against.
+    """
 
     site: str
     mask: np.ndarray                  # (B, N) each sample's subset
-    weights_data: np.ndarray          # (B, L, N) as applied, (n, B, L, N) past a copy leaf
+    weights: Value                    # as applied, before the gate
     hidden_data: np.ndarray           # (B, L, d_in) site input
-    token_weights: Value | None       # live stage-two weights (B, L, N) when present
     sample_probs: np.ndarray | None   # stage-one distributions (B, N) when present
+    reference: np.ndarray | None = None   # (B, L, N) EMA reference weights when regularized
+
+    @property
+    def weights_data(self) -> np.ndarray:
+        """The applied weights as a read-only (B, L, N) view, (n, B, L, N)
+        past a copy leaf: per-sample weights repeat on every token."""
+        shape = self.hidden_data.shape[:-1] + self.mask.shape[-1:]
+        return np.broadcast_to(self.weights.data, np.broadcast_shapes(shape, self.weights.data.shape))
 
     @property
     def subset(self) -> tuple[tuple[int, ...], ...]:
         """Each sample's subset as ascending expert indices."""
         return subset_indices(self.mask)
-
-
-@dataclass(frozen=True)
-class FrozenRouting:
-    """Pinned routing constants of one site for a batch, for the gradient
-    audit.
-
-    The training objective treats the subset choice, the detached factor
-    inside the straight-through gate, and the EMA reference weights as
-    constants. Finite differences must probe that same surrogate, so the
-    audit runs the training forward with these held at their baseline
-    values instead of recomputing them from the perturbed parameters.
-    """
-
-    mask: np.ndarray                  # (B, N) baseline subsets
-    sample_probs: np.ndarray          # (B, N) baseline stage-one distributions
-    reference: np.ndarray | None      # (B, L, N) baseline EMA reference weights
 
 
 @dataclass
@@ -333,15 +330,16 @@ def _site_forward(
     router: RoutingState,
     hidden: Value,
     x_text: Value,
-    pinned: FrozenRouting | None = None,
+    pinned: SiteRecord | None = None,
 ) -> tuple[Value, SiteRecord | None]:
     """One adapter site under `model.variant`, for a batch.
 
     Each routed variant only decides the expert weights, the subsets they
     live on (a (B, N) mask), the straight-through gate (full method
-    only), the live stage-two weights the regularizer reads, and the
-    stage-one distributions; the bank and the record are the same for all
-    of them. Frozen mode applies the bare base projection and records
+    only), and the stage-one distributions; the bank and the record are
+    the same for all of them. `pinned`, a baseline record of this site,
+    holds the full method's subsets and detach(p) at their baseline
+    values. Frozen mode applies the bare base projection and records
     nothing.
     """
     variant = model.variant
@@ -349,36 +347,31 @@ def _site_forward(
         return matmul(hidden, transpose(bank.base)), None
     n = bank.n_experts
     mask = np.ones((x_text.data.shape[0], n), dtype=bool)     # every expert, every sample
-    gate, live, probs = None, None, None
+    gate, probs = None, None
     if variant.mode == "shared_lora":
         weights = Value(np.ones(n))
     elif variant.use_selection and variant.use_token_weighting:
-        decision = route_with_straight_through(
+        probs, mask, weights, gate = route_with_straight_through(
             router, hidden, x_text, model.top_k,
             mask=None if pinned is None else pinned.mask,
             detached_probs=None if pinned is None else pinned.sample_probs,
         )
-        weights = live = decision.token_weights
-        mask, gate, probs = decision.mask, decision.gate, decision.sample_probs
     elif variant.use_selection:
         probs, mask = select_experts(router, x_text, model.top_k)
         kept = mul(probs, Value(mask.astype(np.float64)))
         # renormalized over each sample's subset, one row for all its tokens
         weights = per_token(mul(kept, powi(vsum(kept, axis=-1, keepdims=True), -1.0)))
     elif variant.use_token_weighting:
-        weights = live = token_weights(token_logits(router, hidden, x_text), mask)
+        weights = token_weights(token_logits(router, hidden, x_text), mask)
     else:
         # dense per-token mixture on the hidden state, no text conditioning
-        weights = live = softmax(matmul(hidden, transpose(router.select)))
+        weights = softmax(matmul(hidden, transpose(router.select)))
     out = adapted_forward(bank, hidden, weights, mask, gate)
-    applied = np.empty(np.broadcast_shapes(hidden.data.shape[:-1] + (n,), weights.data.shape))
-    applied[...] = weights.data                      # per-sample weights repeat on every token
     return out, SiteRecord(
         site=site_key,
         mask=mask,
-        weights_data=applied,
+        weights=weights,
         hidden_data=hidden.data,
-        token_weights=live,
         sample_probs=None if probs is None else probs.data,
     )
 
@@ -386,17 +379,18 @@ def _site_forward(
 def forward(
     model: Model,
     samples: Sequence[Sample],
-    pinned: dict[str, FrozenRouting] | None = None,
+    pinned: dict[str, SiteRecord] | None = None,
 ) -> ForwardResult:
     """Run a batch of samples through the adapted backbone under
     `model.variant`: one graph over (B, L, d) tensors.
 
     The samples must share their visual-token count and instruction length
     (`check_uniform_batch`). The pooled instruction embeddings are computed
-    once and shared by every router. Site records collect what the
-    regularizer and the trace writer need; frozen mode produces none.
-    `pinned` holds per-site routing constants for the gradient audit and
-    is never set during training.
+    once and shared by every router. Each routed site leaves one
+    `SiteRecord`, which the regularizer, the trace writer and the audit's
+    pins read; frozen mode produces none. `pinned` maps each site to a
+    baseline record whose subsets and detach(p) the gradient audit holds
+    fixed; training never sets it.
     """
     check_uniform_batch(samples)
     cfg = model.config

@@ -23,6 +23,9 @@ mask, one row per sample (the masked dispatch of sparse MoE layers, Fedus
 et al. 2021, arXiv:2101.03961). That mask is the only subset format, from
 `select_experts` through the adapters to the regularizer. A single sample
 drops the leading axis from every array, its mask included.
+
+The routing functions return plain tuples; `model.SiteRecord` is the one
+record a site's routing outcome is kept in.
 """
 
 from __future__ import annotations
@@ -69,16 +72,6 @@ class RoutingState:
     @property
     def routing_dim(self) -> int:
         return self.experts.data.shape[-1]
-
-
-@dataclass
-class RoutingDecision:
-    """Everything the two-stage routing of a batch produced at one site."""
-
-    sample_probs: Value          # (B, N) stage-one distributions p
-    mask: np.ndarray             # (B, N) selected experts
-    token_weights: Value         # (B, L, N) stage-two distributions, zero off subset
-    gate: Value                  # (B, N) straight-through factor 1 + p - detach(p)
 
 
 def init_routing_state(
@@ -190,9 +183,12 @@ def route_with_straight_through(
     top_k: int,
     mask: np.ndarray | None = None,
     detached_probs: np.ndarray | None = None,
-) -> RoutingDecision:
+) -> tuple[Value, np.ndarray, Value, Value]:
     """Full two-stage routing for a batch at one site.
 
+    Returns `(probs, mask, weights, gate)`: the (B, N) stage-one
+    distributions p, the (B, N) subset mask, the (B, L, N) stage-two
+    weights (zero off each subset), and the (B, N) straight-through gate.
     The gate multiplies each token weight by 1 + p_j - detach(p_j). The
     parenthesized difference is computed first and is exactly zero in the
     forward pass, so the gate is exactly 1; only the backward pass sees the
@@ -204,9 +200,5 @@ def route_with_straight_through(
     probs, selected = select_experts(state, x_text, top_k)
     mask = selected if mask is None else mask
     detached = probs.detach() if detached_probs is None else Value(detached_probs)
-    return RoutingDecision(
-        sample_probs=probs,
-        mask=mask,
-        token_weights=token_weights(token_logits(state, hidden, x_text), mask),
-        gate=Value(1.0) + (probs - detached),
-    )
+    weights = token_weights(token_logits(state, hidden, x_text), mask)
+    return probs, mask, weights, Value(1.0) + (probs - detached)

@@ -39,9 +39,9 @@ from .model import (
     UNIFORM_MOE,
     BackboneConfig,
     ForwardResult,
-    FrozenRouting,
     Model,
     Sample,
+    SiteRecord,
     Variant,
     forward,
     task_loss,
@@ -335,16 +335,16 @@ def _mean_value(parts: list[Value]) -> Value:
     return acc * (1.0 / len(parts))
 
 
-def _batch_reg(shadow: EmaShadow | None, result, pinned: dict[str, FrozenRouting] | None) -> Value:
+def _batch_reg(shadow: EmaShadow | None, result, pinned: dict[str, SiteRecord] | None) -> Value:
+    """Mean stability term over the sites; each record keeps the reference
+    it was compared against, the pinned one in the gradient audit."""
     terms = []
     for rec in result.sites:
-        if rec.token_weights is None:
-            raise ValueError(f"site {rec.site} produced no token weights to regularize")
         if pinned is None:
-            ref = reference_weights(shadow, rec.site, rec.hidden_data, result.x_text.data, rec.mask)
+            rec.reference = reference_weights(shadow, rec.site, rec.hidden_data, result.x_text.data, rec.mask)
         else:
-            ref = pinned[rec.site].reference
-        terms.append(reg_loss(ref, rec.token_weights, rec.mask))
+            rec.reference = pinned[rec.site].reference
+        terms.append(reg_loss(rec.reference, rec.weights, rec.mask))
     return _mean_value(terms)
 
 
@@ -353,13 +353,14 @@ def _batch_loss(
     batch: Sequence[Sample],
     shadow: EmaShadow | None,
     reg_weight: float,
-    pinned: dict[str, FrozenRouting] | None = None,
+    pinned: dict[str, SiteRecord] | None = None,
 ) -> tuple[Value, Value | None, Value, ForwardResult]:
     """(task, reg, total, forward result) of the training objective on one
-    batch, from one forward over the whole batch. `pinned` fixes the
-    routing constants and the EMA reference of every site for the gradient
-    audit; training leaves it unset. A leaf holding n copies of itself
-    (the audit's probes) gives task, reg and total one value per copy."""
+    batch, from one forward over the whole batch. `pinned` maps each site
+    to a baseline record whose routing constants and EMA reference the
+    gradient audit holds fixed; training leaves it unset. A leaf holding n
+    copies of itself (the audit's probes) gives task, reg and total one
+    value per copy."""
     use_reg = model.variant.use_reg
     result = forward(model, batch, pinned=pinned)
     task = task_loss(result.logits, [sample.label for sample in batch])
@@ -629,7 +630,8 @@ def _audit_problem(
     stability term) through the training forward, on a fixed batch. The
     routing constants (the expert subset, the detached half of the
     straight-through gate, the EMA reference weights) are pinned at their
-    baseline values, so probing a parameter can never flip the selection.
+    baseline values, so probing a parameter can never flip the selection:
+    the pins are the site records of one no-grad baseline `_batch_loss`.
     `probe()` evaluates it under `no_grad`: a scalar while every parameter
     has its own shape, and one value per copy while one parameter holds an
     (n, *shape) stack of copies, which it sets as an (n, 1, *shape) leaf
@@ -665,15 +667,8 @@ def _audit_problem(
         ))
 
     with no_grad():
-        result = forward(model, samples)
-    pins = {
-        rec.site: FrozenRouting(
-            mask=rec.mask,
-            sample_probs=rec.sample_probs,
-            reference=reference_weights(shadow, rec.site, rec.hidden_data, result.x_text.data, rec.mask),
-        )
-        for rec in result.sites
-    }
+        baseline = _batch_loss(model, samples, shadow, config.reg_weight)[3]
+    pins = {rec.site: rec for rec in baseline.sites}
 
     def objective() -> Value:
         return _batch_loss(model, samples, shadow, config.reg_weight, pinned=pins)[2]
@@ -713,8 +708,8 @@ def gradient_audit(
     forward, on a fixed batch (`_audit_problem`). Finite differences probe
     the same surrogate the analytic gradient differentiates: the expert
     subset, the detached half of the straight-through gate, and the EMA
-    reference weights stay pinned at their baseline values while
-    parameters move. They probe in blocks of `AUDIT_COPIES` perturbed
+    reference weights stay pinned at their baseline values, read from the
+    baseline forward's site records, while parameters move. They probe in blocks of `AUDIT_COPIES` perturbed
     copies per forward, on a copy axis that only the layers downstream of
     the probed parameter carry. Adapters are re-randomized first (a fresh
     bank has B = 0, which would hide half the bank behind zero gradients),

@@ -91,12 +91,12 @@ def test_adapted_forward(benchmark, rng):
     state = init_routing_state(N, D, D, CONFIG.routing_dim, rng)
     hidden = Value(rng.normal(size=(B, L, D)))
     x_text = Value(rng.normal(size=(B, D)))
-    decision = route_with_straight_through(state, hidden, x_text, K)
+    _, mask, weights, gate = route_with_straight_through(state, hidden, x_text, K)
 
     def step():
         for j in range(N):
             bank.down[j].grad = bank.up[j].grad = None
-        out = adapted_forward(bank, hidden, decision.token_weights, decision.mask, decision.gate)
+        out = adapted_forward(bank, hidden, weights, mask, gate)
         backward(vsum(out))
 
     benchmark(step)

@@ -108,22 +108,22 @@ def test_criterion_2_routing_invariants():
         state = init_routing_state(n, d_e, d_hidden, d_routing, rng)
         hidden = Value(rng.normal(size=(n_tokens, d_hidden)))
         x_text = pool_text(Value(rng.normal(size=(int(rng.integers(1, 5)), d_e))))
-        decision = route_with_straight_through(state, hidden, x_text, k)
+        probs, mask, live, gate = route_with_straight_through(state, hidden, x_text, k)
 
-        p = decision.sample_probs.data
+        p = probs.data
         order = np.argsort(-p, kind="stable")
-        weights = decision.token_weights.data
-        subset = tuple(int(j) for j in np.flatnonzero(decision.mask))
+        weights = live.data
+        subset = tuple(int(j) for j in np.flatnonzero(mask))
         bank = _live_bank(n, d_hidden, bank_rng)
-        args = (bank, hidden, decision.token_weights, decision.mask)
+        args = (bank, hidden, live, mask)
         checks = {
             "p is a distribution": abs(p.sum() - 1.0) < 1e-12 and np.all(p > 0.0),
             "subset is stable top-k": subset == tuple(sorted(int(j) for j in order[:k])),
             "subset size and order": len(subset) == k and list(subset) == sorted(set(subset)),
             "weight rows normalized": np.allclose(weights.sum(axis=1), 1.0, atol=1e-12),
-            "weights vanish off subset": np.all(weights[:, ~decision.mask] == 0.0),
+            "weights vanish off subset": np.all(weights[:, ~mask] == 0.0),
             "gate leaves forward untouched": np.array_equal(
-                adapted_forward(*args, decision.gate).data, adapted_forward(*args).data),
+                adapted_forward(*args, gate).data, adapted_forward(*args).data),
         }
         bad.extend(f"case {case}: {label}" for label, held in checks.items() if not held)
     passed = not bad

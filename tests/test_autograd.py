@@ -2,11 +2,13 @@
 hand cases, backward semantics, and checkpoint round-trips."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from streamlora.autograd import (
+    _CKPT_MAGIC,
     ParamStore,
     Value,
     add,
@@ -523,6 +525,26 @@ def test_checkpoint_rejects_every_truncation_and_trailing_bytes(tmp_path):
     cut.write_bytes(whole + b"\x00")
     with pytest.raises(ValueError, match="cut.bin: 1 trailing bytes"):
         load_checkpoint(cut)
+
+
+def _one_record_file(path, name: bytes, shape: tuple[int, ...]):
+    # a save_checkpoint layout with a single record and no payload bytes
+    header = struct.pack("<II", 1, len(name)) + name + struct.pack("<I", len(shape))
+    path.write_bytes(_CKPT_MAGIC + header + struct.pack(f"<{len(shape)}I", *shape))
+
+
+def test_checkpoint_shape_whose_size_overflows_int64_reads_as_truncated(tmp_path):
+    path = tmp_path / "huge.bin"
+    _one_record_file(path, b"a", (2 ** 31, 2 ** 31, 4))     # 2**64 elements: np.prod wraps to 0
+    with pytest.raises(ValueError, match="huge.bin: truncated at record 'a' payload"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_record_name_that_is_not_utf8(tmp_path):
+    path = tmp_path / "name.bin"
+    _one_record_file(path, b"\xff\xfe", ())
+    with pytest.raises(ValueError, match="name.bin: record 0 name is not valid UTF-8"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

@@ -243,7 +243,6 @@ def test_selection_only_weights_are_renormalized_sample_probs():
     sample = make_sample(seed=10)
     result = forward(model, [sample])
     for rec in result.sites:
-        assert rec.token_weights is None
         p = rec.sample_probs[0]
         member = rec.mask[0]
         want = np.where(member, p, 0.0) / p[member].sum()
@@ -282,7 +281,6 @@ def test_shared_lora_site_record_is_one_expert_at_weight_one():
         assert rec.subset == ((0,),)
         assert rec.weights_data.shape == (1, 5 + 4, 1)
         assert np.all(rec.weights_data == 1.0)
-        assert rec.token_weights is None
         assert rec.sample_probs is None
 
 

@@ -269,10 +269,11 @@ def test_gate_leaves_the_adapted_forward_bit_identical():
     rng = named_rng(6, "st")
     state = init_routing_state(6, 4, 5, 3, rng)
     hidden = Value(rng.normal(size=(8, 8, 5)))
-    decision = route_with_straight_through(state, hidden, Value(rng.normal(size=(8, 4))), top_k=2)
+    _, mask, weights, gate = route_with_straight_through(
+        state, hidden, Value(rng.normal(size=(8, 4))), top_k=2)
     bank = live_bank(6, 5, rng)
-    gated = adapted_forward(bank, hidden, decision.token_weights, decision.mask, decision.gate)
-    plain = adapted_forward(bank, hidden, decision.token_weights, decision.mask)
+    gated = adapted_forward(bank, hidden, weights, mask, gate)
+    plain = adapted_forward(bank, hidden, weights, mask)
     assert np.array_equal(gated.data, plain.data)
 
 
@@ -287,24 +288,25 @@ def test_routing_invariants_hold_on_random_inputs(seed):
     tokens = int(rng.integers(1, 10))
     state = init_routing_state(n, d_e, d_hidden, d_route, rng)
     hidden = Value(rng.normal(size=(tokens, d_hidden)))
-    decision = route_with_straight_through(state, hidden, Value(rng.normal(size=d_e)), top_k=k)
-    p = decision.sample_probs.data
+    probs, mask, weights, gate = route_with_straight_through(
+        state, hidden, Value(rng.normal(size=d_e)), top_k=k)
+    p = probs.data
     assert p.shape == (n,) and np.all(p > 0.0)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
-    subset = members(decision.mask)
+    subset = members(mask)
     assert len(subset) == k == len(set(subset))
     assert list(subset) == sorted(subset)
     expected = tuple(sorted(int(j) for j in np.argsort(-p, kind="stable")[:k]))
     assert subset == expected
-    w = decision.token_weights.data
+    w = weights.data
     assert w.shape == (tokens, n)
     off = [j for j in range(n) if j not in subset]
     assert np.all(w[:, off] == 0.0)
     np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.all(w >= 0.0)
     bank = live_bank(n, d_hidden, rng)
-    gated = adapted_forward(bank, hidden, decision.token_weights, decision.mask, decision.gate)
-    plain = adapted_forward(bank, hidden, decision.token_weights, decision.mask)
+    gated = adapted_forward(bank, hidden, weights, mask, gate)
+    plain = adapted_forward(bank, hidden, weights, mask)
     assert np.array_equal(gated.data, plain.data)
 
 
@@ -318,15 +320,15 @@ def test_gate_receives_gradient_only_through_the_straight_through_path():
     bank = live_bank(4, 5, rng)
     coeff = Value(rng.normal(size=(3, 5)))
 
-    decision = route_with_straight_through(state, hidden, x_text, top_k=2)
-    out = adapted_forward(bank, hidden, decision.token_weights, decision.mask, decision.gate)
+    _, mask, weights, gate = route_with_straight_through(state, hidden, x_text, top_k=2)
+    out = adapted_forward(bank, hidden, weights, mask, gate)
     backward(vsum(mul(out, coeff)))
     assert state.select.grad is not None and np.any(state.select.grad != 0.0)
     assert state.query.grad is not None and np.any(state.query.grad != 0.0)
 
     state.select.grad = None
-    decision = route_with_straight_through(state, hidden, x_text, top_k=2)
-    out = adapted_forward(bank, hidden, decision.token_weights, decision.mask)   # no gate path
+    _, mask, weights, _ = route_with_straight_through(state, hidden, x_text, top_k=2)
+    out = adapted_forward(bank, hidden, weights, mask)   # no gate path
     backward(vsum(mul(out, coeff)))
     assert state.select.grad is None
 
@@ -345,14 +347,14 @@ def test_straight_through_gate_gradient_matches_closed_form():
     bank = live_bank(5, 4, rng)
     coeff = rng.normal(size=(6, 4))
 
-    decision = route_with_straight_through(state, hidden, x_text, top_k=2)
-    out = adapted_forward(bank, hidden, decision.token_weights, decision.mask, decision.gate)
+    probs, mask, weights, gate = route_with_straight_through(state, hidden, x_text, top_k=2)
+    out = adapted_forward(bank, hidden, weights, mask, gate)
     backward(vsum(mul(out, Value(coeff))))
 
-    p = decision.sample_probs.data
+    p = probs.data
     dense = [up.data @ down.data for down, up in zip(bank.down, bank.up)]
     deltas = np.stack([hidden.data @ d.T for d in dense], axis=1)   # (L, N, d_out)
-    g = (np.einsum("lo,ljo->lj", coeff, deltas) * decision.token_weights.data).sum(axis=0)
+    g = (np.einsum("lo,ljo->lj", coeff, deltas) * weights.data).sum(axis=0)
     dlogits = p * (g - float(g @ p))
     expected = np.outer(dlogits, x_text.data)
     np.testing.assert_allclose(state.select.grad, expected, rtol=1e-10, atol=1e-12)
@@ -372,8 +374,8 @@ def test_stage_two_gradients_match_finite_differences():
     coeff = Value(rng.normal(size=(3, 5)))
 
     def objective():
-        decision = route_with_straight_through(state, hidden, x_text, top_k=2)
-        out = adapted_forward(bank, hidden, decision.token_weights, decision.mask, decision.gate)
+        _, mask, weights, gate = route_with_straight_through(state, hidden, x_text, top_k=2)
+        out = adapted_forward(bank, hidden, weights, mask, gate)
         return vsum(mul(out, coeff))
 
     backward(objective())
@@ -393,20 +395,18 @@ def test_pinned_constants_replace_the_live_subset_and_detached_probs():
     state = init_routing_state(4, 3, 5, 2, rng)
     hidden = Value(rng.normal(size=(3, 5)))
     x_text = Value(rng.normal(size=3))
-    live = route_with_straight_through(state, hidden, x_text, top_k=2)
-    other = ~live.mask
+    live_probs, live_mask, _, live_gate = route_with_straight_through(state, hidden, x_text, top_k=2)
+    other = ~live_mask
     pinned_probs = np.full(4, 0.25)
-    decision = route_with_straight_through(
+    probs, mask, weights, gate = route_with_straight_through(
         state, hidden, x_text, top_k=2, mask=other, detached_probs=pinned_probs
     )
-    assert decision.mask is other
-    np.testing.assert_array_equal(decision.sample_probs.data, live.sample_probs.data)
+    assert mask is other
+    np.testing.assert_array_equal(probs.data, live_probs.data)
     np.testing.assert_array_equal(
-        decision.token_weights.data,
+        weights.data,
         token_weights(token_logits(state, hidden, x_text), other).data,
     )
-    np.testing.assert_array_equal(
-        decision.gate.data, 1.0 + (live.sample_probs.data - pinned_probs)
-    )
-    np.testing.assert_array_equal(live.gate.data, np.ones(4))
+    np.testing.assert_array_equal(gate.data, 1.0 + (live_probs.data - pinned_probs))
+    np.testing.assert_array_equal(live_gate.data, np.ones(4))
 

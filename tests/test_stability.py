@@ -132,9 +132,9 @@ def test_reference_matches_live_weights_bit_exactly_when_shadow_is_fresh():
     hidden = rng.normal(size=(6, 5))
     x_text = rng.normal(size=3)
     for site, state in states.items():
-        decision = route_with_straight_through(state, Value(hidden), Value(x_text), top_k=2)
-        ref = reference_weights(shadow, site, hidden, x_text, decision.mask)
-        assert np.array_equal(ref, decision.token_weights.data)  # no tolerance at all
+        _, mask, weights, _ = route_with_straight_through(state, Value(hidden), Value(x_text), top_k=2)
+        ref = reference_weights(shadow, site, hidden, x_text, mask)
+        assert np.array_equal(ref, weights.data)  # no tolerance at all
 
 
 def test_reference_weights_two_expert_hand_case():

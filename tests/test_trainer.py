@@ -2,7 +2,10 @@
 
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,7 +21,6 @@ from streamlora.model import (
     FULL,
     SHARED_LORA,
     UNIFORM_MOE,
-    FrozenRouting,
     Model,
     Variant,
     forward,
@@ -234,6 +236,21 @@ def test_every_benchmark_span_hook_resolves():
                     missing.append(f"{name}: streamlora.{module}.{attr_path}")
                     break
     assert missing == []
+
+
+def test_op_microbenchmarks_still_run():
+    """tests/bench_ops.py is not collected by a plain pytest run, so an API
+    change that breaks it must fail here. Runs each case once, untimed."""
+    pytest.importorskip("pytest_benchmark")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(root / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "tests/bench_ops.py", "--benchmark-disable", "-q",
+         "-p", "no:cacheprovider"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
 
 
 def test_readme_documents_every_cli_subcommand():
@@ -661,13 +678,9 @@ def test_each_copy_objective_is_the_loss_with_that_copy_as_the_leaf(leaf):
     )[0]
     samples = TaskSampler(spec, 0).test_set()
     with no_grad():
-        result = forward(model, samples)
-    pins = {
-        rec.site: FrozenRouting(rec.mask, rec.sample_probs, reference_weights(
-            shadow, rec.site, rec.hidden_data, result.x_text.data, rec.mask))
-        for rec in result.sites
-    }
-    param = model.params[leaf.format(j=result.sites[0].subset[0][0])]
+        baseline = _batch_loss(model, samples, shadow, cfg.reg_weight)[3]
+    pins = {rec.site: rec for rec in baseline.sites}
+    param = model.params[leaf.format(j=baseline.sites[0].subset[0][0])]
     copies = param.data + 0.05 * rng.normal(size=(3,) + param.data.shape)
     param.data = copies[:, None]
     stacked = _batch_loss(model, samples, shadow, cfg.reg_weight, pinned=pins)
@@ -682,6 +695,83 @@ def test_each_copy_objective_is_the_loss_with_that_copy_as_the_leaf(leaf):
             np.testing.assert_allclose(np.broadcast_to(per_copy.data, (3,))[c], scalar.data,
                                        rtol=1e-14, atol=0)
     assert len(set(stacked[2].data)) == 3       # the copies differ
+
+
+def routed_setup(spec: str):
+    """A small model of variant `spec` with a nudged shadow, and a batch."""
+    cfg = apply_variant(small_audit_config(), spec)
+    model = Model(cfg.backbone(), n_experts=cfg.n_experts, top_k=cfg.top_k, rank=cfg.rank,
+                  routing_dim=cfg.routing_dim, variant=cfg.variant(), seed=5)
+    rng = named_rng(5, "one-record")
+    shadow = EmaShadow.from_states(model.routing_states())
+    for arr in shadow.arrays.values():
+        arr += 0.1 * rng.normal(size=arr.shape)
+    task = make_task_specs(
+        0, n_tasks=2, d_e=cfg.d_hidden, classes_per_task=2, sigma=0.25,
+        visual_tokens=cfg.visual_tokens, noise_tokens=cfg.noise_tokens, test_size=5, vocab_size=64,
+    )[0]
+    return cfg, model, shadow, TaskSampler(task, 0).test_set()
+
+
+@pytest.mark.parametrize("spec", ["full", "p", "s", "s,reg", "p,s", "uniform_moe", "shared_lora"])
+def test_each_site_record_holds_the_weights_its_adapters_applied(monkeypatch, spec):
+    import streamlora.model as model_module
+
+    cfg, model, shadow, samples = routed_setup(spec)
+    applied = []
+    adapted = model_module.adapted_forward
+
+    def spy(bank, hidden, weights, *rest):
+        applied.append(weights)
+        return adapted(bank, hidden, weights, *rest)
+
+    monkeypatch.setattr(model_module, "adapted_forward", spy)
+    result = _batch_loss(model, samples, shadow, cfg.reg_weight)[3]
+    assert len(result.sites) == len(applied) == 2 * cfg.n_layers
+    for rec, weights in zip(result.sites, applied):
+        assert rec.weights is weights
+        if model.variant.use_reg:
+            want = reference_weights(shadow, rec.site, rec.hidden_data, result.x_text.data, rec.mask)
+            assert rec.reference.tobytes() == want.tobytes()
+        else:
+            assert rec.reference is None
+
+
+@pytest.mark.parametrize("spec", ["p", "shared_lora"])
+def test_per_sample_weights_repeat_on_every_token_as_a_read_only_view(spec):
+    cfg, model, _, samples = routed_setup(spec)
+    result = forward(model, samples)
+    tokens = result.sites[0].hidden_data.shape[1]
+    for rec in result.sites:
+        view = rec.weights_data
+        assert view.shape == (len(samples), tokens, cfg.n_experts)
+        assert not view.flags.writeable and np.shares_memory(view, rec.weights.data)
+        # the trace's token mean, bit for bit that of a row-major copy
+        assert view.mean(axis=1).tobytes() == np.ascontiguousarray(view).mean(axis=1).tobytes()
+
+
+def test_audit_pins_are_the_baseline_forwards_routing_and_reference(monkeypatch):
+    _, objective, _ = _audit_problem(small_audit_config(), n_samples=2, seed=7)
+    calls = []
+    batch_loss = trainer_module._batch_loss
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return batch_loss(*args, **kwargs)
+
+    monkeypatch.setattr(trainer_module, "_batch_loss", spy)
+    objective()
+    ((model, samples, shadow, _), kwargs), = calls
+    pins = kwargs["pinned"]
+    with no_grad():
+        result = forward(model, samples)
+    assert list(pins) == [rec.site for rec in result.sites]
+    for rec in result.sites:
+        ref = reference_weights(shadow, rec.site, rec.hidden_data, result.x_text.data, rec.mask)
+        pin = pins[rec.site]
+        assert np.array_equal(pin.mask, rec.mask)
+        assert pin.sample_probs.tobytes() == rec.sample_probs.tobytes()
+        assert pin.reference.tobytes() == ref.tobytes()
 
 
 def test_an_expert_no_sample_selected_probes_to_an_exactly_zero_difference():
@@ -705,8 +795,8 @@ def test_gradient_audit_checks_the_graph_training_builds(monkeypatch):
     route = model_module.route_with_straight_through
 
     def cut_route(*args, **kwargs):
-        decision = route(*args, **kwargs)
-        return replace(decision, token_weights=decision.token_weights.detach())
+        probs, mask, weights, gate = route(*args, **kwargs)
+        return probs, mask, weights.detach(), gate
 
     monkeypatch.setattr(model_module, "route_with_straight_through", cut_route)
     ok, rows = gradient_audit(small_audit_config(), n_samples=2)
@@ -736,6 +826,19 @@ def test_cli_train_then_metrics_round_trip(tmp_path, config_file, capsys):
     rc = main(["metrics", "--input", str(run_dir / "metrics.csv"), "--out", str(rebuilt)])
     assert rc == 0
     assert rebuilt.read_text() == (run_dir / "metrics.csv").read_text()
+
+
+@pytest.mark.parametrize("text, line, field", [
+    ("0,0,0.5\n1.0,0,0.25\n1,1,0.75\n", 2, "1.0,0,0.25"),
+    ("t,m,a\n0,0,0.5\nfoo,0,0.25\n1,0,0.75\n", 3, "foo,0,0.25"),
+    ("1,x,0.25\n", 1, "1,x,0.25"),
+], ids=["float-t", "second-header", "bad-m"])
+def test_cli_metrics_names_the_line_of_a_row_it_cannot_parse(tmp_path, text, line, field):
+    rows = tmp_path / "rows.csv"
+    rows.write_text(text)
+    with pytest.raises(ValueError, match=rf"rows.csv: line {line}: .* got '{re.escape(field)}'"):
+        main(["metrics", "--input", str(rows), "--out", str(tmp_path / "out.csv")])
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_cli_train_applies_seed_and_overrides(tmp_path, config_file):
