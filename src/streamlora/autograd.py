@@ -106,9 +106,6 @@ class Value:
         """Same data, no history. Gradients never flow through the result."""
         return Value(self.data)
 
-    def item(self) -> float:
-        return float(self.data)
-
     # operator sugar -------------------------------------------------------
 
     def __add__(self, other) -> "Value":
@@ -565,9 +562,6 @@ class ParamStore:
     def zero_grad(self) -> None:
         for v in self._params.values():
             v.grad = None
-
-    def n_scalars(self) -> int:
-        return sum(v.data.size for v in self._params.values())
 
     def state_arrays(self) -> dict[str, Array]:
         return {path: v.data for path, v in self._params.items()}

@@ -4,6 +4,9 @@ Subcommands: train (one streaming run), ablate (all stage-toggle variants
 on one stream), metrics (rebuild the full ledger from dumped accuracies),
 diag (routing homogeneity report from a trace file), gradcheck
 (finite-difference audit of every trainable parameter).
+
+An input error (a bad config value, an unreadable row or trace line)
+prints `streamlora: <message>` to stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = _build_config(args)
     result = run_stream(config, out_dir=args.out)
     map_t, maf_t = result.summary()
-    print(f"chunks: {config.n_chunks}  optimizer steps: {result.runlog.optimizer_steps}")
+    print(f"chunks: {config.n_chunks}  optimizer steps: {result.optimizer.step_count}")
     print(f"final MAP: {map_t:.4f}  final MAF: {maf_t:.4f}")
     if args.out:
         print(f"artifacts in {args.out}: metrics.csv traces.jsonl checkpoint.bin manifest.json runlog.json")
@@ -83,10 +86,12 @@ def _read_accuracy_rows(path: str) -> list[tuple[int, int, float]]:
 
     The first record may be a header. Summary rows (empty m) and extra
     columns are ignored, so the command can re-digest its own output. Any
-    other row that is not an integer t, an integer m and a float a raises
-    `ValueError` naming the file and the line.
+    other row that is not an integer t, an integer m and a float a, or
+    that repeats the (t, m) of an earlier row, raises `ValueError` naming
+    the file and the line.
     """
     rows: list[tuple[int, int, float]] = []
+    lines: dict[tuple[int, int], int] = {}      # (t, m) -> the line that gave it
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         records = (record for record in reader if any(field.strip() for field in record))
@@ -95,11 +100,17 @@ def _read_accuracy_rows(path: str) -> list[tuple[int, int, float]]:
                 continue  # header line
             if len(record) > 1 and not record[1].strip():
                 continue  # per-chunk summary row
+            where = f"{path}: line {reader.line_num}"
             try:
-                rows.append((int(record[0]), int(record[1]), float(record[2])))
+                t, m, a = int(record[0]), int(record[1]), float(record[2])
             except (ValueError, IndexError):
-                raise ValueError(f"{path}: line {reader.line_num}: expected integer t, integer m "
+                raise ValueError(f"{where}: expected integer t, integer m "
                                  f"and float a, got {','.join(record)!r}") from None
+            if (t, m) in lines:
+                raise ValueError(f"{where}: repeats the (t, m) of line {lines[t, m]}, "
+                                 f"got {','.join(record)!r}")
+            lines[t, m] = reader.line_num
+            rows.append((t, m, a))
     if not rows:
         raise ValueError(f"no (t, m, a) rows found in {path}")
     return rows
@@ -117,13 +128,26 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+# the trace fields `homogeneity_report` reads
+_REPORT_FIELDS = {"task_id", "sample_id", "layer", "site", "s_mean"}
+
+
 def _cmd_diag(args: argparse.Namespace) -> int:
+    required = _REPORT_FIELDS | ({"chunk"} if args.chunk is not None else set())
     traces = []
     with open(args.traces) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                traces.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{args.traces}: line {lineno}: not JSON: {exc.msg}") from None
+            missing = required - (record.keys() if isinstance(record, dict) else set())
+            if missing:
+                raise ValueError(f"{args.traces}: line {lineno}: trace record lacks {sorted(missing)}")
+            traces.append(record)
     if args.chunk is not None:
         traces = [rec for rec in traces if rec["chunk"] == args.chunk]
     report = homogeneity_report(traces)
@@ -212,7 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"streamlora: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

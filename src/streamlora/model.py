@@ -231,10 +231,7 @@ class Model:
         self.config = config
         self.n_experts = n_experts
         self.top_k = top_k
-        self.rank = rank
-        self.routing_dim = routing_dim
         self.variant = variant
-        self.seed = seed
 
         d, d_ff, d_e = config.d_hidden, config.d_ff, config.d_e
         self.embed = Value(named_rng(seed, "embed").normal(0.0, 1.0 / np.sqrt(d_e), size=(config.vocab_size, d_e)))

@@ -6,6 +6,11 @@ optionally the routing-stability term, one adaptive gradient step, then
 one EMA step on the shadow router. Evaluation runs after every chunk on the frozen
 test set of every task seen so far, feeding the metric ledger.
 
+A run's whole state is one `RunResult`: `run_stream` builds it before the
+first chunk, `train_chunk` advances it, and `run_stream` writes the
+artifacts from it and returns it. `runlog.json` is built at write time:
+its step counts are the optimizer's and the shadow's own.
+
 Everything is driven by a flat `RunConfig`. Config files are plain
 `key = value` lines; unknown keys are rejected rather than ignored so a
 typo cannot silently run the defaults.
@@ -165,6 +170,19 @@ class RunConfig:
             raise ValueError(f"trace_interval must be >= 0 (0 disables training-batch traces), "
                              f"got {self.trace_interval}")
 
+    def model(self, seed: int | None = None) -> Model:
+        """A fresh model of this config's sizes and variant, initialised
+        from `seed` (default: the config's own)."""
+        return Model(
+            self.backbone(),
+            n_experts=self.n_experts,
+            top_k=self.top_k,
+            rank=self.rank,
+            routing_dim=self.routing_dim,
+            variant=self.variant(),
+            seed=self.seed if seed is None else seed,
+        )
+
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -285,34 +303,30 @@ def clip_gradients(params: ParamStore, max_norm: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# run log
+# run state
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class RunLog:
-    """Everything a run reports, JSON-ready."""
-
-    config: dict
-    steps: list[dict] = field(default_factory=list)
-    evals: list[dict] = field(default_factory=list)
-    optimizer_steps: int = 0
-    ema_updates: int = 0
-    wall_seconds: float = 0.0
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-
-@dataclass
 class RunResult:
+    """One run's whole state: `run_stream` builds it before the first
+    chunk, `train_chunk` advances it, and `run_stream` returns it."""
+
     config: RunConfig
-    ledger: MetricLedger
-    runlog: RunLog
-    traces: list[dict]
     model: Model
+    optimizer: Adam
     shadow: EmaShadow | None
-    metrics_csv: str
+    test_sets: dict[int, list[Sample]]
+    out: Path | None = None                 # artifact directory; also gets divergence dumps
+    ledger: MetricLedger = field(default_factory=MetricLedger)
+    steps: list[dict] = field(default_factory=list)     # one loss record per batch
+    evals: list[dict] = field(default_factory=list)     # one accuracy record per chunk
+    traces: list[dict] = field(default_factory=list)
+    seen: set[int] = field(default_factory=set)         # tasks the stream has shown so far
+
+    @property
+    def metrics_csv(self) -> str:
+        return self.ledger.to_csv()
 
     def summary(self) -> tuple[float, float]:
         return self.ledger.summary()
@@ -392,24 +406,15 @@ def _trace_records(chunk_index: int, samples: Sequence[Sample], site_records) ->
     return rows
 
 
-def train_chunk(
-    model: Model,
-    chunk,
-    config: RunConfig,
-    optimizer: Adam,
-    shadow: EmaShadow | None,
-    runlog: RunLog,
-    traces: list[dict],
-    out_dir: Path | None = None,
-) -> None:
+def train_chunk(run: RunResult, chunk) -> None:
     """One epoch over one chunk: the single pass."""
-    samples = chunk.samples
-    for batch_index, batch in enumerate(_batches(samples, config.batch_size)):
+    config, model = run.config, run.model
+    for batch_index, batch in enumerate(_batches(chunk.samples, config.batch_size)):
         model.params.zero_grad()
-        task, reg, total, result = _batch_loss(model, batch, shadow, config.reg_weight)
+        task, reg, total, result = _batch_loss(model, batch, run.shadow, config.reg_weight)
         tracing = config.trace_interval > 0 and batch_index % config.trace_interval == 0
         if tracing and model.variant.mode == "routed":
-            traces.extend(_trace_records(chunk.index, batch, result.sites))
+            run.traces.extend(_trace_records(chunk.index, batch, result.sites))
 
         if not np.isfinite(total.data):
             dump = {
@@ -418,10 +423,10 @@ def train_chunk(
                 "sample_uids": [s.uid for s in batch],
                 "task_loss": float(task.data),
                 "reg_loss": None if reg is None else float(reg.data),
-                "optimizer_steps": optimizer.step_count,
+                "optimizer_steps": run.optimizer.step_count,
             }
-            if out_dir is not None:
-                with atomic_open(out_dir / f"diverged_chunk{chunk.index}_batch{batch_index}.json") as fh:
+            if run.out is not None:
+                with atomic_open(run.out / f"diverged_chunk{chunk.index}_batch{batch_index}.json") as fh:
                     fh.write(json.dumps(dump, indent=2))
             raise TrainingDiverged(f"non-finite loss in chunk {chunk.index}, batch {batch_index}: {dump}")
 
@@ -429,13 +434,11 @@ def train_chunk(
             backward(total)
             if config.grad_clip > 0.0:
                 clip_gradients(model.params, config.grad_clip)
-            optimizer.step()
-            runlog.optimizer_steps += 1
-            if shadow is not None:
-                ema_update(shadow, model.routing_states(), config.ema_momentum)
-                runlog.ema_updates += 1
+            run.optimizer.step()
+            if run.shadow is not None:
+                ema_update(run.shadow, model.routing_states(), config.ema_momentum)
 
-        runlog.steps.append({
+        run.steps.append({
             "chunk": chunk.index,
             "batch": batch_index,
             "task_loss": float(task.data),
@@ -446,39 +449,29 @@ def train_chunk(
 
 
 def evaluate(model: Model, samples: Sequence[Sample]) -> float:
-    """Exact fraction of argmax-correct predictions on a frozen test set."""
+    """Exact fraction of argmax-correct predictions on a frozen test set,
+    from one no_grad forward over the whole set."""
     if len(samples) == 0:
         raise ValueError("empty evaluation set")
-    rows = prediction_dump(model, samples)
-    return sum(predicted == label for _, predicted, label in rows) / len(samples)
-
-
-def prediction_dump(model: Model, samples: Sequence[Sample]) -> list[tuple[str, int, int]]:
-    """(uid, predicted, label) triples, the rows `evaluate` scores, from
-    one no_grad forward over the whole set."""
     with no_grad():
         logits = forward(model, samples).logits.data
-    return [(s.uid, int(p), s.label) for s, p in zip(samples, np.argmax(logits, axis=-1))]
+    return sum(int(p) == s.label for s, p in zip(samples, np.argmax(logits, axis=-1))) / len(samples)
 
 
-def _final_trace_pass(
-    model: Model,
-    config: RunConfig,
-    test_sets: dict[int, list[Sample]],
-    seen: set[int],
-) -> list[dict]:
+def _final_trace_pass(run: RunResult) -> list[dict]:
     """Routing traces over held-out samples after the stream ends.
 
     Recorded with chunk index n_chunks + 1 to mark them as post-stream;
     this is what the homogeneity report is meant to consume.
     """
+    config = run.config
     records: list[dict] = []
-    if model.variant.mode != "routed" or config.trace_eval_samples == 0:
+    if run.model.variant.mode != "routed" or config.trace_eval_samples == 0:
         return records
     with no_grad():
-        for m in sorted(seen):
-            samples = test_sets[m][: config.trace_eval_samples]
-            result = forward(model, samples)
+        for m in sorted(run.seen):
+            samples = run.test_sets[m][: config.trace_eval_samples]
+            result = forward(run.model, samples)
             records.extend(_trace_records(config.n_chunks + 1, samples, result.sites))
     return records
 
@@ -514,50 +507,40 @@ def run_stream(config: RunConfig, out_dir: str | Path | None = None) -> RunResul
         out.mkdir(parents=True, exist_ok=True)
 
     samplers = [TaskSampler(spec, config.effective_stream_seed) for spec in specs]
-
-    variant = config.variant()
-    model = Model(
-        config.backbone(),
-        n_experts=config.n_experts,
-        top_k=config.top_k,
-        rank=config.rank,
-        routing_dim=config.routing_dim,
-        variant=variant,
-        seed=config.seed,
+    model = config.model()
+    shadow = EmaShadow.from_states(model.routing_states()) if model.variant.use_reg else None
+    run = RunResult(
+        config=config,
+        model=model,
+        optimizer=Adam(model.params, lr=config.learning_rate),
+        shadow=shadow,
+        test_sets={spec.task_id: samplers[spec.task_id].test_set() for spec in specs},
+        out=out,
     )
-    optimizer = Adam(model.params, lr=config.learning_rate)
-    shadow = EmaShadow.from_states(model.routing_states()) if variant.use_reg else None
-
-    ledger = MetricLedger()
-    runlog = RunLog(config=config.to_dict())
-    traces: list[dict] = []
-    test_sets = {spec.task_id: samplers[spec.task_id].test_set() for spec in specs}
-    seen: set[int] = set()
 
     for chunk in SinglePassStream(schedule, samplers):
-        seen.update(int(m) for m in np.nonzero(chunk.counts)[0])
-        train_chunk(model, chunk, config, optimizer, shadow, runlog, traces, out_dir=out)
-        accuracies = {m: evaluate(model, test_sets[m]) for m in sorted(seen)}
-        ledger.add_chunk(chunk.index, accuracies)
-        runlog.evals.append({"chunk": chunk.index, "accuracy": {str(m): a for m, a in accuracies.items()}})
+        run.seen.update(int(m) for m in np.nonzero(chunk.counts)[0])
+        train_chunk(run, chunk)
+        accuracies = {m: evaluate(model, run.test_sets[m]) for m in sorted(run.seen)}
+        run.ledger.add_chunk(chunk.index, accuracies)
+        run.evals.append({"chunk": chunk.index, "accuracy": {str(m): a for m, a in accuracies.items()}})
 
-    traces.extend(_final_trace_pass(model, config, test_sets, seen))
-    runlog.wall_seconds = time.monotonic() - started
+    run.traces.extend(_final_trace_pass(run))
+    wall_seconds = time.monotonic() - started
 
-    metrics_csv = ledger.to_csv()
     if out is not None:
         # every artifact appears whole or not at all (atomic_open)
         with atomic_open(out / "metrics.csv") as fh:
-            fh.write(metrics_csv)
+            fh.write(run.metrics_csv)
         with atomic_open(out / "traces.jsonl") as fh:
             encoder = json.JSONEncoder(sort_keys=True)      # json.dumps would build one per record
-            for record in traces:
+            for record in run.traces:
                 fh.write(encoder.encode(record) + "\n")
         ema_records = {} if shadow is None else {f"ema.{k}": v for k, v in shadow.arrays.items()}
         model.params.save(out / "checkpoint.bin", extra=ema_records)
         manifest = {
             "config": config.to_dict(),
-            "variant": vars(variant),
+            "variant": vars(model.variant),
             "stream": stream_manifest(schedule, specs),
             "outputs": {
                 "metrics": "metrics.csv",
@@ -568,18 +551,18 @@ def run_stream(config: RunConfig, out_dir: str | Path | None = None) -> RunResul
         }
         with atomic_open(out / "manifest.json") as fh:
             fh.write(json.dumps(manifest, indent=2, sort_keys=True))
+        runlog = {
+            "config": config.to_dict(),
+            "steps": run.steps,
+            "evals": run.evals,
+            "optimizer_steps": run.optimizer.step_count,
+            "ema_updates": 0 if shadow is None else shadow.updates,
+            "wall_seconds": wall_seconds,
+        }
         with atomic_open(out / "runlog.json") as fh:
-            fh.write(runlog.to_json())
+            fh.write(json.dumps(runlog, indent=2, sort_keys=True))
 
-    return RunResult(
-        config=config,
-        ledger=ledger,
-        runlog=runlog,
-        traces=traces,
-        model=model,
-        shadow=shadow,
-        metrics_csv=metrics_csv,
-    )
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -637,15 +620,7 @@ def _audit_problem(
     (n, *shape) stack of copies, which it sets as an (n, 1, *shape) leaf
     so the copies broadcast over the batch.
     """
-    model = Model(
-        config.backbone(),
-        n_experts=config.n_experts,
-        top_k=config.top_k,
-        rank=config.rank,
-        routing_dim=config.routing_dim,
-        variant=config.variant(),
-        seed=seed,
-    )
+    model = config.model(seed)
     rng = named_rng(seed, "audit.params")
     for _, p in model.params.items():
         p.data = 0.2 * rng.normal(size=p.data.shape)

@@ -20,7 +20,6 @@ import pytest
 
 from streamlora.autograd import Value, backward, masked_softmax, matmul, named_rng, transpose, vsum
 from streamlora.experts import adapted_forward, init_expert_bank
-from streamlora.model import Model
 from streamlora.routing import init_routing_state, route_with_straight_through
 from streamlora.stability import EmaShadow, ema_update
 from streamlora.stream import TaskSampler
@@ -107,8 +106,7 @@ def test_training_step(benchmark):
     # default batch of the default stream
     specs, _ = build_stream(CONFIG)
     batch = TaskSampler(specs[0], CONFIG.seed).test_set()[:B]
-    model = Model(CONFIG.backbone(), n_experts=N, top_k=K, rank=CONFIG.rank,
-                  routing_dim=CONFIG.routing_dim, variant=CONFIG.variant(), seed=CONFIG.seed)
+    model = CONFIG.model()
     optimizer = Adam(model.params, lr=CONFIG.learning_rate)
     shadow = EmaShadow.from_states(model.routing_states())
 
@@ -126,8 +124,7 @@ def test_backward_sweep(benchmark):
     # built in the untimed setup of each round
     specs, _ = build_stream(CONFIG)
     batch = TaskSampler(specs[0], CONFIG.seed).test_set()[:B]
-    model = Model(CONFIG.backbone(), n_experts=N, top_k=K, rank=CONFIG.rank,
-                  routing_dim=CONFIG.routing_dim, variant=CONFIG.variant(), seed=CONFIG.seed)
+    model = CONFIG.model()
     shadow = EmaShadow.from_states(model.routing_states())
 
     def setup():

@@ -452,7 +452,6 @@ def test_param_store_rejects_duplicates_and_tracks_order():
     store.add("b", Value([1.0]))
     store.add("a", Value([[2.0, 3.0]]))
     assert store.paths() == ["b", "a"]  # insertion order, not sorted
-    assert store.n_scalars() == 3
     with pytest.raises(ValueError, match="duplicate"):
         store.add("b", Value([0.0]))
 

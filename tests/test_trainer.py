@@ -21,7 +21,6 @@ from streamlora.model import (
     FULL,
     SHARED_LORA,
     UNIFORM_MOE,
-    Model,
     Variant,
     forward,
 )
@@ -31,7 +30,7 @@ from streamlora.trainer import (
     ABLATION_ROWS,
     Adam,
     RunConfig,
-    RunLog,
+    RunResult,
     TrainingDiverged,
     _audit_problem,
     _batch_loss,
@@ -43,7 +42,6 @@ from streamlora.trainer import (
     gradient_audit,
     load_config,
     parse_config_text,
-    prediction_dump,
     run_stream,
     train_chunk,
 )
@@ -96,7 +94,7 @@ def test_parse_config_accepts_bool_synonyms():
         parse_config_text("use_reg = maybe")
 
 
-def test_parse_config_rejects_unknown_keys_and_bad_lines():
+def test_parse_config_rejects_unknown_keys_and_bad_lines(capsys):
     with pytest.raises(ValueError, match="unknown config key"):
         parse_config_text("learning_rte = 0.1")
     with pytest.raises(ValueError, match="expected 'key = value'"):
@@ -105,8 +103,9 @@ def test_parse_config_rejects_unknown_keys_and_bad_lines():
         parse_config_text("n_layers = 2.5")
     with pytest.raises(ValueError, match=r"^line 2: learning_rate: expected a float, got 'fast'$"):
         parse_config_text("seed = 1\nlearning_rate = fast")
-    with pytest.raises(ValueError, match=r"^line 1: n_layers: expected an int, got '2\.5'$"):
-        main(["train", "--set", "n_layers=2.5"])
+    assert main(["train", "--set", "n_layers=2.5"]) == 2
+    assert re.fullmatch(r"streamlora: line 1: n_layers: expected an int, got '2\.5'\n",
+                        capsys.readouterr().err)
     # the declared type decides, not the type of the base config's value
     assert parse_config_text("learning_rate = 0.5", base=RunConfig(learning_rate=1)).learning_rate == 0.5
 
@@ -184,9 +183,24 @@ def test_config_rejects_a_negative_trace_sample_count():
         tiny_config(trace_eval_samples=-1).validate()
 
 
-def test_cli_train_validates_the_config_before_writing(tmp_path):
-    with pytest.raises(ValueError, match="test_size"):
-        main(["train", "--set", "test_size=0", "--out", str(tmp_path / "run")])
+def test_cli_train_validates_the_config_before_writing(tmp_path, capsys):
+    assert main(["train", "--set", "test_size=0", "--out", str(tmp_path / "run")]) == 2
+    assert re.search("test_size", capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_input_errors_print_one_line_and_exit_2(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(root / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "streamlora.cli", "train", "--set", "n_chunks=0",
+         "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert re.fullmatch(r"streamlora: need at least 7 chunks[^\n]*\n", done.stderr)
     assert not (tmp_path / "run").exists()
 
 
@@ -337,10 +351,11 @@ def test_clip_gradients_is_a_no_op_below_the_threshold_or_when_disabled():
 def test_run_stream_step_accounting_and_summary():
     result = run_stream(tiny_config())
     # 7 chunks x ceil(12 / 6) batches
-    assert result.runlog.optimizer_steps == 14
-    assert result.runlog.ema_updates == 14
+    assert result.optimizer.step_count == 14
     assert result.shadow is not None and result.shadow.updates == 14
-    assert len(result.runlog.evals) == 7
+    assert len(result.steps) == 14
+    assert len(result.evals) == 7
+    assert result.seen == {0, 1} and set(result.test_sets) == {0, 1}
     assert result.summary() == result.ledger.summary()
     map_t, maf_t = result.summary()
     assert 0.0 <= map_t <= 1.0 and 0.0 <= maf_t <= 1.0
@@ -350,14 +365,14 @@ def test_run_stream_is_deterministic():
     a = run_stream(tiny_config())
     b = run_stream(tiny_config())
     assert a.metrics_csv == b.metrics_csv
-    assert [s["total_loss"] for s in a.runlog.steps] == [s["total_loss"] for s in b.runlog.steps]
+    assert [s["total_loss"] for s in a.steps] == [s["total_loss"] for s in b.steps]
     c = run_stream(tiny_config(seed=1))
     assert c.metrics_csv != a.metrics_csv
 
 
 def test_frozen_run_never_steps_and_never_forgets():
     result = run_stream(tiny_config(mode="frozen", use_reg=False))
-    assert result.runlog.optimizer_steps == 0
+    assert result.optimizer.step_count == 0
     assert result.shadow is None
     assert len(result.model.params) == 0
     for history in result.ledger.histories.values():
@@ -369,7 +384,7 @@ def test_frozen_run_never_steps_and_never_forgets():
 def test_reg_free_variants_carry_no_shadow():
     result = run_stream(tiny_config(use_reg=False))
     assert result.shadow is None
-    assert all(s["reg_loss"] is None for s in result.runlog.steps)
+    assert all(s["reg_loss"] is None for s in result.steps)
 
 
 def test_run_stream_traces_cover_training_and_the_final_pass():
@@ -402,6 +417,8 @@ def test_run_stream_writes_the_artifact_set(tmp_path):
 
     runlog = json.loads((tmp_path / "runlog.json").read_text())
     assert runlog["optimizer_steps"] == 14
+    assert runlog["steps"] == result.steps and runlog["evals"] == result.evals
+    assert runlog["config"] == cfg.to_dict()
 
     lines = (tmp_path / "traces.jsonl").read_text().strip().split("\n")
     assert len(lines) == len(result.traces)
@@ -432,13 +449,22 @@ def test_run_stream_leaves_no_partial_artifact_when_a_write_fails(tmp_path, monk
     assert after["metrics.csv"] != before["metrics.csv"]    # written whole before the failure
 
 
+@pytest.mark.parametrize("spec", ["full", "frozen"])
+def test_runlog_counts_are_the_optimizers_and_the_shadows(tmp_path, spec):
+    result = run_stream(apply_variant(tiny_config(), spec), out_dir=tmp_path)
+    runlog = json.loads((tmp_path / "runlog.json").read_text())
+    assert runlog["optimizer_steps"] == result.optimizer.step_count
+    if spec == "full":
+        assert runlog["ema_updates"] == result.shadow.updates == 14
+    else:
+        assert runlog["optimizer_steps"] == runlog["ema_updates"] == 0
+        assert result.shadow is None
+
+
 def test_checkpoint_restores_the_exact_parameters(tmp_path):
     cfg = tiny_config()
     result = run_stream(cfg, out_dir=tmp_path)
-    fresh = Model(
-        cfg.backbone(), n_experts=cfg.n_experts, top_k=cfg.top_k, rank=cfg.rank,
-        routing_dim=cfg.routing_dim, variant=cfg.variant(), seed=cfg.seed,
-    )
+    fresh = cfg.model()
     leftovers = fresh.params.load(tmp_path / "checkpoint.bin")
     for path, trained in result.model.params.items():
         assert np.array_equal(fresh.params[path].data, trained.data), path
@@ -449,10 +475,7 @@ def test_checkpoint_restores_the_exact_parameters(tmp_path):
 
 def train_a_diverging_chunk(out_dir):
     cfg = tiny_config(use_reg=False)
-    model = Model(
-        cfg.backbone(), n_experts=cfg.n_experts, top_k=cfg.top_k, rank=cfg.rank,
-        routing_dim=cfg.routing_dim, variant=cfg.variant(), seed=0,
-    )
+    model = cfg.model()
     model.head_weight.data[:] = np.nan
     specs = make_task_specs(
         0, n_tasks=2, d_e=8, classes_per_task=2, sigma=0.25,
@@ -460,10 +483,8 @@ def train_a_diverging_chunk(out_dir):
     )
     schedule = build_default_stream(0, n_tasks=2, n_chunks=7, chunk_size=12)
     chunk = compose_chunk(schedule, 1, [TaskSampler(s, 0) for s in specs])
-    train_chunk(
-        model, chunk, cfg, Adam(model.params, lr=cfg.learning_rate),
-        None, RunLog(config={}), [], out_dir=out_dir,
-    )
+    run = RunResult(cfg, model, Adam(model.params, lr=cfg.learning_rate), None, {}, out=out_dir)
+    train_chunk(run, chunk)
 
 
 def test_divergence_raises_and_dumps_the_batch(tmp_path):
@@ -544,8 +565,7 @@ def test_batch_gradient_is_the_mean_of_the_one_sample_gradients():
     # one graph over the batch must differentiate the same objective as
     # averaging per-sample losses: task and stability term both
     cfg = tiny_config()
-    model = Model(cfg.backbone(), n_experts=cfg.n_experts, top_k=cfg.top_k, rank=cfg.rank,
-                  routing_dim=cfg.routing_dim, variant=cfg.variant(), seed=3)
+    model = cfg.model(seed=3)
     rng = named_rng(3, "batch-grad")
     for _, p in model.params.items():
         p.data = 0.2 * rng.normal(size=p.data.shape)
@@ -579,8 +599,7 @@ def test_a_training_sweep_leaves_gradients_on_the_parameters_only():
     cfg = RunConfig()
     specs, _ = build_stream(cfg)
     batch = TaskSampler(specs[0], cfg.seed).test_set()[:cfg.batch_size]
-    model = Model(cfg.backbone(), n_experts=cfg.n_experts, top_k=cfg.top_k, rank=cfg.rank,
-                  routing_dim=cfg.routing_dim, variant=cfg.variant(), seed=cfg.seed)
+    model = cfg.model()
     root = _batch_loss(model, batch, EmaShadow.from_states(model.routing_states()),
                        cfg.reg_weight)[2]
     backward(root)
@@ -601,7 +620,7 @@ def test_a_training_sweep_leaves_gradients_on_the_parameters_only():
         assert (p.grad is not None) == (id(p) in reached), path
 
 
-def test_evaluate_agrees_with_the_prediction_dump():
+def test_evaluate_scores_the_argmax_of_each_sample():
     cfg = tiny_config()
     result = run_stream(cfg)
     spec = make_task_specs(
@@ -609,10 +628,9 @@ def test_evaluate_agrees_with_the_prediction_dump():
         visual_tokens=2, noise_tokens=2, test_size=8, vocab_size=32,
     )[1]
     samples = TaskSampler(spec, 0).test_set()
-    acc = evaluate(result.model, samples)
-    dump = prediction_dump(result.model, samples)
-    assert acc == pytest.approx(np.mean([p == l for _, p, l in dump]))
-    assert [uid for uid, _, _ in dump] == [s.uid for s in samples]
+    with no_grad():
+        one_by_one = [int(np.argmax(forward(result.model, [s]).logits.data)) for s in samples]
+    assert evaluate(result.model, samples) == np.mean([p == s.label for p, s in zip(one_by_one, samples)])
     with pytest.raises(ValueError, match="empty evaluation"):
         evaluate(result.model, [])
 
@@ -626,7 +644,7 @@ def small_audit_config():
     return replace(audit_config(), n_layers=1, d_hidden=8, rank=2, routing_dim=4)
 
 
-def test_gradient_audit_rejects_bad_sample_counts_and_steps():
+def test_gradient_audit_rejects_bad_sample_counts_and_steps(capsys):
     with pytest.raises(ValueError, match="at least one sample"):
         gradient_audit(small_audit_config(), n_samples=0)
     with pytest.raises(ValueError, match="epsilon must be positive"):
@@ -637,8 +655,8 @@ def test_gradient_audit_rejects_bad_sample_counts_and_steps():
         gradient_audit(small_audit_config(), n_samples=1, rtol=-1.0)
     with pytest.raises(ValueError, match="atol must be non-negative"):
         gradient_audit(small_audit_config(), n_samples=1, atol=-1.0)
-    with pytest.raises(ValueError, match="rtol must be non-negative"):
-        main(["gradcheck", "--rtol", "-1"])
+    assert main(["gradcheck", "--rtol", "-1"]) == 2
+    assert re.search("rtol must be non-negative", capsys.readouterr().err)
 
 
 def test_audit_numeric_gradients_in_blocks_match_one_probe_at_a_time(monkeypatch):
@@ -664,8 +682,7 @@ def test_audit_numeric_gradients_in_blocks_match_one_probe_at_a_time(monkeypatch
 ], ids=["expert.A", "router.select", "router.key", "head.weight"])
 def test_each_copy_objective_is_the_loss_with_that_copy_as_the_leaf(leaf):
     cfg = small_audit_config()
-    model = Model(cfg.backbone(), n_experts=cfg.n_experts, top_k=cfg.top_k, rank=cfg.rank,
-                  routing_dim=cfg.routing_dim, variant=cfg.variant(), seed=5)
+    model = cfg.model(seed=5)
     rng = named_rng(5, "copy-loss")
     for _, p in model.params.items():
         p.data = 0.2 * rng.normal(size=p.data.shape)
@@ -700,8 +717,7 @@ def test_each_copy_objective_is_the_loss_with_that_copy_as_the_leaf(leaf):
 def routed_setup(spec: str):
     """A small model of variant `spec` with a nudged shadow, and a batch."""
     cfg = apply_variant(small_audit_config(), spec)
-    model = Model(cfg.backbone(), n_experts=cfg.n_experts, top_k=cfg.top_k, rank=cfg.rank,
-                  routing_dim=cfg.routing_dim, variant=cfg.variant(), seed=5)
+    model = cfg.model(seed=5)
     rng = named_rng(5, "one-record")
     shadow = EmaShadow.from_states(model.routing_states())
     for arr in shadow.arrays.values():
@@ -832,12 +848,13 @@ def test_cli_train_then_metrics_round_trip(tmp_path, config_file, capsys):
     ("0,0,0.5\n1.0,0,0.25\n1,1,0.75\n", 2, "1.0,0,0.25"),
     ("t,m,a\n0,0,0.5\nfoo,0,0.25\n1,0,0.75\n", 3, "foo,0,0.25"),
     ("1,x,0.25\n", 1, "1,x,0.25"),
-], ids=["float-t", "second-header", "bad-m"])
-def test_cli_metrics_names_the_line_of_a_row_it_cannot_parse(tmp_path, text, line, field):
+    ("t,m,a\n1,0,0.5\n1,0,0.75\n2,0,0.25\n", 3, "1,0,0.75"),
+], ids=["float-t", "second-header", "bad-m", "repeated-t-m"])
+def test_cli_metrics_names_the_line_of_a_row_it_cannot_parse(tmp_path, capsys, text, line, field):
     rows = tmp_path / "rows.csv"
     rows.write_text(text)
-    with pytest.raises(ValueError, match=rf"rows.csv: line {line}: .* got '{re.escape(field)}'"):
-        main(["metrics", "--input", str(rows), "--out", str(tmp_path / "out.csv")])
+    assert main(["metrics", "--input", str(rows), "--out", str(tmp_path / "out.csv")]) == 2
+    assert re.search(rf"rows.csv: line {line}: .* got '{re.escape(field)}'", capsys.readouterr().err)
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -870,6 +887,21 @@ def test_cli_diag_builds_the_homogeneity_tables(tmp_path, config_file, capsys):
     assert "mean off-diagonal" in capsys.readouterr().out.lower()
 
 
+@pytest.mark.parametrize("bad_line, error", [
+    ("{not json", r"not JSON"),
+    ('{"chunk": 0, "sample_id": "0-9", "layer": 0, "site": "ffn_up", "s_mean": [1.0]}',
+     r"trace record lacks \['task_id'\]"),
+], ids=["not-json", "no-task-id"])
+def test_cli_diag_names_the_line_it_cannot_read(tmp_path, capsys, bad_line, error):
+    write_diag_tables(tmp_path)
+    traces = tmp_path / "traces.jsonl"
+    lines = traces.read_text().splitlines()
+    traces.write_text("\n".join(lines[:2] + [bad_line] + lines[2:]) + "\n")
+    assert main(["diag", "--traces", str(traces), "--out", str(tmp_path / "diag")]) == 2
+    assert re.fullmatch(rf"streamlora: .*traces.jsonl: line 3: {error}.*\n", capsys.readouterr().err)
+    assert not (tmp_path / "diag").exists()
+
+
 def test_cli_ablate_runs_every_toggle_combination(tmp_path, config_file, capsys):
     out = tmp_path / "ablation"
     rc = main(["ablate", "--config", str(config_file), "--out", str(out)])
@@ -884,9 +916,9 @@ def test_cli_ablate_runs_every_toggle_combination(tmp_path, config_file, capsys)
     assert "full" in table and "uniform_moe" in table
 
 
-def test_cli_gradcheck_rejects_zero_samples():
-    with pytest.raises(ValueError, match="at least one sample"):
-        main(["gradcheck", "--samples", "0"])
+def test_cli_gradcheck_rejects_zero_samples(capsys):
+    assert main(["gradcheck", "--samples", "0"]) == 2
+    assert re.search("at least one sample", capsys.readouterr().err)
 
 
 def test_cli_gradcheck_passes_on_the_audit_model(capsys):
