@@ -86,21 +86,15 @@ class Value:
         self._parents: tuple[Value, ...] = ()
         self._backward: Callable[[Value], None] | None = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def accumulate_grad(self, g: Array, owned: bool = False) -> None:
-        """Add `g` into `grad`. A first gradient of the full shape is
-        copied, since `g` may be shared, unless `owned` says the caller has
-        just computed it and keeps no other reference: then it is adopted."""
+        """Add `g`, of this node's full shape, into `grad`. A first gradient
+        is copied, since `g` may be shared, unless `owned` says the caller
+        has just computed it and keeps no other reference: then it is
+        adopted."""
         if self.grad is not None:
             self.grad += g
-        elif g.shape == self.data.shape:
-            self.grad = g if owned else np.array(g, dtype=np.float64)
         else:
-            self.grad = np.zeros_like(self.data)
-            self.grad += g
+            self.grad = g if owned else np.array(g, dtype=np.float64)
 
     def detach(self) -> "Value":
         """Same data, no history. Gradients never flow through the result."""
@@ -111,31 +105,11 @@ class Value:
     def __add__(self, other) -> "Value":
         return add(self, _as_value(other))
 
-    def __radd__(self, other) -> "Value":
-        return add(_as_value(other), self)
-
     def __sub__(self, other) -> "Value":
         return sub(self, _as_value(other))
 
-    def __rsub__(self, other) -> "Value":
-        return sub(_as_value(other), self)
-
     def __mul__(self, other) -> "Value":
         return mul(self, _as_value(other))
-
-    def __rmul__(self, other) -> "Value":
-        return mul(_as_value(other), self)
-
-    def __neg__(self) -> "Value":
-        return neg(self)
-
-    def __matmul__(self, other) -> "Value":
-        return matmul(self, _as_value(other))
-
-    def __truediv__(self, other) -> "Value":
-        if isinstance(other, Value):
-            raise TypeError("divide by a python scalar, or use powi for tensors")
-        return mul(self, Value(1.0 / float(other)))
 
     def __repr__(self) -> str:
         return f"Value(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -196,14 +170,6 @@ def sub(a: Value, b: Value) -> Value:
     return _make_node(data, (a, b), backward)
 
 
-def neg(a: Value) -> Value:
-    def backward(out: Value) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(-out.grad, owned=True)
-
-    return _make_node(-a.data, (a,), backward)
-
-
 def mul(a: Value, b: Value) -> Value:
     data = a.data * b.data
 
@@ -217,29 +183,23 @@ def mul(a: Value, b: Value) -> Value:
 
 
 def matmul(a: Value, b: Value) -> Value:
-    """Matrix product with `np.matmul` semantics: the last two axes
-    multiply, leading axes broadcast, and a 1-D operand is promoted to a
-    matrix whose added axis is dropped from the result."""
-    if a.data.ndim == 0 or b.data.ndim == 0:
-        raise ValueError("matmul requires operands of at least one dimension")
+    """Matrix product with `np.matmul` semantics over operands of at least
+    two dimensions: the last two axes multiply, leading axes broadcast."""
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ValueError(f"matmul requires operands of at least two dimensions, "
+                         f"got shapes {a.data.shape} and {b.data.shape}")
     data = np.matmul(a.data, b.data)
 
     def backward(out: Value) -> None:
-        # promote 1-D operands the way np.matmul does, with g to match
         g, ad, bd = out.grad, a.data, b.data
-        if bd.ndim == 1:
-            bd, g = bd[:, None], g[..., None]
-        if ad.ndim == 1:
-            ad, g = ad[None, :], np.expand_dims(g, -2)
         if a.requires_grad:
-            ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
-            a.accumulate_grad(ga.reshape(a.data.shape), owned=True)
+            a.accumulate_grad(_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape), owned=True)
         if b.requires_grad:
             if bd.ndim == 2 and ad.ndim > 2:     # one product over every leading axis
                 gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
                 gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
-            b.accumulate_grad(gb.reshape(b.data.shape), owned=True)
+            b.accumulate_grad(gb, owned=True)
 
     return _make_node(data, (a, b), backward)
 
@@ -250,16 +210,14 @@ def transpose(a: Value, axis1: int = -1, axis2: int = -2) -> Value:
         raise ValueError("transpose expects a value of at least two dimensions")
 
     def backward(out: Value) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(np.swapaxes(out.grad, axis1, axis2))
+        a.accumulate_grad(np.swapaxes(out.grad, axis1, axis2))
 
     return _make_node(np.swapaxes(a.data, axis1, axis2), (a,), backward)
 
 
 def reshape(a: Value, shape: tuple[int, ...]) -> Value:
     def backward(out: Value) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(out.grad.reshape(a.data.shape))
+        a.accumulate_grad(out.grad.reshape(a.data.shape))
 
     return _make_node(a.data.reshape(shape), (a,), backward)
 
@@ -269,8 +227,7 @@ def powi(a: Value, exponent: float) -> Value:
     data = a.data ** exponent
 
     def backward(out: Value) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * exponent * a.data ** (exponent - 1.0), owned=True)
+        a.accumulate_grad(out.grad * exponent * a.data ** (exponent - 1.0), owned=True)
 
     return _make_node(data, (a,), backward)
 
@@ -279,30 +236,22 @@ def tanh(a: Value) -> Value:
     data = np.tanh(a.data)
 
     def backward(out: Value) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * (1.0 - out.data ** 2), owned=True)
+        a.accumulate_grad(out.grad * (1.0 - out.data ** 2), owned=True)
 
     return _make_node(data, (a,), backward)
 
 
-def log(a: Value, floor: float | None = None) -> Value:
-    """Natural log, optionally clamping the argument below at `floor`.
+def log(a: Value, floor: float) -> Value:
+    """Natural log of the argument clamped below at `floor`.
 
-    With a floor the gradient is 1/clamped everywhere, so tiny inputs get
-    a large but finite pull instead of an inf. Without a floor the input
-    must be strictly positive.
+    The gradient is 1/clamped everywhere, so tiny inputs get a large but
+    finite pull instead of an inf.
     """
-    if floor is None:
-        if np.any(a.data <= 0.0):
-            raise ValueError("log of non-positive value; pass floor= to clamp")
-        clamped = a.data
-    else:
-        clamped = np.maximum(a.data, floor)
+    clamped = np.maximum(a.data, floor)
     data = np.log(clamped)
 
     def backward(out: Value) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(out.grad / clamped, owned=True)
+        a.accumulate_grad(out.grad / clamped, owned=True)
 
     return _make_node(data, (a,), backward)
 
@@ -312,8 +261,6 @@ def mean(a: Value, axis: int | None = None, keepdims: bool = False) -> Value:
     data = a.data.sum(axis=axis, keepdims=keepdims) / count   # the bits of ndarray.mean
 
     def backward(out: Value) -> None:
-        if not a.requires_grad:
-            return
         g = out.grad
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
@@ -326,8 +273,6 @@ def vsum(a: Value, axis: int | tuple[int, ...] | None = None, keepdims: bool = F
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(out: Value) -> None:
-        if not a.requires_grad:
-            return
         g = out.grad
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
@@ -377,25 +322,6 @@ def _broadcast_off_axis(arrays: list[Array], axis: int) -> list[Array]:
     return [np.broadcast_to(a, common[:cut] + (a.shape[axis],) + common[cut:]) for a in arrays]
 
 
-def take_rows(table: Value, ids) -> Value:
-    """Row lookup, the embedding primitive: an index array of any shape
-    picks rows of `table`. Backward scatters into rows."""
-    idx = np.asarray(ids, dtype=np.intp)
-    if idx.ndim == 0 or idx.size == 0:
-        raise ValueError("take_rows expects a non-empty index array")
-    if idx.min() < 0 or idx.max() >= table.data.shape[0]:
-        raise ValueError(f"row index out of range for table with {table.data.shape[0]} rows")
-    data = table.data[idx]
-
-    def backward(out: Value) -> None:
-        if table.requires_grad:
-            g = np.zeros_like(table.data)
-            np.add.at(g, idx, out.grad)
-            table.accumulate_grad(g, owned=True)
-
-    return _make_node(data, (table,), backward)
-
-
 # ---------------------------------------------------------------------------
 # softmax family
 # ---------------------------------------------------------------------------
@@ -427,8 +353,6 @@ def masked_softmax(logits: Value, mask: Array | None = None) -> Value:
     data = masked_softmax_np(logits.data, mask)
 
     def backward(out: Value) -> None:
-        if not logits.requires_grad:
-            return
         y = out.data
         g = out.grad
         dot = (g * y).sum(axis=-1, keepdims=True)
@@ -443,9 +367,8 @@ def softmax(logits: Value) -> Value:
 
 def cross_entropy(logits: Value, target) -> Value:
     """Negative log-likelihood of `target` under softmax(logits) along the
-    last axis: (C,) logits with an int target give a scalar, (..., B, C)
-    logits with B targets give the (..., B) per-row losses, the targets
-    shared by every leading index of the logits.
+    last axis: (..., B, C) logits with B targets give the (..., B) per-row
+    losses, the targets shared by every leading index of the logits.
 
     Computed as logsumexp(logits) - logits[target]; the backward pass is
     the classic softmax-minus-onehot.
@@ -464,8 +387,7 @@ def cross_entropy(logits: Value, target) -> Value:
     data = (m + np.log(total) - picked)[..., 0]
 
     def backward(out: Value) -> None:
-        if logits.requires_grad:
-            logits.accumulate_grad(out.grad[..., None] * (e / total - onehot), owned=True)
+        logits.accumulate_grad(out.grad[..., None] * (e / total - onehot), owned=True)
 
     return _make_node(data, (logits,), backward)
 
@@ -538,9 +460,6 @@ class ParamStore:
         value.requires_grad = True
         self._params[path] = value
         return value
-
-    def __contains__(self, path: str) -> bool:
-        return path in self._params
 
     def __getitem__(self, path: str) -> Value:
         if path not in self._params:
@@ -690,7 +609,7 @@ def load_checkpoint(path) -> dict[str, Array]:
 
 def finite_diff_grad(
     f: Callable[[], float | Array],
-    params: Iterable[Value] | ParamStore,
+    params: Iterable[Value],
     epsilon: float = 1e-5,
     copies: int = 1,
 ) -> list[Array]:
@@ -708,10 +627,7 @@ def finite_diff_grad(
     """
     if copies < 1:
         raise ValueError(f"copies must be at least 1, got {copies}")
-    if isinstance(params, ParamStore):
-        tensors = list(params.values())
-    else:
-        tensors = list(params)
+    tensors = list(params)
     grads: list[Array] = []
     for t in tensors:
         orig = t.data

@@ -5,8 +5,9 @@ on one stream), metrics (rebuild the full ledger from dumped accuracies),
 diag (routing homogeneity report from a trace file), gradcheck
 (finite-difference audit of every trainable parameter).
 
-An input error (a bad config value, an unreadable row or trace line)
-prints `streamlora: <message>` to stderr and exits with status 2.
+An input error (a bad config value, an unreadable row or trace line, a
+file that cannot be opened or written) prints `streamlora: <message>` to
+stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"streamlora: {exc}", file=sys.stderr)
         return 2
 

@@ -42,14 +42,6 @@ class ExpertBank:
     down: list[Value] = field(default_factory=list)  # each (rank, d_in)
     up: list[Value] = field(default_factory=list)    # each (d_out, rank)
 
-    @property
-    def d_in(self) -> int:
-        return self.base.data.shape[1]
-
-    @property
-    def d_out(self) -> int:
-        return self.base.data.shape[0]
-
 
 def init_expert_bank(
     n_experts: int,
@@ -76,22 +68,22 @@ def init_expert_bank(
 
 
 def lora_delta(bank: ExpertBank, experts: Sequence[int], h: Value, weights: Value) -> Value:
-    """Weighted low-rank correction of token matrices h (..., L, d_in) by
-    the listed experts: sum_j w_j h A_j^T B_j^T.
+    """Weighted low-rank correction of a batch of token matrices h
+    (B, L, d_in) by the listed experts: sum_j w_j h A_j^T B_j^T.
 
-    `weights` (..., N) holds w_j for every expert of the bank, per token or
-    broadcast over tokens. The listed factors are concatenated along the
-    rank axis, so any number of experts costs two products, and the
-    weights scale the rank-space activations in between. A factor may
-    hold n copies of itself, (n, 1, r, d_in) or (n, 1, d_out, r); the
-    concatenation broadcasts the others and the result gains the copy
-    axis, (n, B, L, d_out).
+    `weights` (B, L, N) or (B, 1, N) holds w_j for every expert of the
+    bank, per token or broadcast over tokens. The listed factors are
+    concatenated along the rank axis, so any number of experts costs two
+    products, and the weights scale the rank-space activations in between.
+    A factor may hold n copies of itself, (n, 1, r, d_in) or
+    (n, 1, d_out, r); the concatenation broadcasts the others and the
+    result gains the copy axis, (n, B, L, d_out).
     """
     experts = [int(j) for j in experts]
     if not experts or min(experts) < 0 or max(experts) >= bank.n_experts:
         raise ValueError(f"expert index out of range for a bank of {bank.n_experts}")
-    if h.data.ndim < 2:
-        raise ValueError("hidden state must be a (tokens, d_in) matrix")
+    if h.data.ndim < 3:
+        raise ValueError(f"hidden state must be a (B, tokens, d_in) batch, got shape {h.data.shape}")
     down = concat([bank.down[j] for j in experts], axis=-2)        # (U r, d_in)
     up = concat([bank.up[j] for j in experts], axis=-1)            # (d_out, U r)
     # a 0/1 (N, U r) matrix copies w_j onto expert j's r columns, exactly
@@ -128,12 +120,12 @@ def adapted_forward(
     distribution must sum to one. Experts outside every sample's subset
     are never touched, so their adapters get no gradient. A `gate`
     (B, N), the straight-through factor, scales the weights after that
-    check. A single sample drops B from every argument.
+    check.
     """
     mask = check_mask(mask, bank.n_experts)
     _check_weights(weights, mask, bank.n_experts)
-    if h.data.ndim < 2:
-        raise ValueError("hidden state must be a (tokens, d_in) matrix")
+    if h.data.ndim < 3:
+        raise ValueError(f"hidden state must be a (B, tokens, d_in) batch, got shape {h.data.shape}")
     if gate is not None:
         weights = mul(weights, per_token(gate))
     union = np.flatnonzero(mask.reshape(-1, bank.n_experts).any(axis=0))

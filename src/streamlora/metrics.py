@@ -130,10 +130,14 @@ class MetricLedger:
 
     @classmethod
     def from_accuracy_rows(cls, rows: Iterable[tuple[int, int, float]]) -> "MetricLedger":
-        """Rebuild a ledger from raw (chunk, dataset, accuracy) triples."""
+        """Rebuild a ledger from raw (chunk, dataset, accuracy) triples. A
+        (t, m) given twice raises `ValueError`."""
         by_chunk: dict[int, dict[int, float]] = {}
         for t, m, a in rows:
-            by_chunk.setdefault(int(t), {})[int(m)] = float(a)
+            chunk = by_chunk.setdefault(int(t), {})
+            if int(m) in chunk:
+                raise ValueError(f"accuracy of (t, m) = ({int(t)}, {int(m)}) given twice")
+            chunk[int(m)] = float(a)
         ledger = cls()
         for t in sorted(by_chunk):
             ledger.add_chunk(t, by_chunk[t])

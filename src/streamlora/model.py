@@ -47,7 +47,6 @@ from .autograd import (
     powi,
     reshape,
     softmax,
-    take_rows,
     tanh,
     transpose,
     vsum,
@@ -179,8 +178,8 @@ class SiteRecord:
     audit's pins read.
 
     `weights` is the very `Value` `adapted_forward` applied, before the
-    gate: the live stage-two output wherever the regularizer can run,
-    (B, 1, N) or (N,) rows where weights do not vary by token. The
+    gate: the live stage-two output (B, L, N) wherever the regularizer can
+    run, (B, 1, N) rows where weights do not vary by token. The
     regularizer sets `reference` to the EMA reference it compared against.
     """
 
@@ -346,7 +345,7 @@ def _site_forward(
     mask = np.ones((x_text.data.shape[0], n), dtype=bool)     # every expert, every sample
     gate, probs = None, None
     if variant.mode == "shared_lora":
-        weights = Value(np.ones(n))
+        weights = Value(np.ones((x_text.data.shape[0], 1, n)))
     elif variant.use_selection and variant.use_token_weighting:
         probs, mask, weights, gate = route_with_straight_through(
             router, hidden, x_text, model.top_k,
@@ -398,7 +397,7 @@ def forward(
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError(f"unknown token id in instruction (vocab size {cfg.vocab_size})")
 
-    instr_emb = take_rows(model.embed, ids)              # (B, T, d_e)
+    instr_emb = Value(model.embed.data[ids])             # (B, T, d_e), the frozen embedding
     x_text = pool_text(instr_emb)                        # (B, d_e)
     x = concat([Value(visual), instr_emb], axis=1)       # (B, L, d)
 
@@ -426,7 +425,5 @@ def forward(
 
 def task_loss(logits: Value, labels) -> Value:
     """Mean cross-entropy against the gold answer classes: (..., B, C)
-    logits with B labels, one mean per leading index, or (C,) logits with
-    one label."""
-    losses = cross_entropy(logits, labels)
-    return mean(losses, axis=-1) if losses.data.ndim else losses
+    logits with B labels, one mean per leading index."""
+    return mean(cross_entropy(logits, labels), axis=-1)

@@ -21,8 +21,8 @@ Every function routes a batch: hidden states (B, L, d_hidden), pooled
 instruction embeddings (B, d_e), and the subsets as one (B, N) boolean
 mask, one row per sample (the masked dispatch of sparse MoE layers, Fedus
 et al. 2021, arXiv:2101.03961). That mask is the only subset format, from
-`select_experts` through the adapters to the regularizer. A single sample
-drops the leading axis from every array, its mask included.
+`select_experts` through the adapters to the regularizer. A lone sample is
+a batch of one.
 
 The routing functions return plain tuples; `model.SiteRecord` is the one
 record a site's routing outcome is kept in.
@@ -93,10 +93,11 @@ def init_routing_state(
 
 
 def pool_text(instruction_emb: Value) -> Value:
-    """Mean over instruction token embeddings, the sample's text summary:
-    (T, d_e) -> (d_e,), or (B, T, d_e) -> (B, d_e)."""
-    if instruction_emb.data.ndim < 2 or instruction_emb.data.shape[-2] == 0:
-        raise ValueError("need a non-empty (tokens, d_e) embedding matrix")
+    """Mean over instruction token embeddings, each sample's text summary:
+    (B, T, d_e) -> (B, d_e)."""
+    if instruction_emb.data.ndim != 3 or instruction_emb.data.shape[-2] == 0:
+        raise ValueError(f"need a non-empty (B, tokens, d_e) embedding batch, "
+                         f"got shape {instruction_emb.data.shape}")
     return mean(instruction_emb, axis=-2)
 
 
@@ -107,7 +108,7 @@ def per_token(v: Value) -> Value:
 
 
 def project(x: Value, weight: Value) -> Value:
-    """x W^T for pooled vectors x, (d,) or (B, d). A weight holding n
+    """x W^T for pooled vectors x, (B, d). A weight holding n
     copies, (n, 1, k, d), meets every row with each copy, (n, B, k); the
     rows are lifted to (B, 1, d) only then, because one (B, d) @ (d, k)
     product and B row products differ in the last bits."""
@@ -119,10 +120,12 @@ def project(x: Value, weight: Value) -> Value:
 
 def check_mask(mask: np.ndarray, n_experts: int) -> np.ndarray:
     """Return `mask` after checking that it is a boolean subset mask over
-    the N experts, (B, N), with no empty row."""
-    if getattr(mask, "dtype", None) != bool or mask.ndim == 0:
+    the N experts, (B, N) (with any leading copy axes), with no empty row."""
+    if getattr(mask, "dtype", None) != bool:
         got = getattr(mask, "dtype", type(mask).__name__)
         raise ValueError(f"a routing subset must be a boolean mask, got {got}")
+    if mask.ndim < 2:
+        raise ValueError(f"expected a (B, N) subset mask, got shape {mask.shape}")
     if mask.shape[-1] != n_experts:
         raise ValueError(f"subset mask covers {mask.shape[-1]} experts, not {n_experts}")
     if not mask.any(axis=-1).all():
@@ -157,15 +160,16 @@ def select_experts(state: RoutingState, x_text: Value, top_k: int) -> tuple[Valu
 def token_logits(state: RoutingState, hidden: Value, x_text: Value) -> Value:
     """Stage-two scores for every (token, expert) pair.
 
-    score[l, j] = (query(h_l) . (key(x_text) * e_j)) / sqrt(D). Scores of
-    experts outside a sample's subset are computed too; `token_weights`
-    masks them out, so they never materialize as infinities.
+    score[b, l, j] = (query(h_bl) . (key(x_text_b) * e_j)) / sqrt(D) for
+    hidden states (B, L, d_hidden). Scores of experts outside a sample's
+    subset are computed too; `token_weights` masks them out, so they never
+    materialize as infinities.
     """
-    if hidden.data.ndim < 2:
-        raise ValueError("hidden must be a (tokens, d_hidden) matrix")
-    text_key = project(x_text, state.key)                           # (D,) or (B, D)
-    keys = mul(state.experts, per_token(text_key))                  # (N, D) or (B, N, D)
-    queries = matmul(hidden, transpose(state.query))                # (L, D) or (B, L, D)
+    if hidden.data.ndim < 3:
+        raise ValueError(f"hidden must be a (B, tokens, d_hidden) batch, got shape {hidden.data.shape}")
+    text_key = project(x_text, state.key)                           # (B, D)
+    keys = mul(state.experts, per_token(text_key))                  # (B, N, D)
+    queries = matmul(hidden, transpose(state.query))                # (B, L, D)
     scale = 1.0 / np.sqrt(state.routing_dim)
     return mul(matmul(queries, transpose(keys)), Value(scale))
 

@@ -107,8 +107,8 @@ def reg_loss(reference: np.ndarray, live: Value, mask: np.ndarray) -> Value:
     contribute exactly zero because the reference is zero there.
     """
     ref = np.asarray(reference, dtype=np.float64)
-    if ref.ndim < 2:
-        raise ValueError("expected (tokens, n_experts) weight matrices")
+    if ref.ndim < 3:
+        raise ValueError(f"expected (B, tokens, n_experts) reference weights, got shape {ref.shape}")
     if live.data.shape[max(live.data.ndim - ref.ndim, 0):] != ref.shape:
         raise ValueError(f"shape mismatch: reference {ref.shape} vs live {live.data.shape}")
     n_experts = ref.shape[-1]

@@ -164,10 +164,6 @@ class Chunk:
             raise RuntimeError(f"chunk {self.index} already consumed; the stream is single-pass")
         return self._samples
 
-    @property
-    def size(self) -> int:
-        return int(self.counts.sum())
-
     def retire(self) -> None:
         self._samples = None
 

@@ -711,7 +711,7 @@ def gradient_audit(
         path: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
         for path, p in model.params.items()
     }
-    numeric = finite_diff_grad(probe, model.params, epsilon=epsilon, copies=AUDIT_COPIES)
+    numeric = finite_diff_grad(probe, model.params.values(), epsilon=epsilon, copies=AUDIT_COPIES)
 
     rows: list[AuditRow] = []
     for (path, _), fd in zip(model.params.items(), numeric):

@@ -106,14 +106,14 @@ def test_criterion_2_routing_invariants():
         d_routing = int(rng.integers(2, 7))
         n_tokens = int(rng.integers(1, 6))
         state = init_routing_state(n, d_e, d_hidden, d_routing, rng)
-        hidden = Value(rng.normal(size=(n_tokens, d_hidden)))
-        x_text = pool_text(Value(rng.normal(size=(int(rng.integers(1, 5)), d_e))))
+        hidden = Value(rng.normal(size=(1, n_tokens, d_hidden)))          # a batch of one
+        x_text = pool_text(Value(rng.normal(size=(1, int(rng.integers(1, 5)), d_e))))
         probs, mask, live, gate = route_with_straight_through(state, hidden, x_text, k)
 
-        p = probs.data
+        p = probs.data[0]
         order = np.argsort(-p, kind="stable")
-        weights = live.data
-        subset = tuple(int(j) for j in np.flatnonzero(mask))
+        weights = live.data[0]
+        subset = tuple(int(j) for j in np.flatnonzero(mask[0]))
         bank = _live_bank(n, d_hidden, bank_rng)
         args = (bank, hidden, live, mask)
         checks = {
@@ -121,7 +121,7 @@ def test_criterion_2_routing_invariants():
             "subset is stable top-k": subset == tuple(sorted(int(j) for j in order[:k])),
             "subset size and order": len(subset) == k and list(subset) == sorted(set(subset)),
             "weight rows normalized": np.allclose(weights.sum(axis=1), 1.0, atol=1e-12),
-            "weights vanish off subset": np.all(weights[:, ~mask] == 0.0),
+            "weights vanish off subset": np.all(weights[:, ~mask[0]] == 0.0),
             "gate leaves forward untouched": np.array_equal(
                 adapted_forward(*args, gate).data, adapted_forward(*args).data),
         }
@@ -138,9 +138,10 @@ def test_criterion_2_routing_invariants():
 
 
 def _distribution_over(rng, n_tokens, mask):
-    w = np.zeros((n_tokens, mask.size))
-    w[:, mask] = rng.uniform(0.1, 1.0, size=(n_tokens, int(mask.sum())))
-    return w / w.sum(axis=1, keepdims=True)
+    """(1, tokens, N) distributions on the (1, N) mask of a batch of one."""
+    w = np.zeros((1, n_tokens, mask.shape[-1]))
+    w[0][:, mask[0]] = rng.uniform(0.1, 1.0, size=(n_tokens, int(mask.sum())))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def test_criterion_3_regularizer_exactness():
@@ -153,8 +154,8 @@ def test_criterion_3_regularizer_exactness():
         d_e, d_hidden, d_routing, n_tokens = 4, 6, 5, 3
         state = init_routing_state(n, d_e, d_hidden, d_routing, rng)
         shadow = EmaShadow.from_states({"site": state})
-        hidden = rng.normal(size=(n_tokens, d_hidden))
-        x_text = rng.normal(size=d_e)
+        hidden = rng.normal(size=(1, n_tokens, d_hidden))
+        x_text = rng.normal(size=(1, d_e))
         _, mask = select_experts(state, Value(x_text), k)
         live = token_weights(token_logits(state, Value(hidden), Value(x_text)), mask)
         ref = reference_weights(shadow, "site", hidden, x_text, mask)
@@ -165,12 +166,12 @@ def test_criterion_3_regularizer_exactness():
     for case in range(1000):
         n = int(rng.integers(2, 7))
         k = int(rng.integers(1, n + 1))
-        mask = np.zeros(n, dtype=bool)
-        mask[rng.choice(n, size=k, replace=False)] = True
+        mask = np.zeros((1, n), dtype=bool)
+        mask[0, rng.choice(n, size=k, replace=False)] = True
         w = _distribution_over(rng, int(rng.integers(1, 5)), mask)
         if float(reg_loss(w, Value(w.copy()), mask).data) != 0.0:
             bad.append(f"self divergence nonzero in case {case}")
-        other = _distribution_over(rng, w.shape[0], mask)
+        other = _distribution_over(rng, w.shape[1], mask)
         if float(reg_loss(w, Value(other), mask).data) < 0.0:
             bad.append(f"negative divergence in case {case}")
 

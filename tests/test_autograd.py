@@ -30,7 +30,6 @@ from streamlora.autograd import (
     reshape,
     save_checkpoint,
     softmax,
-    take_rows,
     tanh,
     transpose,
     vsum,
@@ -79,9 +78,8 @@ def test_every_op_matches_finite_differences(seed):
     b = Value(rng.normal(size=(m, n)))
     w = Value(rng.normal(size=(n, k)))
     vec = Value(rng.normal(size=n))
+    col, row = Value(vec.data[:, None].copy()), Value(vec.data[None, :].copy())
     pos = Value(rng.uniform(0.5, 2.0, size=(m, n)))
-    table = Value(rng.normal(size=(6, n)))
-    ids = [int(i) for i in rng.integers(0, 6, size=4)]
     mask = np.zeros(n, dtype=bool)
     mask[rng.integers(0, n)] = True
     mask |= rng.uniform(size=n) < 0.5
@@ -94,21 +92,19 @@ def test_every_op_matches_finite_differences(seed):
     per_sample = Value(rng.normal(size=(bsz, n, k)))      # (B, D, N)
     batch_logits = Value(rng.normal(size=(bsz, n)))
     batch_targets = rng.integers(0, n, size=bsz)
-    batch_ids = rng.integers(0, 6, size=(bsz, 3))
 
     cases = [
         (lambda: scalarize(a + b), [a, b]),
         (lambda: scalarize(a - b), [a, b]),
         (lambda: scalarize(mul(a, b)), [a, b]),
-        (lambda: scalarize(-a), [a]),
         (lambda: scalarize(matmul(a, w)), [a, w]),
-        (lambda: scalarize(matmul(a, vec)), [a, vec]),
-        (lambda: scalarize(matmul(vec, w)), [vec, w]),
-        (lambda: matmul(vec, vec), [vec]),
+        (lambda: scalarize(matmul(a, col)), [a, col]),
+        (lambda: scalarize(matmul(row, w)), [row, w]),
+        (lambda: vsum(matmul(row, col)), [row, col]),
         (lambda: scalarize(transpose(a)), [a]),
         (lambda: scalarize(powi(pos, -0.5)), [pos]),
         (lambda: scalarize(tanh(a)), [a]),
-        (lambda: scalarize(log(pos)), [pos]),
+        (lambda: scalarize(log(pos, floor=1e-12)), [pos]),
         (lambda: scalarize(mean(a, axis=0)), [a]),
         (lambda: scalarize(mean(a, axis=1, keepdims=True)), [a]),
         (lambda: mean(a), [a]),
@@ -116,14 +112,13 @@ def test_every_op_matches_finite_differences(seed):
         (lambda: vsum(a), [a]),
         (lambda: scalarize(concat([a, b], axis=0)), [a, b]),
         (lambda: scalarize(concat([a, b], axis=1)), [a, b]),
-        (lambda: scalarize(take_rows(table, ids)), [table]),
         (lambda: scalarize(softmax(a)), [a]),
         (lambda: scalarize(masked_softmax(a, mask)), [a]),
         (lambda: cross_entropy(vec, target), [vec]),
         (lambda: scalarize(matmul(tokens, w)), [tokens, w]),
         (lambda: scalarize(matmul(reshape(tokens, (bsz, 1, m, n)), factors)), [tokens, factors]),
         (lambda: scalarize(matmul(tokens, per_sample)), [tokens, per_sample]),
-        (lambda: scalarize(matmul(vec, per_sample)), [vec, per_sample]),
+        (lambda: scalarize(matmul(row, per_sample)), [row, per_sample]),
         (lambda: scalarize(transpose(tokens)), [tokens]),
         (lambda: scalarize(transpose(tokens, -3, -2)), [tokens]),
         (lambda: scalarize(reshape(tokens, (bsz, m * n))), [tokens]),
@@ -132,7 +127,6 @@ def test_every_op_matches_finite_differences(seed):
         (lambda: scalarize(concat([a, tokens], axis=-2)), [a, tokens]),
         (lambda: scalarize(concat([tokens, b], axis=-1)), [tokens, b]),
         (lambda: scalarize(mean(tokens, axis=-2)), [tokens]),
-        (lambda: scalarize(take_rows(table, batch_ids)), [table]),
         (lambda: scalarize(masked_softmax(tokens, mask)), [tokens]),
         (lambda: scalarize(cross_entropy(batch_logits, batch_targets)), [batch_logits]),
     ]
@@ -238,10 +232,10 @@ def test_backward_of_sum_is_ones():
 
 
 def test_backward_of_dot_is_the_other_vector():
-    x = Value([1.0, 2.0, 3.0], requires_grad=True)
-    y = Value([4.0, 5.0, 6.0])
-    backward(matmul(x, y))
-    np.testing.assert_array_equal(x.grad, y.data)
+    x = Value([[1.0, 2.0, 3.0]], requires_grad=True)
+    y = Value([[4.0], [5.0], [6.0]])
+    backward(vsum(matmul(x, y)))
+    np.testing.assert_array_equal(x.grad, y.data.T)
 
 
 def test_cross_entropy_gradient_is_softmax_minus_onehot():
@@ -332,11 +326,6 @@ def test_no_grad_produces_constant_nodes():
     assert out._parents == ()
 
 
-def test_log_requires_positive_without_floor():
-    with pytest.raises(ValueError, match="non-positive"):
-        log(Value([1.0, 0.0]))
-
-
 def test_log_floor_clamps_value_and_gradient():
     x = Value([1e-20, 1.0], requires_grad=True)
     out = log(x, floor=1e-12)
@@ -346,19 +335,12 @@ def test_log_floor_clamps_value_and_gradient():
     assert x.grad[1] == pytest.approx(1.0)
 
 
-def test_division_sugar_and_scalar_ops():
+def test_scalar_operator_sugar():
     x = Value([2.0, 4.0], requires_grad=True)
-    out = vsum((x / 2.0) * 3.0 + 1.0 - (1.0 - x))
+    out = vsum(x * 1.5 + 1.0 - (x * 0.5 - 1.0))
+    np.testing.assert_array_equal(out.data, 10.0)
     backward(out)
-    np.testing.assert_allclose(x.grad, [2.5, 2.5])
-    with pytest.raises(TypeError):
-        x / Value([1.0, 1.0])
-
-
-def test_take_rows_rejects_out_of_range_ids():
-    table = Value(np.zeros((3, 2)))
-    with pytest.raises(ValueError, match="out of range"):
-        take_rows(table, [0, 3])
+    np.testing.assert_allclose(x.grad, [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +352,7 @@ def test_finite_diff_on_square_is_two_theta():
     theta = Value(np.asarray(3.0))
     store = ParamStore()
     store.add("theta", theta)
-    grads = finite_diff_grad(lambda: float(theta.data) ** 2, store, epsilon=1e-5)
+    grads = finite_diff_grad(lambda: float(theta.data) ** 2, store.values(), epsilon=1e-5)
     assert grads[0] == pytest.approx(6.0, abs=1e-6)
 
 

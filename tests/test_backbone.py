@@ -352,7 +352,7 @@ def test_selected_adapters_receive_gradient_off_subset_ones_do_not():
 
 
 def test_task_loss_hand_values():
-    assert task_loss(Value([1.0, 0.0]), 0).data == pytest.approx(
+    assert task_loss(Value([[1.0, 0.0]]), [0]).data == pytest.approx(
         math.log(1.0 + math.exp(-1.0)), abs=1e-15
     )
     model = make_model(FULL)
@@ -364,7 +364,7 @@ def test_task_loss_hand_values():
 
 def test_task_loss_rejects_out_of_range_label():
     with pytest.raises(ValueError, match="out of range"):
-        task_loss(Value([0.0, 1.0, 2.0]), 3)
+        task_loss(Value([[0.0, 1.0, 2.0]]), [3])
 
 
 # ---------------------------------------------------------------------------

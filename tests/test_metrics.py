@@ -202,6 +202,11 @@ def test_from_accuracy_rows_orders_chunks_itself():
     assert ledger.histories[0] == [0.9, 0.6, 0.3]
 
 
+def test_from_accuracy_rows_rejects_a_repeated_chunk_and_dataset():
+    with pytest.raises(ValueError, match=r"\(t, m\) = \(1, 0\) given twice"):
+        MetricLedger.from_accuracy_rows([(1, 0, 0.5), (1, 0, 0.75), (2, 0, 0.25)])
+
+
 # ---------------------------------------------------------------------------
 # CKA
 # ---------------------------------------------------------------------------

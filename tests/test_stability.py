@@ -129,8 +129,8 @@ def test_reference_matches_live_weights_bit_exactly_when_shadow_is_fresh():
     states = make_states(seed=7)
     shadow = EmaShadow.from_states(states)
     rng = named_rng(8, "inputs")
-    hidden = rng.normal(size=(6, 5))
-    x_text = rng.normal(size=3)
+    hidden = rng.normal(size=(1, 6, 5))
+    x_text = rng.normal(size=(1, 3))
     for site, state in states.items():
         _, mask, weights, _ = route_with_straight_through(state, Value(hidden), Value(x_text), top_k=2)
         ref = reference_weights(shadow, site, hidden, x_text, mask)
@@ -146,10 +146,10 @@ def test_reference_weights_two_expert_hand_case():
         experts=Value([[1.0], [2.0]]),
     )
     shadow = EmaShadow.from_states({"s": state})
-    both = np.array([True, True])
-    ref = reference_weights(shadow, "s", np.array([[1.0]]), np.array([1.0]), both)
+    both = np.array([[True, True]])
+    ref = reference_weights(shadow, "s", np.array([[[1.0]]]), np.array([[1.0]]), both)
     lo = 1.0 / (1.0 + math.e)
-    np.testing.assert_allclose(ref, [[lo, 1.0 - lo]], rtol=1e-15)
+    np.testing.assert_allclose(ref, [[[lo, 1.0 - lo]]], rtol=1e-15)
 
 
 def test_reference_weights_singleton_subset_is_degenerate():
@@ -157,11 +157,11 @@ def test_reference_weights_singleton_subset_is_degenerate():
     shadow = EmaShadow.from_states(states)
     rng = named_rng(10, "single")
     ref = reference_weights(
-        shadow, "layer.0.attn", rng.normal(size=(4, 5)), rng.normal(size=3),
-        np.array([False, False, True, False]),
+        shadow, "layer.0.attn", rng.normal(size=(1, 4, 5)), rng.normal(size=(1, 3)),
+        np.array([[False, False, True, False]]),
     )
-    np.testing.assert_array_equal(ref[:, 2], 1.0)
-    assert np.all(ref[:, [0, 1, 3]] == 0.0)
+    np.testing.assert_array_equal(ref[..., 2], 1.0)
+    assert np.all(ref[..., [0, 1, 3]] == 0.0)
 
 
 def test_reference_weights_rows_are_distributions_over_the_subset():
@@ -169,11 +169,11 @@ def test_reference_weights_rows_are_distributions_over_the_subset():
     shadow = EmaShadow.from_states(states)
     rng = named_rng(12, "dist")
     ref = reference_weights(
-        shadow, "layer.0.ffn", rng.normal(size=(5, 5)), rng.normal(size=3),
-        np.array([False, True, False, True]),
+        shadow, "layer.0.ffn", rng.normal(size=(1, 5, 5)), rng.normal(size=(1, 3)),
+        np.array([[False, True, False, True]]),
     )
-    np.testing.assert_allclose(ref.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    assert np.all(ref[:, [0, 2]] == 0.0)
+    np.testing.assert_allclose(ref.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+    assert np.all(ref[..., [0, 2]] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +182,15 @@ def test_reference_weights_rows_are_distributions_over_the_subset():
 
 
 def weight_matrix(rng, n_tokens, mask):
-    """Random (tokens, N) distributions supported on one sample's (N,) mask."""
-    w = np.zeros((n_tokens, mask.size))
+    """Random (1, tokens, N) distributions supported on the (1, N) mask of
+    a batch of one."""
+    w = np.zeros((1, n_tokens, mask.shape[-1]))
     raw = rng.uniform(0.1, 1.0, size=(n_tokens, int(mask.sum())))
-    w[:, mask] = raw / raw.sum(axis=1, keepdims=True)
+    w[0][:, mask[0]] = raw / raw.sum(axis=1, keepdims=True)
     return w
 
 
-FIRST_AND_THIRD = np.array([True, False, True, False])
+FIRST_AND_THIRD = np.array([[True, False, True, False]])
 
 
 def test_kl_of_identical_weights_is_exactly_zero():
@@ -201,9 +202,9 @@ def test_kl_of_identical_weights_is_exactly_zero():
 
 def test_kl_two_point_hand_case():
     # KL([.5 .5] || [.9 .1]) = .5 log(.5/.9) + .5 log(.5/.1)
-    ref = np.array([[0.5, 0.5]])
-    live = np.array([[0.9, 0.1]])
-    loss = reg_loss(ref, Value(live), np.array([True, True]))
+    ref = np.array([[[0.5, 0.5]]])
+    live = np.array([[[0.9, 0.1]]])
+    loss = reg_loss(ref, Value(live), np.array([[True, True]]))
     want = 0.5 * math.log(0.5 / 0.9) + 0.5 * math.log(0.5 / 0.1)
     assert loss.data == pytest.approx(want, rel=1e-12)
 
@@ -213,8 +214,8 @@ def test_kl_is_nonnegative_on_random_pairs():
     for _ in range(1000):
         n = int(rng.integers(2, 8))
         k = int(rng.integers(1, n + 1))
-        mask = np.zeros(n, dtype=bool)
-        mask[rng.choice(n, size=k, replace=False)] = True
+        mask = np.zeros((1, n), dtype=bool)
+        mask[0, rng.choice(n, size=k, replace=False)] = True
         tokens = int(rng.integers(1, 5))
         ref = weight_matrix(rng, tokens, mask)
         live = weight_matrix(rng, tokens, mask)
@@ -223,12 +224,12 @@ def test_kl_is_nonnegative_on_random_pairs():
 
 def test_kl_averages_over_tokens():
     rng = named_rng(15, "avg")
-    mask = np.array([True, True, False])
+    mask = np.array([[True, True, False]])
     ref_row = weight_matrix(rng, 1, mask)
     live_row = weight_matrix(rng, 1, mask)
     single = reg_loss(ref_row, Value(live_row), mask)
     stacked = reg_loss(
-        np.repeat(ref_row, 4, axis=0), Value(np.repeat(live_row, 4, axis=0)), mask
+        np.repeat(ref_row, 4, axis=1), Value(np.repeat(live_row, 4, axis=1)), mask
     )
     assert stacked.data == pytest.approx(float(single.data), rel=1e-12)
 
@@ -240,38 +241,39 @@ def test_kl_gradient_lands_on_live_weights_only():
     backward(reg_loss(ref, live, FIRST_AND_THIRD))
     expected = -ref / np.maximum(live.data, LOG_FLOOR) / 3.0
     np.testing.assert_allclose(live.grad, expected, rtol=1e-12, atol=0)
-    assert np.all(live.grad[:, [1, 3]] == 0.0)
+    assert np.all(live.grad[..., [1, 3]] == 0.0)
 
 
 def test_kl_rejects_support_outside_the_subset():
     rng = named_rng(17, "support")
-    mask = np.array([True, True, False])
+    mask = np.array([[True, True, False]])
     good = weight_matrix(rng, 2, mask)
     leaky = good.copy()
-    leaky[0, 2] = 0.001
+    leaky[0, 0, 2] = 0.001
     with pytest.raises(ValueError, match="support disagrees"):
         reg_loss(leaky, Value(good), mask)
     with pytest.raises(ValueError, match="support disagrees"):
         reg_loss(good, Value(leaky), mask)
     with pytest.raises(ValueError, match="boolean"):
-        reg_loss(good, Value(good), np.array([0, 1, 1]))
+        reg_loss(good, Value(good), np.array([[0, 1, 1]]))
 
 
 def test_kl_rejects_mismatched_shapes_and_flat_inputs():
     rng = named_rng(18, "shape")
-    mask = np.array([True, True, False])
+    mask = np.array([[True, True, False]])
     a = weight_matrix(rng, 2, mask)
     b = weight_matrix(rng, 3, mask)
     with pytest.raises(ValueError, match="shape mismatch"):
         reg_loss(a, Value(b), mask)
-    with pytest.raises(ValueError, match="tokens, n_experts"):
-        reg_loss(a[0], Value(b[0]), mask)
+    for flat in (a[0], a[0, 0]):                    # one sample's matrix, one token's row
+        with pytest.raises(ValueError, match="tokens, n_experts"):
+            reg_loss(flat, Value(flat), mask)
 
 
 def test_reg_loss_accepts_weights_straight_from_the_router():
     rng = named_rng(19, "router")
-    mask = np.array([False, True, False, False, True])
-    live = token_weights(Value(rng.normal(size=(4, 5))), mask)
+    mask = np.array([[False, True, False, False, True]])
+    live = token_weights(Value(rng.normal(size=(1, 4, 5))), mask)
     ref = weight_matrix(rng, 4, mask)
     loss = reg_loss(ref, live, mask)
     assert float(loss.data) >= 0.0

@@ -219,7 +219,7 @@ def test_schedule_validate_rejects_bad_mixtures():
 def test_compose_chunk_matches_apportioned_counts():
     schedule, _, samplers = default_setup(seed=1)
     chunk = compose_chunk(schedule, 3, samplers)
-    assert chunk.size == 200 and len(chunk.samples) == 200
+    assert int(chunk.counts.sum()) == 200 and len(chunk.samples) == 200
     np.testing.assert_array_equal(chunk.counts, apportion(schedule.mixtures[2], 200))
     observed = np.bincount([s.task_id for s in chunk.samples], minlength=5)
     np.testing.assert_array_equal(observed, chunk.counts)

@@ -193,15 +193,22 @@ def test_cli_input_errors_print_one_line_and_exit_2(tmp_path):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(root / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "streamlora.cli", "train", "--set", "n_chunks=0",
-         "--out", str(tmp_path / "run")],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert re.fullmatch(r"streamlora: need at least 7 chunks[^\n]*\n", done.stderr)
-    assert not (tmp_path / "run").exists()
+    missing = tmp_path / "nonexistent"
+    no_file = r"\[Errno 2\] No such file or directory: "
+    for argv, message in [
+        (["train", "--set", "n_chunks=0", "--out", str(tmp_path / "run")],
+         "need at least 7 chunks"),
+        (["train", "--config", str(missing / "x.cfg"), "--out", str(tmp_path / "run")], no_file),
+        (["metrics", "--input", str(missing / "rows.csv")], no_file),
+        (["diag", "--traces", str(missing / "traces.jsonl"), "--out", str(tmp_path / "run")],
+         no_file),
+    ]:
+        done = subprocess.run([sys.executable, "-m", "streamlora.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, argv
+        assert done.stdout == ""
+        assert re.fullmatch(f"streamlora: {message}[^\n]*\n", done.stderr), done.stderr
+        assert not (tmp_path / "run").exists()
 
 
 def test_run_stream_rejects_an_empty_test_set_before_training(tmp_path):
@@ -518,10 +525,16 @@ def write_ablation_table(out):
     trainer_module.run_ablation_suite(tiny_config(), out_dir=out)
 
 
+def run_command(argv):
+    """Run a subcommand as `main` does, but let its errors propagate."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
 def write_metrics(out):
     rows = out / "accuracies.csv"
     rows.write_text("0,0,0.5\n1,0,0.25\n1,1,0.75\n")
-    main(["metrics", "--input", str(rows), "--out", str(out / "metrics.csv")])
+    run_command(["metrics", "--input", str(rows), "--out", str(out / "metrics.csv")])
 
 
 def write_diag_tables(out):
@@ -533,7 +546,7 @@ def write_diag_tables(out):
                 fh.write(json.dumps({"chunk": 0, "task_id": task, "sample_id": f"{task}-{i}",
                                      "layer": 0, "site": "ffn_up",
                                      "s_mean": rng.dirichlet(np.ones(3)).tolist()}) + "\n")
-    main(["diag", "--traces", str(traces), "--out", str(out)])
+    run_command(["diag", "--traces", str(traces), "--out", str(out)])
 
 
 @pytest.mark.parametrize("write, names", [
