@@ -86,15 +86,20 @@ class Value:
         self._parents: tuple[Value, ...] = ()
         self._backward: Callable[[Value], None] | None = None
 
-    def accumulate_grad(self, g: Array, owned: bool = False) -> None:
+    def accumulate_grad(self, g: Array, owned: bool = False, released: bool = False) -> None:
         """Add `g`, of this node's full shape, into `grad`. A first gradient
-        is copied, since `g` may be shared, unless `owned` says the caller
-        has just computed it and keeps no other reference: then it is
-        adopted."""
+        is adopted when `owned` says the caller has just computed it and
+        keeps no other reference. An interior node also adopts it when
+        `released` says it is (a view of) the caller's own gradient, which
+        the sweep drops next and hands to no other node that adopts it. Any
+        other first gradient is copied: a leaf's outlives the sweep, so a
+        leaf always owns its memory."""
         if self.grad is not None:
             self.grad += g
+        elif owned or (released and self._parents):
+            self.grad = g
         else:
-            self.grad = g if owned else np.array(g, dtype=np.float64)
+            self.grad = np.array(g, dtype=np.float64)
 
     def detach(self) -> "Value":
         """Same data, no history. Gradients never flow through the result."""
@@ -150,10 +155,11 @@ def add(a: Value, b: Value) -> Value:
     data = a.data + b.data
 
     def backward(out: Value) -> None:
+        g = out.grad
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(out.grad, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(out.grad, b.data.shape))
+            a.accumulate_grad(_unbroadcast(g, a.data.shape), released=True)
+        if b.requires_grad:     # unless a adopted out.grad itself
+            b.accumulate_grad(_unbroadcast(g, b.data.shape), released=a.grad is not g)
 
     return _make_node(data, (a, b), backward)
 
@@ -163,7 +169,7 @@ def sub(a: Value, b: Value) -> Value:
 
     def backward(out: Value) -> None:
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(out.grad, a.data.shape))
+            a.accumulate_grad(_unbroadcast(out.grad, a.data.shape), released=True)
         if b.requires_grad:
             b.accumulate_grad(-_unbroadcast(out.grad, b.data.shape), owned=True)
 
@@ -210,14 +216,14 @@ def transpose(a: Value, axis1: int = -1, axis2: int = -2) -> Value:
         raise ValueError("transpose expects a value of at least two dimensions")
 
     def backward(out: Value) -> None:
-        a.accumulate_grad(np.swapaxes(out.grad, axis1, axis2))
+        a.accumulate_grad(np.swapaxes(out.grad, axis1, axis2), released=True)
 
     return _make_node(np.swapaxes(a.data, axis1, axis2), (a,), backward)
 
 
 def reshape(a: Value, shape: tuple[int, ...]) -> Value:
     def backward(out: Value) -> None:
-        a.accumulate_grad(out.grad.reshape(a.data.shape))
+        a.accumulate_grad(out.grad.reshape(a.data.shape), released=True)
 
     return _make_node(a.data.reshape(shape), (a,), backward)
 
@@ -309,7 +315,8 @@ def concat(values: Sequence[Value], axis: int = 0) -> Value:
             if v.requires_grad:
                 index = [slice(None)] * out.grad.ndim
                 index[axis] = slice(offset, offset + n)
-                v.accumulate_grad(_unbroadcast(out.grad[tuple(index)], v.data.shape))
+                # the operands' slices do not overlap
+                v.accumulate_grad(_unbroadcast(out.grad[tuple(index)], v.data.shape), released=True)
             offset += n
 
     return _make_node(data, tuple(values), backward)

@@ -24,13 +24,16 @@ instruction length go through one graph over (B, L, d) tensors, and each
 sample is routed on its own (its own top-K subset, its own token weights).
 A trainable leaf may hold n copies of itself, (n, 1, *shape), as the
 gradient audit's probes do: activations then gain a leading copy axis
-where they first meet that leaf, so everything upstream runs once.
+where they first meet that leaf. A forward may also start at one block (a
+site or the head) from the state an earlier forward entered it with; the
+audit's probes start at the probed leaf's block, so nothing upstream of
+it runs at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -180,7 +183,8 @@ class SiteRecord:
     `weights` is the very `Value` `adapted_forward` applied, before the
     gate: the live stage-two output (B, L, N) wherever the regularizer can
     run, (B, 1, N) rows where weights do not vary by token. The
-    regularizer sets `reference` to the EMA reference it compared against.
+    regularizer sets `reference` to the EMA reference it compared against
+    and `reg` to the term it computed.
     """
 
     site: str
@@ -189,6 +193,7 @@ class SiteRecord:
     hidden_data: np.ndarray           # (B, L, d_in) site input
     sample_probs: np.ndarray | None   # stage-one distributions (B, N) when present
     reference: np.ndarray | None = None   # (B, L, N) EMA reference weights when regularized
+    reg: Value | None = None              # the stability term against `reference`
 
     @property
     def weights_data(self) -> np.ndarray:
@@ -201,6 +206,19 @@ class SiteRecord:
     def subset(self) -> tuple[tuple[int, ...], ...]:
         """Each sample's subset as ascending expert indices."""
         return subset_indices(self.mask)
+
+
+@dataclass
+class BlockEntry:
+    """The state a forward enters one block with, the block a site
+    `layer.{i}.{attn_out|ffn_up}` or `head`. A forward given it as `start`
+    resumes there."""
+
+    block: str
+    x: Value                          # the residual stream entering the block
+    hidden: Value                     # the site input; the pooled stream at the head
+    x_text: Value
+    sites: tuple[SiteRecord, ...]     # the records of every site upstream
 
 
 @dataclass
@@ -376,6 +394,8 @@ def forward(
     model: Model,
     samples: Sequence[Sample],
     pinned: dict[str, SiteRecord] | None = None,
+    start: BlockEntry | None = None,
+    entries: dict[str, BlockEntry] | None = None,
 ) -> ForwardResult:
     """Run a batch of samples through the adapted backbone under
     `model.variant`: one graph over (B, L, d) tensors.
@@ -386,22 +406,43 @@ def forward(
     `SiteRecord`, which the regularizer, the trace writer and the audit's
     pins read; frozen mode produces none. `pinned` maps each site to a
     baseline record whose subsets and detach(p) the gradient audit holds
-    fixed; training never sets it.
+    fixed. `entries`, when given, collects each block's `BlockEntry` by
+    block name. `start`, one such entry from a forward over the same
+    samples and the same parameters upstream of its block, resumes there:
+    the embedding and the blocks before it are skipped and their records
+    carried over. Training and evaluation set none of the three.
     """
-    check_uniform_batch(samples)
     cfg = model.config
-    visual = np.stack([sample.visual for sample in samples])
-    if visual.shape[-1] != cfg.d_e:
-        raise ValueError(f"visual token width {visual.shape[-1]} != d_e {cfg.d_e}")
-    ids = np.array([sample.instruction for sample in samples])
-    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
-        raise ValueError(f"unknown token id in instruction (vocab size {cfg.vocab_size})")
+    if start is None:
+        check_uniform_batch(samples)
+        visual = np.stack([sample.visual for sample in samples])
+        if visual.shape[-1] != cfg.d_e:
+            raise ValueError(f"visual token width {visual.shape[-1]} != d_e {cfg.d_e}")
+        ids = np.array([sample.instruction for sample in samples])
+        if ids.min() < 0 or ids.max() >= cfg.vocab_size:
+            raise ValueError(f"unknown token id in instruction (vocab size {cfg.vocab_size})")
+        instr_emb = Value(model.embed.data[ids])         # (B, T, d_e), the frozen embedding
+        x_text = pool_text(instr_emb)                    # (B, d_e)
+        x = concat([Value(visual), instr_emb], axis=1)   # (B, L, d)
+    else:
+        x, x_text = start.x, start.x_text
 
-    instr_emb = Value(model.embed.data[ids])             # (B, T, d_e), the frozen embedding
-    x_text = pool_text(instr_emb)                        # (B, d_e)
-    x = concat([Value(visual), instr_emb], axis=1)       # (B, L, d)
+    result = ForwardResult(logits=None, x_text=x_text,  # logits filled below
+                           sites=list(start.sites) if start else [])
 
-    result = ForwardResult(logits=None, x_text=x_text)  # logits filled below
+    def enter(block: str, site_input: Callable[[Value], Value]) -> Value | None:
+        """The site input of `block`, or None while a resumed forward skips
+        the blocks before `start`'s."""
+        nonlocal start
+        if start is None:
+            hidden = site_input(x)
+        elif start.block == block:
+            hidden, start = start.hidden, None
+        else:
+            return None
+        if entries is not None:
+            entries[block] = BlockEntry(block, x, hidden, x_text, tuple(result.sites))
+        return hidden
 
     def site(i: int, layer: Layer, name: str, hidden: Value) -> Value:
         site_key = f"layer.{i}.{name}"
@@ -414,11 +455,14 @@ def forward(
         return out
 
     for i, layer in enumerate(model.layers):
-        x = x + site(i, layer, "attn_out", _attention(layer, layer_norm(x), cfg.n_heads))
-        up = site(i, layer, "ffn_up", layer_norm(x))
-        x = x + matmul(tanh(up), transpose(layer.ffn_down))
+        hidden = enter(f"layer.{i}.attn_out", lambda x: _attention(layer, layer_norm(x), cfg.n_heads))
+        if hidden is not None:
+            x = x + site(i, layer, "attn_out", hidden)
+        hidden = enter(f"layer.{i}.ffn_up", layer_norm)
+        if hidden is not None:
+            x = x + matmul(tanh(site(i, layer, "ffn_up", hidden)), transpose(layer.ffn_down))
 
-    pooled = mean(layer_norm(x), axis=-2)                # (B, d) or (n, B, d)
+    pooled = enter("head", lambda x: mean(layer_norm(x), axis=-2))   # (B, d) or (n, B, d)
     result.logits = add(project(pooled, model.head_weight), model.head_bias)
     return result
 

@@ -43,6 +43,7 @@ from .model import (
     SHARED_LORA,
     UNIFORM_MOE,
     BackboneConfig,
+    BlockEntry,
     ForwardResult,
     Model,
     Sample,
@@ -350,16 +351,18 @@ def _mean_value(parts: list[Value]) -> Value:
 
 
 def _batch_reg(shadow: EmaShadow | None, result, pinned: dict[str, SiteRecord] | None) -> Value:
-    """Mean stability term over the sites; each record keeps the reference
-    it was compared against, the pinned one in the gradient audit."""
-    terms = []
+    """Mean stability term over the sites. Each record keeps its term and
+    the reference it was compared against, the pinned one in the gradient
+    audit; the records a resumed forward carried over keep theirs."""
     for rec in result.sites:
+        if rec.reg is not None:
+            continue
         if pinned is None:
             rec.reference = reference_weights(shadow, rec.site, rec.hidden_data, result.x_text.data, rec.mask)
         else:
             rec.reference = pinned[rec.site].reference
-        terms.append(reg_loss(rec.reference, rec.weights, rec.mask))
-    return _mean_value(terms)
+        rec.reg = reg_loss(rec.reference, rec.weights, rec.mask)
+    return _mean_value([rec.reg for rec in result.sites])
 
 
 def _batch_loss(
@@ -368,15 +371,17 @@ def _batch_loss(
     shadow: EmaShadow | None,
     reg_weight: float,
     pinned: dict[str, SiteRecord] | None = None,
+    start: BlockEntry | None = None,
 ) -> tuple[Value, Value | None, Value, ForwardResult]:
     """(task, reg, total, forward result) of the training objective on one
     batch, from one forward over the whole batch. `pinned` maps each site
     to a baseline record whose routing constants and EMA reference the
-    gradient audit holds fixed; training leaves it unset. A leaf holding n
-    copies of itself (the audit's probes) gives task, reg and total one
-    value per copy."""
+    gradient audit holds fixed, and `start` resumes the forward at a block
+    (`forward`); training leaves both unset. A leaf holding n copies of
+    itself (the audit's probes) gives task, reg and total one value per
+    copy."""
     use_reg = model.variant.use_reg
-    result = forward(model, batch, pinned=pinned)
+    result = forward(model, batch, pinned=pinned, start=start)
     task = task_loss(result.logits, [sample.label for sample in batch])
     reg = _batch_reg(shadow, result, pinned) if use_reg else None
     return task, reg, total_loss(task, reg, reg_weight if use_reg else 0.0), result
@@ -596,10 +601,12 @@ def audit_config() -> RunConfig:
     )
 
 
-# Probe copies per audit forward. The copies ride a leading axis that
-# starts at the probed leaf, so each one costs only the layers downstream.
-# 32 ran a quarter faster than 16 for about 1 MB more peak memory; 64 a
-# fifth faster again for 2.5 MB more.
+# Probe copies per audit forward. The forward starts at the probed leaf's
+# block and the copies ride a leading axis from the leaf on, so each one
+# costs only the layers downstream. Over 7 rounds of `gradient_audit()` on
+# one CPU of a 2-vCPU host (medians), 32 ran a sixth faster than 16 (0.87
+# against 1.05 s) for 1 MB more peak memory; 64 a fifth faster again
+# (0.70 s) for 1.2 MB more.
 AUDIT_COPIES = 32
 
 
@@ -614,11 +621,13 @@ def _audit_problem(
     routing constants (the expert subset, the detached half of the
     straight-through gate, the EMA reference weights) are pinned at their
     baseline values, so probing a parameter can never flip the selection:
-    the pins are the site records of one no-grad baseline `_batch_loss`.
+    the pins are the site records of one no-grad baseline forward.
     `probe()` evaluates it under `no_grad`: a scalar while every parameter
     has its own shape, and one value per copy while one parameter holds an
     (n, *shape) stack of copies, which it sets as an (n, 1, *shape) leaf
-    so the copies broadcast over the batch.
+    so the copies broadcast over the batch. That forward resumes at the
+    leaf's block from the baseline's `BlockEntry`, which the probe refuses
+    once a leaf upstream holds another array.
     """
     model = config.model(seed)
     rng = named_rng(seed, "audit.params")
@@ -641,26 +650,44 @@ def _audit_problem(
             uid=f"audit-{i}",
         ))
 
+    # the baseline: the pins, and the state each block is entered with
+    entries: dict[str, BlockEntry] = {}
     with no_grad():
-        baseline = _batch_loss(model, samples, shadow, config.reg_weight)[3]
+        baseline = forward(model, samples, entries=entries)
+        _batch_reg(shadow, baseline, None)
     pins = {rec.site: rec for rec in baseline.sites}
 
     def objective() -> Value:
         return _batch_loss(model, samples, shadow, config.reg_weight, pinned=pins)[2]
 
+    # each leaf's block, and the leaves upstream of it with the arrays the
+    # entry was computed from
+    blocks = list(entries)                      # in forward order
+    block_of = {path: next(b for b in blocks if path.startswith(b + ".")) for path in model.params.paths()}
+    depth = {path: blocks.index(block) for path, block in block_of.items()}
+    upstream = {path: [(up, p, p.data) for up, p in model.params.items() if depth[up] < depth[path]]
+                for path in depth}
     ndims = {path: p.data.ndim for path, p in model.params.items()}
 
     def probe() -> float | np.ndarray:
-        stacked = [p for path, p in model.params.items() if p.data.ndim > ndims[path]]
+        stacked = [path for path, p in model.params.items() if p.data.ndim > ndims[path]]
         if not stacked:
             with no_grad():
                 return float(objective().data)
-        (leaf,) = stacked
+        if len(stacked) > 1:
+            raise ValueError(f"a probe block perturbs one parameter, got copies of {', '.join(stacked)}")
+        (path,) = stacked
+        for up, p, held in upstream[path]:
+            if p.data is not held:
+                raise ValueError(f"cannot probe {path} from its cached block entry: {up} upstream "
+                                 f"no longer holds the array the entry was computed from")
+        leaf = model.params[path]
         copies = leaf.data
         leaf.data = copies[:, None]
         try:
             with no_grad():
-                values = objective().data
+                values = _batch_loss(model, samples, shadow, config.reg_weight,
+                                     pinned=pins, start=entries[block_of[path]])[2].data
         finally:
             leaf.data = copies
         # 0-d when no sample's subset reaches the leaf: every copy scores the same
@@ -684,12 +711,13 @@ def gradient_audit(
     the same surrogate the analytic gradient differentiates: the expert
     subset, the detached half of the straight-through gate, and the EMA
     reference weights stay pinned at their baseline values, read from the
-    baseline forward's site records, while parameters move. They probe in blocks of `AUDIT_COPIES` perturbed
-    copies per forward, on a copy axis that only the layers downstream of
-    the probed parameter carry. Adapters are re-randomized first (a fresh
-    bank has B = 0, which would hide half the bank behind zero gradients),
-    and the shadow is nudged off the live parameters so the regularizer
-    term is active.
+    baseline forward's site records, while parameters move. They probe in
+    blocks of `AUDIT_COPIES` perturbed copies per forward, on a copy axis
+    that only the layers downstream of the probed parameter carry, in a
+    forward that starts at its block. Adapters are re-randomized first (a
+    fresh bank has B = 0, which would hide half the bank behind zero
+    gradients), and the shadow is nudged off the live parameters so the
+    regularizer term is active.
     """
     if n_samples < 1:
         raise ValueError(f"the audit needs at least one sample, got n_samples={n_samples}")

@@ -9,10 +9,14 @@ template + 3 noise = 10 tokens, d_hidden = 32, N = 4 experts with top-2
 selection, rank 16 and routing_dim 64. `test_backward_sweep` times the
 reverse sweep alone over one default training graph, which
 `test_training_step` times together with the forward, Adam and EMA. The
-two audit benchmarks use the gradient audit's model (`audit_config`, 3
-samples): one finite-difference probe, and one block of AUDIT_COPIES
-probes in a single forward, the copies on a leading axis of the probed
-leaf; the block's time over AUDIT_COPIES is its cost per probe.
+audit benchmarks use the gradient audit's model (`audit_config`, 3
+samples): one finite-difference probe, which runs the whole forward, and
+blocks of AUDIT_COPIES probes in a single forward, the copies on a
+leading axis of the probed leaf; a block's time over AUDIT_COPIES is its
+cost per probe. A block starts the forward at the probed leaf's own
+block from the entry the audit cached, so its cost falls with the leaf's
+depth: a first-layer stage-two query (the worst case, nearly the whole
+forward on the copy axis) and a last-layer one (one site, then the head).
 """
 
 import numpy as np
@@ -144,13 +148,14 @@ def test_audit_single_probe(benchmark, audit):
     benchmark(probe)
 
 
-def test_audit_probe_block(benchmark, audit):
+@pytest.mark.parametrize("path", ["layer.0.attn_out.router.query", "layer.1.ffn_up.router.query"],
+                         ids=["first-layer", "late-leaf"])
+def test_audit_probe_block(benchmark, audit, path):
     # a block as finite_diff_grad hands it over, an (n, *shape) stack; the
     # probe sets it as an (n, 1, *shape) leaf, so the copies ride a leading
-    # axis from the leaf's site on. A first-layer stage-two query puts
-    # nearly the whole forward on that axis: the block's worst case
+    # axis from the leaf's site on, and resumes the forward at that site
     model, _, probe = audit
-    leaf = model.params["layer.0.attn_out.router.query"]
+    leaf = model.params[path]
     shared = leaf.data
     leaf.data = np.stack([shared] * AUDIT_COPIES)
     try:

@@ -305,6 +305,33 @@ def test_leaves_fed_by_one_node_get_gradients_of_their_own(join):
     np.testing.assert_array_equal(b.grad, before)
 
 
+def test_interior_nodes_adopt_views_and_add_copies_for_one_operand_at_most(monkeypatch):
+    # transpose and reshape hand a view of their gradient on to an interior
+    # parent, and add hands its own gradient to one operand: no copies there
+    firsts = {}
+    accumulate = Value.accumulate_grad
+
+    def spy(node, g, *args, **kwargs):
+        first = node.grad is None
+        accumulate(node, g, *args, **kwargs)
+        if first:
+            firsts[id(node)] = node.grad
+
+    monkeypatch.setattr(Value, "accumulate_grad", spy)
+    x = Value(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    y = mul(x, Value(2.0))
+    t = transpose(y)
+    r = reshape(t, (6,))
+    u, v = mul(x, Value(3.0)), mul(x, Value(4.0))
+    s = add(u, v)
+    backward(vsum(mul(r, Value(np.arange(6.0)))) + vsum(mul(s, s)))
+    assert np.shares_memory(firsts[id(t)], firsts[id(r)])
+    assert np.shares_memory(firsts[id(y)], firsts[id(t)])
+    assert np.shares_memory(firsts[id(u)], firsts[id(s)]) != np.shares_memory(firsts[id(v)], firsts[id(s)])
+    assert not np.shares_memory(firsts[id(u)], firsts[id(v)])
+    np.testing.assert_array_equal(x.grad, 2.0 * np.arange(6.0).reshape(3, 2).T + 2.0 * 49.0 * x.data)
+
+
 def test_backward_rejects_non_scalar_root():
     x = Value([1.0, 2.0], requires_grad=True)
     with pytest.raises(ValueError, match="scalar root"):

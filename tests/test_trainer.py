@@ -20,6 +20,7 @@ from streamlora.model import (
     FROZEN,
     FULL,
     SHARED_LORA,
+    SITES,
     UNIFORM_MOE,
     Variant,
     forward,
@@ -810,6 +811,71 @@ def test_an_expert_no_sample_selected_probes_to_an_exactly_zero_difference():
     assert len(unused) == 2 * 2 * 2         # per site 2 of 4 experts, A and B each
     for fd in finite_diff_grad(probe, unused, copies=trainer_module.AUDIT_COPIES):
         assert not fd.any()
+
+
+@pytest.fixture(scope="module")
+def two_layer_audit():
+    return _audit_problem(audit_config(), n_samples=3, seed=7)
+
+
+LEAF_KINDS = ["expert.{j}.A", "expert.{j}.B", "router.select", "router.query", "router.key",
+              "router.experts"]
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["baseline", "perturbed"])
+@pytest.mark.parametrize("path", [
+    f"layer.{i}.{site}.{kind}" for i in (0, 1) for site in SITES for kind in LEAF_KINDS
+] + ["head.weight", "head.bias"])
+def test_a_probe_block_resumes_at_its_leafs_block_and_matches_the_full_objective(
+    monkeypatch, two_layer_audit, path, perturbed,
+):
+    # the probe starts the forward at the leaf's own block from the entry
+    # the baseline cached; every copy's value must be the full pinned
+    # objective's, bit for bit
+    model, objective, probe = two_layer_audit
+    starts = []
+    forward_fn = trainer_module.forward
+
+    def spy(*args, start=None, **kwargs):
+        starts.append(None if start is None else start.block)
+        return forward_fn(*args, start=start, **kwargs)
+
+    monkeypatch.setattr(trainer_module, "forward", spy)
+    block = "head" if path.startswith("head.") else ".".join(path.split(".")[:3])
+    for j in range(4) if "{j}" in path else [None]:
+        leaf = model.params[path.format(j=j)]
+        held = leaf.data
+        rng = named_rng(3, path, str(j))
+        copies = np.stack([held] * 5) + (0.05 * rng.normal(size=(5,) + held.shape) if perturbed else 0.0)
+        try:
+            leaf.data = copies[:, None]
+            with no_grad():
+                full = np.broadcast_to(objective().data, (5,))
+            leaf.data = copies
+            resumed = probe()
+        finally:
+            leaf.data = held
+        assert resumed.tobytes() == full.tobytes()
+        assert starts[-2:] == [None, block]
+
+
+def test_a_probe_refuses_a_stale_upstream_and_more_than_one_stacked_leaf():
+    model, _, probe = _audit_problem(small_audit_config(), n_samples=2, seed=7)
+    first, late = model.params["layer.0.attn_out.router.query"], model.params["head.weight"]
+    held_first, held_late = first.data, late.data
+    late.data = np.stack([held_late] * 3)
+    values = probe()
+    first.data = held_first.copy()              # equal values, but not the array the entry saw
+    with pytest.raises(ValueError, match=r"head\.weight.*layer\.0\.attn_out\.router\.query upstream"):
+        probe()
+    first.data = held_first
+    assert probe().tobytes() == values.tobytes()
+    first.data = np.stack([held_first] * 3)
+    with pytest.raises(ValueError, match=r"one parameter.*layer\.0\.attn_out\.router\.query, head\.weight"):
+        probe()
+    late.data = held_late
+    assert probe().shape == (3,)                # nothing upstream of the first block
+    first.data = held_first
 
 
 def test_gradient_audit_checks_the_graph_training_builds(monkeypatch):
