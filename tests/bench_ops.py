@@ -11,12 +11,13 @@ reverse sweep alone over one default training graph, which
 `test_training_step` times together with the forward, Adam and EMA. The
 audit benchmarks use the gradient audit's model (`audit_config`, 3
 samples): one finite-difference probe, which runs the whole forward, and
-blocks of AUDIT_COPIES probes in a single forward, the copies on a
-leading axis of the probed leaf; a block's time over AUDIT_COPIES is its
-cost per probe. A block starts the forward at the probed leaf's own
-block from the entry the audit cached, so its cost falls with the leaf's
-depth: a first-layer stage-two query (the worst case, nearly the whole
-forward on the copy axis) and a last-layer one (one site, then the head).
+a block of AUDIT_BLOCK probes in a single forward (the copies the audit
+takes at 3 samples), the copies on a leading axis of the probed leaf; a
+block's time over AUDIT_BLOCK is its cost per probe. A block starts the
+forward at the probed leaf's own block from the entry the audit cached,
+so its cost falls with the leaf's depth: a first-layer stage-two query
+(the worst case, nearly the whole forward on the copy axis) and a
+last-layer one (one site, then the head).
 """
 
 import numpy as np
@@ -28,7 +29,7 @@ from streamlora.routing import init_routing_state, route_with_straight_through
 from streamlora.stability import EmaShadow, ema_update
 from streamlora.stream import TaskSampler
 from streamlora.trainer import (
-    AUDIT_COPIES,
+    AUDIT_ROWS,
     Adam,
     RunConfig,
     _audit_problem,
@@ -41,6 +42,7 @@ CONFIG = RunConfig()
 B, D = CONFIG.batch_size, CONFIG.d_hidden
 L = CONFIG.visual_tokens + 3 + CONFIG.noise_tokens
 N, K = CONFIG.n_experts, CONFIG.top_k
+AUDIT_BLOCK = AUDIT_ROWS // 3                  # the copies per block at the audit's 3 samples
 
 
 @pytest.fixture()
@@ -157,10 +159,10 @@ def test_audit_probe_block(benchmark, audit, path):
     model, _, probe = audit
     leaf = model.params[path]
     shared = leaf.data
-    leaf.data = np.stack([shared] * AUDIT_COPIES)
+    leaf.data = np.stack([shared] * AUDIT_BLOCK)
     try:
         values = benchmark(probe)
     finally:
         leaf.data = shared
-    assert values.shape == (AUDIT_COPIES,)
+    assert values.shape == (AUDIT_BLOCK,)
     np.testing.assert_allclose(values, probe(), rtol=1e-12, atol=0)

@@ -671,23 +671,48 @@ def test_gradient_audit_rejects_bad_sample_counts_and_steps(capsys):
         gradient_audit(small_audit_config(), n_samples=1, atol=-1.0)
     assert main(["gradcheck", "--rtol", "-1"]) == 2
     assert re.search("rtol must be non-negative", capsys.readouterr().err)
+    for name in ("epsilon", "rtol", "atol"):
+        for value in (np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+                gradient_audit(small_audit_config(), n_samples=1, **{name: value})
+    for flag, value, rule in (("--epsilon", "inf", "positive"), ("--epsilon", "1e400", "positive"),
+                              ("--rtol", "inf", "non-negative")):
+        assert main(["gradcheck", flag, value]) == 2
+        assert capsys.readouterr().err == f"streamlora: {flag[2:]} must be {rule} and finite, got inf\n"
 
 
 def test_audit_numeric_gradients_in_blocks_match_one_probe_at_a_time(monkeypatch):
     numeric = {}
-    block = trainer_module.AUDIT_COPIES
+    block = trainer_module.AUDIT_ROWS // 2
     for copies in (1, block):
         def capture(*args, **kwargs):
-            numeric[copies] = finite_diff_grad(*args, **kwargs)
+            assert kwargs["copies"] == block
+            numeric[copies] = finite_diff_grad(*args, **{**kwargs, "copies": copies})
             return numeric[copies]
 
-        monkeypatch.setattr(trainer_module, "AUDIT_COPIES", copies)
         monkeypatch.setattr(trainer_module, "finite_diff_grad", capture)
         ok, _ = gradient_audit(small_audit_config(), n_samples=2)
         assert ok
     assert len(numeric[1]) == len(numeric[block])
     for one, blocked in zip(numeric[1], numeric[block]):
         np.testing.assert_allclose(blocked, one, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n_samples", [1, 3, 7, 500])
+def test_an_audit_probe_block_holds_at_most_its_row_budget(monkeypatch, n_samples):
+    # a block of n copies carries n x n_samples rows downstream of its leaf
+    handed = []
+
+    def spy(*args, copies, **kwargs):
+        handed.append(copies)
+        raise RuntimeError("captured")
+
+    monkeypatch.setattr(trainer_module, "finite_diff_grad", spy)
+    with pytest.raises(RuntimeError, match="captured"):
+        gradient_audit(small_audit_config(), n_samples=n_samples)
+    (copies,) = handed
+    assert copies >= 2
+    assert copies * n_samples <= max(trainer_module.AUDIT_ROWS, 2 * n_samples)
 
 
 @pytest.mark.parametrize("leaf", [
@@ -809,7 +834,7 @@ def test_an_expert_no_sample_selected_probes_to_an_exactly_zero_difference():
     backward(objective())
     unused = [p for path, p in model.params.items() if ".expert." in path and p.grad is None]
     assert len(unused) == 2 * 2 * 2         # per site 2 of 4 experts, A and B each
-    for fd in finite_diff_grad(probe, unused, copies=trainer_module.AUDIT_COPIES):
+    for fd in finite_diff_grad(probe, unused, copies=trainer_module.AUDIT_ROWS):
         assert not fd.any()
 
 
@@ -857,6 +882,23 @@ def test_a_probe_block_resumes_at_its_leafs_block_and_matches_the_full_objective
             leaf.data = held
         assert resumed.tobytes() == full.tobytes()
         assert starts[-2:] == [None, block]
+
+
+@pytest.mark.parametrize("n_samples, paths", [
+    (3, ["layer.0.attn_out.expert.0.A", "layer.0.attn_out.router.query"]),
+    (3, ["layer.1.ffn_up.expert.0.B", "layer.1.ffn_up.router.key"]),
+    (3, ["head.weight"]),
+    (1, ["layer.0.ffn_up.router.select", "layer.1.attn_out.expert.2.A"]),
+], ids=["layer-0", "layer-1", "head", "one-sample"])
+def test_the_block_size_never_changes_a_probe_value(n_samples, paths):
+    # 32 copies per block against the count the audit takes at n_samples
+    model, _, probe = _audit_problem(audit_config(), n_samples, seed=7)
+    leaves = [model.params[path] for path in paths]
+    small = finite_diff_grad(probe, leaves, copies=32)
+    large = finite_diff_grad(probe, leaves, copies=trainer_module.AUDIT_ROWS // n_samples)
+    for a, b in zip(small, large, strict=True):
+        assert a.any()
+        assert a.tobytes() == b.tobytes()
 
 
 def test_a_probe_refuses_a_stale_upstream_and_more_than_one_stacked_leaf():
