@@ -22,6 +22,7 @@ the config, and its manifest records the schedule (`stream_manifest`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -185,24 +186,13 @@ def compose_chunk(schedule: StreamSchedule, index: int, samplers: list[TaskSampl
     return Chunk(index=index, counts=counts, _samples=samples)
 
 
-class SinglePassStream:
-    """Iterator over chunks that retires each one before yielding the next."""
-
-    def __init__(self, schedule: StreamSchedule, samplers: list[TaskSampler]):
-        self.schedule = schedule
-        self.samplers = samplers
-        self._last: Chunk | None = None
-
-    def __iter__(self):
-        for t in range(1, self.schedule.n_chunks + 1):
-            if self._last is not None:
-                self._last.retire()
-            chunk = compose_chunk(self.schedule, t, self.samplers)
-            self._last = chunk
-            yield chunk
-        if self._last is not None:
-            self._last.retire()
-            self._last = None
+def single_pass_stream(schedule: StreamSchedule, samplers: list[TaskSampler]) -> Iterator[Chunk]:
+    """Compose each chunk in turn, yield it, and retire it when the loop
+    asks for the next one (or the stream ends)."""
+    for t in range(1, schedule.n_chunks + 1):
+        chunk = compose_chunk(schedule, t, samplers)
+        yield chunk
+        chunk.retire()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Every chunk is traversed exactly once, in the order the composer shuffled
 it. Per batch: one forward over the whole batch, the mean task loss,
 optionally the routing-stability term, one adaptive gradient step, then
 one EMA step on the shadow router. Evaluation runs after every chunk on the frozen
-test set of every task seen so far, feeding the metric ledger.
+test set of every task seen so far, feeding the metric ledger; the last
+chunk's evaluation forwards also give the post-stream routing traces.
 
 A run's whole state is one `RunResult`: `run_stream` builds it before the
 first chunk, `train_chunk` advances it, and `run_stream` writes the
@@ -54,12 +55,12 @@ from .model import (
 )
 from .stability import EmaShadow, ema_update, reference_weights, reg_loss, total_loss
 from .stream import (
-    SinglePassStream,
     StreamSchedule,
     TaskSampler,
     TaskSpec,
     build_default_stream,
     make_task_specs,
+    single_pass_stream,
     stream_manifest,
 )
 
@@ -111,7 +112,7 @@ class RunConfig:
     test_size: int = 50
     # logging
     trace_interval: int = 5         # trace every k-th training batch
-    trace_eval_samples: int = 20    # per task, in the post-stream trace pass
+    trace_eval_samples: int = 20    # per task, in the post-stream traces
 
     @property
     def n_classes(self) -> int:
@@ -163,6 +164,8 @@ class RunConfig:
             raise ValueError("batch and chunk sizes must be positive")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
+        if self.stream_seed < -1:
+            raise ValueError(f"stream_seed must be >= 0, or -1 to use seed, got {self.stream_seed}")
         if self.trace_eval_samples < 0:
             raise ValueError(f"trace_eval_samples must be >= 0, got {self.trace_eval_samples}")
         if self.grad_clip < 0.0:
@@ -453,32 +456,15 @@ def train_chunk(run: RunResult, chunk) -> None:
         del task, reg, total, result    # free this batch's graph before the next is built
 
 
-def evaluate(model: Model, samples: Sequence[Sample]) -> float:
+def evaluate(model: Model, samples: Sequence[Sample]) -> tuple[float, ForwardResult]:
     """Exact fraction of argmax-correct predictions on a frozen test set,
-    from one no_grad forward over the whole set."""
+    and the one no_grad forward over the whole set it was scored from."""
     if len(samples) == 0:
         raise ValueError("empty evaluation set")
     with no_grad():
-        logits = forward(model, samples).logits.data
-    return sum(int(p) == s.label for s, p in zip(samples, np.argmax(logits, axis=-1))) / len(samples)
-
-
-def _final_trace_pass(run: RunResult) -> list[dict]:
-    """Routing traces over held-out samples after the stream ends.
-
-    Recorded with chunk index n_chunks + 1 to mark them as post-stream;
-    this is what the homogeneity report is meant to consume.
-    """
-    config = run.config
-    records: list[dict] = []
-    if run.model.variant.mode != "routed" or config.trace_eval_samples == 0:
-        return records
-    with no_grad():
-        for m in sorted(run.seen):
-            samples = run.test_sets[m][: config.trace_eval_samples]
-            result = forward(run.model, samples)
-            records.extend(_trace_records(config.n_chunks + 1, samples, result.sites))
-    return records
+        result = forward(model, samples)
+    correct = sum(int(p) == s.label for s, p in zip(samples, np.argmax(result.logits.data, axis=-1)))
+    return correct / len(samples), result
 
 
 def build_stream(config: RunConfig) -> tuple[list[TaskSpec], StreamSchedule]:
@@ -523,14 +509,21 @@ def run_stream(config: RunConfig, out_dir: str | Path | None = None) -> RunResul
         out=out,
     )
 
-    for chunk in SinglePassStream(schedule, samplers):
+    for chunk in single_pass_stream(schedule, samplers):
         run.seen.update(int(m) for m in np.nonzero(chunk.counts)[0])
         train_chunk(run, chunk)
-        accuracies = {m: evaluate(model, run.test_sets[m]) for m in sorted(run.seen)}
+        # the last chunk's evaluation also gives the post-stream traces, under chunk T+1
+        post_stream = chunk.index == schedule.n_chunks and model.variant.mode == "routed"
+        accuracies = {}
+        for m in sorted(run.seen):
+            accuracies[m], result = evaluate(model, run.test_sets[m])
+            if post_stream:
+                samples = run.test_sets[m][: config.trace_eval_samples]
+                run.traces.extend(_trace_records(chunk.index + 1, samples, result.sites))
+            del result      # free this task's forward before the next task's
         run.ledger.add_chunk(chunk.index, accuracies)
         run.evals.append({"chunk": chunk.index, "accuracy": {str(m): a for m, a in accuracies.items()}})
 
-    run.traces.extend(_final_trace_pass(run))
     wall_seconds = time.monotonic() - started
 
     if out is not None:
@@ -719,7 +712,8 @@ def gradient_audit(
     parameter carry, in a forward that starts at its block. Adapters are
     re-randomized first (a fresh bank has B = 0, which would hide half the
     bank behind zero gradients), and the shadow is nudged off the live
-    parameters so the regularizer term is active.
+    parameters so the regularizer term is active. A probe whose loss
+    overflows (too large an `epsilon`) raises `ValueError`.
     """
     if n_samples < 1:
         raise ValueError(f"the audit needs at least one sample, got n_samples={n_samples}")
@@ -742,7 +736,11 @@ def gradient_audit(
         for path, p in model.params.items()
     }
     copies = max(2, AUDIT_ROWS // n_samples)
-    numeric = finite_diff_grad(probe, model.params.values(), epsilon=epsilon, copies=copies)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            numeric = finite_diff_grad(probe, model.params.values(), epsilon=epsilon, copies=copies)
+    except FloatingPointError as exc:
+        raise ValueError(f"epsilon {epsilon} is too large: the probes overflow ({exc})") from None
 
     rows: list[AuditRow] = []
     for (path, _), fd in zip(model.params.items(), numeric):

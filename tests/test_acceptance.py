@@ -24,7 +24,7 @@ from streamlora.routing import (
     token_weights,
 )
 from streamlora.stability import EmaShadow, ema_update, reference_weights, reg_loss, total_loss
-from streamlora.stream import SinglePassStream, TaskSampler, build_default_stream, make_task_specs
+from streamlora.stream import TaskSampler, build_default_stream, make_task_specs, single_pass_stream
 from streamlora.trainer import RunConfig, apply_variant, gradient_audit, run_stream
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -383,7 +383,7 @@ def test_criterion_9_baseline_and_determinism(trained_runs):
     specs = make_task_specs(0, n_tasks=2, d_e=8, classes_per_task=2, sigma=0.25,
                             visual_tokens=2, noise_tokens=2, test_size=4, vocab_size=32)
     schedule = build_default_stream(0, n_tasks=2, n_chunks=7, chunk_size=6)
-    stream = SinglePassStream(schedule, [TaskSampler(s, 0) for s in specs])
+    stream = single_pass_stream(schedule, [TaskSampler(s, 0) for s in specs])
     seen = list(stream)
     try:
         seen[0].samples

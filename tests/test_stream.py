@@ -9,13 +9,13 @@ from streamlora.autograd import named_rng
 from streamlora.stream import (
     STREAM_FORMAT,
     Chunk,
-    SinglePassStream,
     StreamSchedule,
     TaskSampler,
     apportion,
     build_default_stream,
     compose_chunk,
     make_task_specs,
+    single_pass_stream,
     stream_manifest,
 )
 
@@ -258,7 +258,7 @@ def test_retired_chunk_refuses_to_serve_samples():
 
 def test_single_pass_stream_retires_each_chunk_behind_itself():
     schedule, _, samplers = default_setup(seed=5, n_chunks=7, chunk_size=40)
-    stream = SinglePassStream(schedule, samplers)
+    stream = single_pass_stream(schedule, samplers)
     seen: list[Chunk] = []
     for chunk in stream:
         assert len(chunk.samples) == 40
@@ -269,6 +269,7 @@ def test_single_pass_stream_retires_each_chunk_behind_itself():
     assert [c.index for c in seen] == list(range(1, 8))
     with pytest.raises(RuntimeError, match="single-pass"):
         _ = seen[-1].samples  # the final chunk is retired on exhaustion too
+    assert list(stream) == []  # a second loop replays nothing
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -35,6 +36,7 @@ from streamlora.trainer import (
     TrainingDiverged,
     _audit_problem,
     _batch_loss,
+    _trace_records,
     apply_variant,
     audit_config,
     build_stream,
@@ -172,6 +174,11 @@ def test_config_validation_catches_inconsistencies():
         tiny_config(grad_clip=-1.0).validate()
     with pytest.raises(ValueError, match="trace_interval"):
         tiny_config(trace_interval=-1).validate()
+    for stream_seed in (-2, -7):
+        with pytest.raises(ValueError, match="stream_seed must be >= 0, or -1"):
+            tiny_config(stream_seed=stream_seed).validate()
+    tiny_config(stream_seed=-1).validate()
+    tiny_config(stream_seed=0).validate()
 
 
 def test_config_rejects_an_empty_test_set():
@@ -199,6 +206,10 @@ def test_cli_input_errors_print_one_line_and_exit_2(tmp_path):
     for argv, message in [
         (["train", "--set", "n_chunks=0", "--out", str(tmp_path / "run")],
          "need at least 7 chunks"),
+        (["train", "--stream-seed", "-7", "--out", str(tmp_path / "run")],
+         "stream_seed must be >= 0, or -1 to use seed, got -7"),
+        (["gradcheck", "--samples", "1", "--epsilon", "1e308"], "epsilon 1e\\+308 is too large"),
+        (["gradcheck", "--samples", "1", "--epsilon", "1e300"], "epsilon 1e\\+300 is too large"),
         (["train", "--config", str(missing / "x.cfg"), "--out", str(tmp_path / "run")], no_file),
         (["metrics", "--input", str(missing / "rows.csv")], no_file),
         (["diag", "--traces", str(missing / "traces.jsonl"), "--out", str(tmp_path / "run")],
@@ -408,6 +419,37 @@ def test_run_stream_traces_cover_training_and_the_final_pass():
         assert len(record["S"]) == cfg.top_k
         assert len(record["s_mean"]) == cfg.n_experts
         assert record["p"] is None or len(record["p"]) == cfg.n_experts
+
+
+@pytest.mark.parametrize("trace_eval_samples", [0, 3, 20])
+def test_post_stream_rows_are_the_trace_records_of_the_final_model(trace_eval_samples):
+    cfg = tiny_config(trace_eval_samples=trace_eval_samples)     # 20 > test_size = 8
+    result = run_stream(cfg)
+    expected = []
+    with no_grad():
+        for m in sorted(result.seen):
+            samples = result.test_sets[m][:trace_eval_samples]
+            if samples:
+                expected.extend(_trace_records(cfg.n_chunks + 1, samples,
+                                               forward(result.model, samples).sites))
+    assert [r for r in result.traces if r["chunk"] == cfg.n_chunks + 1] == expected
+    assert len(expected) == len(result.seen) * min(trace_eval_samples, cfg.test_size) * 2
+
+
+def test_run_stream_forwards_once_per_batch_and_per_seen_task_per_chunk(monkeypatch):
+    calls = []
+
+    def counting_forward(model, samples, **kwargs):
+        calls.append(samples)
+        return forward(model, samples, **kwargs)
+
+    monkeypatch.setattr(trainer_module, "forward", counting_forward)
+    cfg = tiny_config()
+    result = run_stream(cfg)
+    evaluations = sum(len(e["accuracy"]) for e in result.evals)
+    assert len(calls) == len(result.steps) + evaluations == 14 + evaluations
+    # the last forward is the final chunk's evaluation of the last seen task
+    assert calls[-1] is result.test_sets[max(result.seen)]
 
 
 def test_run_stream_writes_the_artifact_set(tmp_path):
@@ -644,7 +686,9 @@ def test_evaluate_scores_the_argmax_of_each_sample():
     samples = TaskSampler(spec, 0).test_set()
     with no_grad():
         one_by_one = [int(np.argmax(forward(result.model, [s]).logits.data)) for s in samples]
-    assert evaluate(result.model, samples) == np.mean([p == s.label for p, s in zip(one_by_one, samples)])
+    accuracy, scored = evaluate(result.model, samples)
+    assert accuracy == np.mean([p == s.label for p, s in zip(one_by_one, samples)])
+    assert [int(p) for p in np.argmax(scored.logits.data, axis=-1)] == one_by_one
     with pytest.raises(ValueError, match="empty evaluation"):
         evaluate(result.model, [])
 
@@ -679,6 +723,10 @@ def test_gradient_audit_rejects_bad_sample_counts_and_steps(capsys):
                               ("--rtol", "inf", "non-negative")):
         assert main(["gradcheck", flag, value]) == 2
         assert capsys.readouterr().err == f"streamlora: {flag[2:]} must be {rule} and finite, got inf\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no numpy RuntimeWarning on the way to the ValueError
+        with pytest.raises(ValueError, match="epsilon 1e\\+300 is too large: the probes overflow"):
+            gradient_audit(small_audit_config(), n_samples=1, epsilon=1e300)
 
 
 def test_audit_numeric_gradients_in_blocks_match_one_probe_at_a_time(monkeypatch):
