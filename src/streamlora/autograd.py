@@ -71,9 +71,11 @@ class Value:
     `data` is the forward value and `requires_grad` marks leaves the
     optimizer owns and any node downstream of one. `grad` is the adjoint,
     `None` until something writes to it. A leaf (a node without `_parents`)
-    accumulates it over backward sweeps until `zero_grad`; an interior
-    node holds it only during a sweep, from its consumers' backward until
-    its own has run.
+    accumulates it over backward sweeps until `zero_grad`; a leaf in a
+    `ParamStore` holds a view of the store's zeroed gradient vector from
+    the start, so one no path reached holds an exactly-zero `grad`, not
+    `None`. An interior node holds it only during a sweep, from its
+    consumers' backward until its own has run.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -87,13 +89,14 @@ class Value:
         self._backward: Callable[[Value], None] | None = None
 
     def accumulate_grad(self, g: Array, owned: bool = False, released: bool = False) -> None:
-        """Add `g`, of this node's full shape, into `grad`. A first gradient
-        is adopted when `owned` says the caller has just computed it and
-        keeps no other reference. An interior node also adopts it when
-        `released` says it is (a view of) the caller's own gradient, which
-        the sweep drops next and hands to no other node that adopts it. Any
-        other first gradient is copied: a leaf's outlives the sweep, so a
-        leaf always owns its memory."""
+        """Add `g`, of this node's full shape, into `grad`. A leaf in a
+        `ParamStore` adds it into its view of the store's gradient vector.
+        Otherwise a first gradient is adopted when `owned` says the caller
+        has just computed it and keeps no other reference. An interior node
+        also adopts it when `released` says it is (a view of) the caller's
+        own gradient, which the sweep drops next and hands to no other node
+        that adopts it. Any other first gradient is copied: a leaf's
+        outlives the sweep, so a leaf always owns its memory."""
         if self.grad is not None:
             self.grad += g
         elif owned or (released and self._parents):
@@ -449,24 +452,36 @@ def backward(root: Value) -> None:
 
 
 class ParamStore:
-    """Ordered, named collection of trainable leaves.
+    """Ordered, named collection of trainable leaves in one flat state.
 
-    Paths are dotted strings like ``layer.0.attn_out.expert.1.A``. Iteration
-    follows insertion order, which is fixed by model construction and hence
-    stable across runs with the same configuration.
+    Paths are dotted strings like ``layer.0.attn_out.expert.1.A``. The store
+    is built once from `(path, leaf)` pairs, in the order model construction
+    fixes, so iteration is stable across runs with the same configuration.
+    Building it copies the leaves in that order into one float64 `vector`
+    and allocates one zeroed `grad` vector beside it; each leaf's `data` and
+    `grad` become reshaped views into the two. Write a leaf in place
+    (`p.data[...] = x`): a leaf rebound to another array has left the store,
+    and `flat` refuses it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, leaves: Iterable[tuple[str, Value]] = ()) -> None:
         self._params: dict[str, Value] = {}
-
-    def add(self, path: str, value: Value) -> Value:
-        if path in self._params:
-            raise ValueError(f"duplicate parameter path: {path}")
-        if not path:
-            raise ValueError("empty parameter path")
-        value.requires_grad = True
-        self._params[path] = value
-        return value
+        for path, value in leaves:
+            if path in self._params:
+                raise ValueError(f"duplicate parameter path: {path}")
+            if not path:
+                raise ValueError("empty parameter path")
+            self._params[path] = value
+        self.vector = np.empty(sum(v.data.size for v in self._params.values()))
+        self.grad = np.zeros_like(self.vector)
+        offset = 0
+        for v in self._params.values():
+            end, shape = offset + v.data.size, v.data.shape
+            self.vector[offset:end] = v.data.ravel()
+            v.data = self.vector[offset:end].reshape(shape)
+            v.grad = self.grad[offset:end].reshape(shape)
+            v.requires_grad = True
+            offset = end
 
     def __getitem__(self, path: str) -> Value:
         if path not in self._params:
@@ -486,14 +501,18 @@ class ParamStore:
         return iter(self._params.values())
 
     def zero_grad(self) -> None:
-        for v in self._params.values():
-            v.grad = None
+        self.grad[...] = 0.0
 
-    def state_arrays(self) -> dict[str, Array]:
-        return {path: v.data for path, v in self._params.items()}
+    def flat(self) -> tuple[Array, Array]:
+        """`vector` and `grad`, once every leaf is checked to still view them."""
+        for path, v in self._params.items():
+            if v.data.base is not self.vector or getattr(v.grad, "base", None) is not self.grad:
+                raise ValueError(f"parameter {path} was rebound away from the store's flat state; "
+                                 f"write its data and grad in place")
+        return self.vector, self.grad
 
     def save(self, path, extra: dict[str, Array] | None = None) -> None:
-        records = dict(self.state_arrays())
+        records = {name: v.data for name, v in self._params.items()}
         if extra:
             overlap = set(records) & set(extra)
             if overlap:
@@ -502,25 +521,20 @@ class ParamStore:
         save_checkpoint(path, records)
 
     def load(self, path) -> dict[str, Array]:
-        """Restore parameter data in place; returns any non-parameter records."""
+        """Restore parameter data in place; returns any non-parameter records.
+        Every parameter's record is checked before any is written, so a
+        checkpoint that does not fit leaves the store as it was."""
         records = load_checkpoint(path)
-        leftovers: dict[str, Array] = {}
-        seen = set()
-        for name, arr in records.items():
-            if name in self._params:
-                p = self._params[name]
-                if arr.shape != p.data.shape:
-                    raise ValueError(
-                        f"shape mismatch for {name}: checkpoint {arr.shape} vs model {p.data.shape}"
-                    )
-                p.data = arr
-                seen.add(name)
-            else:
-                leftovers[name] = arr
-        missing = set(self._params) - seen
+        missing = sorted(set(self._params) - set(records))
         if missing:
-            raise ValueError(f"checkpoint is missing parameters: {sorted(missing)[:5]}")
-        return leftovers
+            raise ValueError(f"checkpoint is missing parameters: {missing[:5]}")
+        for name, p in self._params.items():
+            if records[name].shape != p.data.shape:
+                raise ValueError(f"shape mismatch for {name}: checkpoint {records[name].shape} "
+                                 f"vs model {p.data.shape}")
+        for name, p in self._params.items():
+            p.data[...] = records.pop(name)
+        return records
 
 
 @contextlib.contextmanager

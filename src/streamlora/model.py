@@ -282,22 +282,20 @@ class Model:
         self.head_weight = Value(head_rng.uniform(-hb, hb, size=(config.n_classes, d)))
         self.head_bias = Value(np.zeros(config.n_classes))
 
-        self.params = ParamStore()
+        leaves: list[tuple[str, Value]] = []
         if variant.mode != "frozen":
             for i, layer in enumerate(self.layers):
                 for site in SITES:
                     bank = layer.banks[site]
                     for j in range(n_experts):
-                        self.params.add(f"layer.{i}.{site}.expert.{j}.A", bank.down[j])
-                        self.params.add(f"layer.{i}.{site}.expert.{j}.B", bank.up[j])
+                        leaves.append((f"layer.{i}.{site}.expert.{j}.A", bank.down[j]))
+                        leaves.append((f"layer.{i}.{site}.expert.{j}.B", bank.up[j]))
                     if variant.mode == "routed":
                         router = layer.routers[site]
-                        self.params.add(f"layer.{i}.{site}.router.select", router.select)
-                        self.params.add(f"layer.{i}.{site}.router.query", router.query)
-                        self.params.add(f"layer.{i}.{site}.router.key", router.key)
-                        self.params.add(f"layer.{i}.{site}.router.experts", router.experts)
-            self.params.add("head.weight", self.head_weight)
-            self.params.add("head.bias", self.head_bias)
+                        for name in ("select", "query", "key", "experts"):
+                            leaves.append((f"layer.{i}.{site}.router.{name}", getattr(router, name)))
+            leaves += [("head.weight", self.head_weight), ("head.bias", self.head_bias)]
+        self.params = ParamStore(leaves)
 
     def routing_states(self) -> dict[str, RoutingState]:
         """Keyed by site path, the EMA shadow's view of the model."""

@@ -98,7 +98,6 @@ class RunConfig:
     batch_size: int = 32
     ema_momentum: float = 0.99
     reg_weight: float = 0.1
-    grad_clip: float = 0.0          # 0 disables clipping
     # stream
     seed: int = 0
     stream_seed: int = -1           # -1 means: use `seed`
@@ -156,6 +155,10 @@ class RunConfig:
             raise ValueError(f"top_k must be in [1, {self.n_experts}]")
         if self.mode == "shared_lora" and self.n_experts != 1:
             raise ValueError("shared_lora means a single expert; set n_experts = 1")
+        flags = [key for key in ("use_selection", "use_token_weighting", "use_reg") if getattr(self, key)]
+        if self.mode != "routed" and flags:
+            raise ValueError(f"{', '.join(flags)} must be false when mode is {self.mode} "
+                             f"(use --variant {self.mode})")
         if not 0.0 <= self.ema_momentum < 1.0:
             raise ValueError("ema_momentum must be in [0, 1)")
         if self.reg_weight < 0.0:
@@ -168,8 +171,6 @@ class RunConfig:
             raise ValueError(f"stream_seed must be >= 0, or -1 to use seed, got {self.stream_seed}")
         if self.trace_eval_samples < 0:
             raise ValueError(f"trace_eval_samples must be >= 0, got {self.trace_eval_samples}")
-        if self.grad_clip < 0.0:
-            raise ValueError(f"grad_clip must be >= 0 (0 disables clipping), got {self.grad_clip}")
         if self.trace_interval < 0:
             raise ValueError(f"trace_interval must be >= 0 (0 disables training-batch traces), "
                              f"got {self.trace_interval}")
@@ -260,8 +261,11 @@ class Adam:
     m <- b1 m + (1-b1) g ; v <- b2 v + (1-b2) g^2
     theta <- theta - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
 
-    Parameters that never received a gradient decay their moments and get
-    an exactly-zero update, so an unused router does not drift.
+    One elementwise update steps the store's whole flat `vector` from its
+    `grad`, with `m` and `v` flat beside them. A leaf no path reached holds
+    an exactly-zero gradient, so its moments decay and its update is
+    exactly zero, and an unused router does not drift. A leaf rebound away
+    from the store makes `step` raise, naming its path.
     """
 
     def __init__(self, params: ParamStore, lr: float, beta1: float = 0.9,
@@ -272,38 +276,21 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._m = {path: np.zeros_like(p.data) for path, p in params.items()}
-        self._v = {path: np.zeros_like(p.data) for path, p in params.items()}
+        self._m = np.zeros_like(params.vector)
+        self._v = np.zeros_like(params.vector)
 
     def step(self) -> None:
+        theta, g = self.params.flat()
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for path, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self._m[path]
-            v = self._v[path]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-def clip_gradients(params: ParamStore, max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
-    norm = math.sqrt(total)
-    if norm > max_norm > 0.0:
-        scale = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= scale
-    return norm
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        theta -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +427,6 @@ def train_chunk(run: RunResult, chunk) -> None:
 
         if model.variant.mode != "frozen":
             backward(total)
-            if config.grad_clip > 0.0:
-                clip_gradients(model.params, config.grad_clip)
             run.optimizer.step()
             if run.shadow is not None:
                 ema_update(run.shadow, model.routing_states(), config.ema_momentum)
@@ -627,7 +612,7 @@ def _audit_problem(
     model = config.model(seed)
     rng = named_rng(seed, "audit.params")
     for _, p in model.params.items():
-        p.data = 0.2 * rng.normal(size=p.data.shape)
+        p.data[...] = 0.2 * rng.normal(size=p.data.shape)
     shadow = EmaShadow.from_states(model.routing_states())
     shadow_rng = named_rng(seed, "audit.shadow")
     for arr in shadow.arrays.values():
@@ -729,12 +714,8 @@ def gradient_audit(
         raise ValueError("the audit exercises the full variant; enable all three stages")
 
     model, objective, probe = _audit_problem(config, n_samples, seed)
-    model.params.zero_grad()
     backward(objective())
-    analytic = {
-        path: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for path, p in model.params.items()
-    }
+    analytic = {path: p.grad.copy() for path, p in model.params.items()}
     copies = max(2, AUDIT_ROWS // n_samples)
     try:
         with np.errstate(over="raise", invalid="raise"):

@@ -4,7 +4,9 @@ Runs `streamlora train --seed S --variant V --out DIR` for every seed and
 each of the eight variants, once with this tree's `src` and once with
 `--against TREE`'s (for example a `git archive` export of the parent
 commit), then prints every artifact that differs between the two: a file
-whose bytes differ, or that only one side wrote. `runlog.json` is compared
+whose bytes differ, or that only one side wrote. For a `.json` artifact it
+names up to five dotted key paths that differ or exist on one side only,
+such as `manifest.json: config.seed differs`. `runlog.json` is compared
 without `wall_seconds`, the one field that is not deterministic. Each tree
 runs its commands in one Python process, and the two run side by side.
 
@@ -71,16 +73,48 @@ def comparable(path: Path) -> bytes:
     return json.dumps(runlog, sort_keys=True).encode()
 
 
-def differences(ours: Path, theirs: Path) -> list[str]:
-    """One line per artifact of one run that differs between the trees."""
+JSON_PATHS_SHOWN = 5
+
+
+def json_differences(ours, theirs, path: str = "") -> list[str]:
+    """The dotted key paths (list items by index) at which two parsed JSON
+    documents differ, each with how."""
+    def at(key) -> str:
+        return f"{path}.{key}" if path else str(key)
+
+    if isinstance(ours, dict) and isinstance(theirs, dict):
+        out = []
+        for key in {**ours, **theirs}:
+            if key not in theirs:
+                out.append(f"{at(key)} only in this tree")
+            elif key not in ours:
+                out.append(f"{at(key)} only in the other tree")
+            else:
+                out.extend(json_differences(ours[key], theirs[key], at(key)))
+        return out
+    if isinstance(ours, list) and isinstance(theirs, list) and len(ours) == len(theirs):
+        return [line for i, (a, b) in enumerate(zip(ours, theirs))
+                for line in json_differences(a, b, at(i))]
+    return [] if json.dumps(ours) == json.dumps(theirs) else [f"{path or 'the document'} differs"]
+
+
+def differences(ours: Path, theirs: Path) -> dict[str, list[str]]:
+    """Each artifact of one run that differs between the trees, with the
+    lines that say how."""
     names = sorted({p.name for p in ours.iterdir()} | {p.name for p in theirs.iterdir()})
-    out = []
+    out = {}
     for name in names:
         a, b = ours / name, theirs / name
         if not (a.is_file() and b.is_file()):
-            out.append(f"{name}: only {'this tree' if a.is_file() else 'the other tree'} wrote it")
+            out[name] = [f"only {'this tree' if a.is_file() else 'the other tree'} wrote it"]
         elif comparable(a) != comparable(b):
-            out.append(f"{name}: differs")
+            paths = []
+            if name.endswith(".json"):
+                paths = json_differences(json.loads(comparable(a)), json.loads(comparable(b)))
+            more = len(paths) - JSON_PATHS_SHOWN
+            out[name] = paths[:JSON_PATHS_SHOWN] or ["differs"]
+            if more > 0:
+                out[name].append(f"and {more} more key paths")
     return out
 
 
@@ -104,8 +138,9 @@ def main() -> int:
         found = 0
         for seed, variant in runs:
             name = run_name(seed, variant)
-            for line in differences(ours / name, theirs / name):
-                print(f"seed {seed} variant {variant}: {line}")
+            for artifact, lines in differences(ours / name, theirs / name).items():
+                for line in lines:
+                    print(f"seed {seed} variant {variant}: {artifact}: {line}")
                 found += 1
     print(f"{len(runs)} runs per tree, {found} artifacts differ "
           f"(runlog.json compared without wall_seconds)")

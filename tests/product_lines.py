@@ -10,7 +10,7 @@ each statement of `src/streamlora` that none of them ran, as
 blocks that end in one, and `except` clauses. What it prints is code only
 the tests run, or nothing runs at all.
 
-Run from the repository root (about 25 seconds on a 2-vCPU host):
+Run from the repository root (about 30 seconds on a 2-vCPU host):
 
     PYTHONPATH=src python3 tests/product_lines.py
 

@@ -377,8 +377,7 @@ def test_scalar_operator_sugar():
 
 def test_finite_diff_on_square_is_two_theta():
     theta = Value(np.asarray(3.0))
-    store = ParamStore()
-    store.add("theta", theta)
+    store = ParamStore([("theta", theta)])
     grads = finite_diff_grad(lambda: float(theta.data) ** 2, store.values(), epsilon=1e-5)
     assert grads[0] == pytest.approx(6.0, abs=1e-6)
 
@@ -457,22 +456,52 @@ def test_finite_diff_blocks_check_every_value():
 
 
 def test_param_store_rejects_duplicates_and_tracks_order():
-    store = ParamStore()
-    store.add("b", Value([1.0]))
-    store.add("a", Value([[2.0, 3.0]]))
-    assert store.paths() == ["b", "a"]  # insertion order, not sorted
+    store = ParamStore([("b", Value([1.0])), ("a", Value([[2.0, 3.0]]))])
+    assert store.paths() == ["b", "a"]  # construction order, not sorted
     with pytest.raises(ValueError, match="duplicate"):
-        store.add("b", Value([0.0]))
+        ParamStore([("b", Value([1.0])), ("b", Value([0.0]))])
+    with pytest.raises(ValueError, match="empty"):
+        ParamStore([("", Value([1.0]))])
 
 
-def test_param_store_add_marks_trainable_and_zero_grad_clears():
-    store = ParamStore()
-    v = store.add("x", Value([1.0, 2.0]))
-    assert v.requires_grad
+def test_param_store_marks_trainable_and_zero_grad_zeroes():
+    store = ParamStore([("x", Value([1.0, 2.0])), ("idle", Value([3.0]))])
+    v, idle = store["x"], store["idle"]
+    assert v.requires_grad and idle.requires_grad
     backward(vsum(mul(v, v)))
-    assert v.grad is not None
+    np.testing.assert_array_equal(v.grad, [2.0, 4.0])
+    assert idle.grad.tobytes() == np.zeros(1).tobytes()    # no path reached it: exactly zero
     store.zero_grad()
-    assert v.grad is None
+    assert store.grad.tobytes() == np.zeros(3).tobytes()
+    assert v.grad.base is store.grad                        # zeroed in place, still a view
+
+
+def test_param_store_leaves_view_one_flat_vector_in_path_order():
+    rng = named_rng(3, "flat")
+    arrays = {"w": rng.normal(size=(2, 3)), "s": np.asarray(1.5), "b": rng.normal(size=4),
+              "m": rng.normal(size=(2, 1, 2))}
+    store = ParamStore((name, Value(arr)) for name, arr in arrays.items())
+    expected = np.concatenate([arr.ravel() for arr in arrays.values()])
+    assert store.vector.tobytes() == expected.tobytes()
+    assert store.grad.shape == store.vector.shape and not store.grad.any()
+    for name, arr in arrays.items():
+        p = store[name]
+        assert p.data.shape == p.grad.shape == arr.shape
+        assert p.data.base is store.vector and p.grad.base is store.grad
+        assert p.data.tobytes() == arr.tobytes()
+    store["b"].data[1] = 7.0                                # a write through a view lands in the vector
+    assert store.vector[6 + 1 + 1] == 7.0
+    assert store.flat() == (store.vector, store.grad)
+    empty = ParamStore()
+    assert len(empty) == 0 and empty.vector.shape == empty.grad.shape == (0,)
+
+
+@pytest.mark.parametrize("field", ["data", "grad"])
+def test_param_store_refuses_a_leaf_rebound_away_from_its_view(field):
+    store = ParamStore([("a", Value([1.0])), ("b", Value(np.zeros((2, 2))))])
+    setattr(store["b"], field, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="parameter b was rebound"):
+        store.flat()
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
@@ -563,45 +592,43 @@ def test_checkpoint_rejects_non_finite_records(tmp_path, bad):
     save_checkpoint(path, records)
     with pytest.raises(ValueError, match="state.bin: record 'v' holds non-finite values"):
         load_checkpoint(path)
-    store = ParamStore()
-    store.add("w", Value(np.zeros((2, 3))))
-    store.add("v", Value(np.zeros(2)))
+    store = ParamStore([("w", Value(np.zeros((2, 3)))), ("v", Value(np.zeros(2)))])
     with pytest.raises(ValueError, match="record 'v' holds non-finite"):
         store.load(path)
     assert not store["v"].data.any()          # nothing restored from the bad file
 
 
 def test_param_store_save_load_with_extras(tmp_path):
-    store = ParamStore()
-    store.add("w", Value(np.arange(6.0).reshape(2, 3)))
+    store = ParamStore([("w", Value(np.arange(6.0).reshape(2, 3)))])
     extra = {"ema.w": np.full((2, 3), 0.5)}
     path = tmp_path / "ckpt.bin"
     store.save(path, extra=extra)
 
-    target = ParamStore()
-    fresh = target.add("w", Value(np.zeros((2, 3))))
+    target = ParamStore([("w", Value(np.zeros((2, 3))))])
+    fresh = target["w"]
     leftovers = target.load(path)
     np.testing.assert_array_equal(fresh.data, np.arange(6.0).reshape(2, 3))
     assert set(leftovers) == {"ema.w"}
     np.testing.assert_array_equal(leftovers["ema.w"], extra["ema.w"])
+    assert fresh.data.base is target.vector and fresh.grad.base is target.grad
 
 
 def test_param_store_load_rejects_missing_and_mismatched(tmp_path):
-    store = ParamStore()
-    store.add("w", Value(np.zeros((2, 2))))
+    # a checkpoint that does not fit writes nothing, not even the parameters that do fit
+    store = ParamStore([("w", Value(np.ones((2, 2)))), ("v", Value(np.ones(3)))])
     path = tmp_path / "ckpt.bin"
     store.save(path)
 
-    wrong_shape = ParamStore()
-    wrong_shape.add("w", Value(np.zeros(3)))
-    with pytest.raises(ValueError, match="shape mismatch"):
+    wrong_shape = ParamStore([("w", Value(np.zeros((2, 2)))), ("v", Value(np.zeros(4)))])
+    with pytest.raises(ValueError, match="shape mismatch for v"):
         wrong_shape.load(path)
+    assert not wrong_shape.vector.any()
 
-    bigger = ParamStore()
-    bigger.add("w", Value(np.zeros((2, 2))))
-    bigger.add("extra", Value(np.zeros(1)))
-    with pytest.raises(ValueError, match="missing"):
+    bigger = ParamStore([("w", Value(np.zeros((2, 2)))), ("v", Value(np.zeros(3))),
+                         ("extra", Value(np.zeros(1)))])
+    with pytest.raises(ValueError, match=r"missing parameters: \['extra'\]"):
         bigger.load(path)
+    assert not bigger.vector.any()
 
 
 # ---------------------------------------------------------------------------

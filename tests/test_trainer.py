@@ -40,7 +40,6 @@ from streamlora.trainer import (
     apply_variant,
     audit_config,
     build_stream,
-    clip_gradients,
     evaluate,
     gradient_audit,
     load_config,
@@ -170,8 +169,14 @@ def test_config_validation_catches_inconsistencies():
         tiny_config(learning_rate=0.0).validate()
     with pytest.raises(ValueError, match="sizes must be positive"):
         tiny_config(batch_size=0).validate()
-    with pytest.raises(ValueError, match="grad_clip"):
-        tiny_config(grad_clip=-1.0).validate()
+    for mode in ("frozen", "shared_lora"):
+        for flags, named in [(dict(), "use_selection, use_token_weighting, use_reg"),
+                             (dict(use_selection=False, use_token_weighting=False), "use_reg")]:
+            with pytest.raises(ValueError, match=f"^{named} must be false when mode is {mode} "
+                                                 f"\\(use --variant {mode}\\)$"):
+                tiny_config(mode=mode, n_experts=1, top_k=1, **flags).validate()
+    apply_variant(tiny_config(), "frozen").validate()
+    apply_variant(tiny_config(), "shared_lora").validate()
     with pytest.raises(ValueError, match="trace_interval"):
         tiny_config(trace_interval=-1).validate()
     for stream_seed in (-2, -7):
@@ -208,6 +213,9 @@ def test_cli_input_errors_print_one_line_and_exit_2(tmp_path):
          "need at least 7 chunks"),
         (["train", "--stream-seed", "-7", "--out", str(tmp_path / "run")],
          "stream_seed must be >= 0, or -1 to use seed, got -7"),
+        (["train", "--set", "mode=frozen", "--out", str(tmp_path / "run")],
+         r"use_selection, use_token_weighting, use_reg must be false when mode is frozen "
+         r"\(use --variant frozen\)"),
         (["gradcheck", "--samples", "1", "--epsilon", "1e308"], "epsilon 1e\\+308 is too large"),
         (["gradcheck", "--samples", "1", "--epsilon", "1e300"], "epsilon 1e\\+300 is too large"),
         (["train", "--config", str(missing / "x.cfg"), "--out", str(tmp_path / "run")], no_file),
@@ -233,7 +241,7 @@ def test_run_stream_rejects_an_empty_test_set_before_training(tmp_path):
     ("visual_noise", -0.1), ("noise_tokens", -1), ("classes_per_task", 0),
     ("n_heads", 0), ("n_heads", -2), ("d_hidden", 0), ("rank", 0), ("rank", 8),
     ("routing_dim", 0), ("visual_tokens", 0),
-    *((key, value) for key in ("learning_rate", "reg_weight", "grad_clip", "visual_noise",
+    *((key, value) for key in ("learning_rate", "reg_weight", "visual_noise",
                                "ema_momentum")
       for value in (float("nan"), float("inf"), float("-inf"))),
 ])
@@ -309,10 +317,10 @@ def test_config_derived_properties():
 
 
 def test_adam_first_step_matches_hand_recomputation():
-    store = ParamStore()
-    p = store.add("w", Value([1.0, 2.0]))
+    store = ParamStore([("w", Value([1.0, 2.0]))])
+    p = store["w"]
     g = np.array([0.5, -1.0])
-    p.grad = g.copy()
+    p.grad[...] = g
     opt = Adam(store, lr=0.01)
     opt.step()
     # after one step the bias corrections cancel the (1 - beta) factors
@@ -322,44 +330,93 @@ def test_adam_first_step_matches_hand_recomputation():
 
 
 def test_adam_second_step_with_identical_gradient():
-    store = ParamStore()
-    p = store.add("w", Value([0.0]))
+    store = ParamStore([("w", Value([0.0]))])
+    p = store["w"]
     opt = Adam(store, lr=0.1)
     for _ in range(2):
-        p.grad = np.array([2.0])
+        p.grad[...] = 2.0
         opt.step()
     # a constant gradient gives the same bias-corrected update twice
     np.testing.assert_allclose(p.data, [-0.2 * 2.0 / (2.0 + 1e-8)], rtol=1e-12)
 
 
 def test_adam_leaves_gradient_free_parameters_alone():
-    store = ParamStore()
-    touched = store.add("a", Value([1.0]))
-    idle = store.add("b", Value([5.0]))
+    store = ParamStore([("a", Value([1.0])), ("b", Value([5.0]))])
+    touched, idle = store["a"], store["b"]
     opt = Adam(store, lr=0.5)
-    touched.grad = np.array([1.0])
+    touched.grad[...] = 1.0
     opt.step()
     assert idle.data[0] == 5.0  # exactly: zero moments give a zero update
     assert touched.data[0] != 1.0
 
 
-def test_clip_gradients_scales_to_the_requested_norm():
-    store = ParamStore()
-    p = store.add("w", Value([0.0, 0.0]))
-    p.grad = np.array([3.0, 4.0])
-    norm = clip_gradients(store, max_norm=1.0)
-    assert norm == pytest.approx(5.0, abs=1e-12)
-    np.testing.assert_allclose(p.grad, [0.6, 0.8], rtol=1e-12)
+def _per_path_adam(arrays, steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-path Adam loop the flat update replaced, kept as its oracle:
+    one update per parameter, a missing gradient read as zeros."""
+    data = {path: arr.copy() for path, arr in arrays.items()}
+    m = {path: np.zeros_like(arr) for path, arr in arrays.items()}
+    v = {path: np.zeros_like(arr) for path, arr in arrays.items()}
+    for t, grads in enumerate(steps, start=1):
+        bc1 = 1.0 - beta1 ** t
+        bc2 = 1.0 - beta2 ** t
+        for path in data:
+            g = grads[path] if grads[path] is not None else np.zeros_like(data[path])
+            m[path] *= beta1
+            m[path] += (1.0 - beta1) * g
+            v[path] *= beta2
+            v[path] += (1.0 - beta2) * g * g
+            data[path] -= lr * (m[path] / bc1) / (np.sqrt(v[path] / bc2) + eps)
+    return data
 
 
-def test_clip_gradients_is_a_no_op_below_the_threshold_or_when_disabled():
-    store = ParamStore()
-    p = store.add("w", Value([0.0, 0.0]))
-    p.grad = np.array([3.0, 4.0])
-    assert clip_gradients(store, max_norm=10.0) == pytest.approx(5.0)
-    np.testing.assert_array_equal(p.grad, [3.0, 4.0])
-    assert clip_gradients(store, max_norm=0.0) == pytest.approx(5.0)
-    np.testing.assert_array_equal(p.grad, [3.0, 4.0])
+def test_flat_adam_is_bit_identical_to_the_per_path_loop():
+    # steps large against the parameters, so a last-bit change in an update shows in them
+    rng = named_rng(11, "adam-oracle")
+    arrays = {"a": 1e-3 * rng.normal(size=(3, 4)), "idle": rng.normal(size=5),
+              "b": 1e-3 * rng.normal(size=(2, 2, 2)), "s": np.asarray(1e-3)}
+    store = ParamStore((path, Value(arr)) for path, arr in arrays.items())
+    opt = Adam(store, lr=0.3)
+    steps = []
+    for _ in range(3):
+        grads = {path: None if path == "idle" else rng.normal(size=arr.shape)
+                 for path, arr in arrays.items()}
+        store.zero_grad()
+        for path, g in grads.items():
+            if g is not None:
+                store[path].grad[...] = g
+        opt.step()
+        steps.append(grads)
+    want = _per_path_adam(arrays, steps, lr=0.3)
+    for path in arrays:
+        assert store[path].data.tobytes() == want[path].tobytes(), path
+    assert store["idle"].data.tobytes() == arrays["idle"].tobytes()
+    assert opt.step_count == 3
+
+
+@pytest.mark.parametrize("field", ["data", "grad"])
+def test_adam_refuses_a_leaf_rebound_away_from_the_store(field):
+    store = ParamStore([("w", Value([1.0, 2.0])), ("head.bias", Value([0.0]))])
+    opt = Adam(store, lr=0.1)
+    setattr(store["head.bias"], field, np.array([1.0]))
+    with pytest.raises(ValueError, match="parameter head.bias was rebound"):
+        opt.step()
+    assert opt.step_count == 0
+    assert store["w"].data.tolist() == [1.0, 2.0]
+
+
+def test_a_loaded_store_still_views_its_vector_and_steps(tmp_path):
+    source = ParamStore([("w", Value([1.0, -2.0])), ("b", Value(np.full((2, 2), 3.0)))])
+    source.save(tmp_path / "ckpt.bin")
+    store = ParamStore([("w", Value(np.zeros(2))), ("b", Value(np.zeros((2, 2))))])
+    assert store.load(tmp_path / "ckpt.bin") == {}
+    assert store.vector.tobytes() == source.vector.tobytes()
+    for _, p in store.items():
+        assert p.data.base is store.vector and p.grad.base is store.grad
+    opt = Adam(store, lr=0.1)
+    store.grad[...] = 1.0
+    opt.step()
+    np.testing.assert_allclose(store["w"].data, [0.9, -2.1], rtol=0, atol=1e-8)
+    np.testing.assert_allclose(store["b"].data, np.full((2, 2), 2.9), rtol=0, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +447,7 @@ def test_run_stream_is_deterministic():
 
 
 def test_frozen_run_never_steps_and_never_forgets():
-    result = run_stream(tiny_config(mode="frozen", use_reg=False))
+    result = run_stream(apply_variant(tiny_config(), "frozen"))
     assert result.optimizer.step_count == 0
     assert result.shadow is None
     assert len(result.model.params) == 0
@@ -624,7 +681,7 @@ def test_batch_gradient_is_the_mean_of_the_one_sample_gradients():
     model = cfg.model(seed=3)
     rng = named_rng(3, "batch-grad")
     for _, p in model.params.items():
-        p.data = 0.2 * rng.normal(size=p.data.shape)
+        p.data[...] = 0.2 * rng.normal(size=p.data.shape)
     shadow = EmaShadow.from_states(model.routing_states())
     for arr in shadow.arrays.values():
         arr += 0.1 * rng.normal(size=arr.shape)
@@ -639,8 +696,7 @@ def test_batch_gradient_is_the_mean_of_the_one_sample_gradients():
         _, reg, total, _ = _batch_loss(model, batch, shadow, cfg.reg_weight)
         assert float(reg.data) > 0.0
         backward(total)
-        return {path: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-                for path, p in model.params.items()}
+        return {path: p.grad.copy() for path, p in model.params.items()}
 
     both = gradients(samples)
     first, second = (gradients([sample]) for sample in samples)
@@ -651,7 +707,7 @@ def test_batch_gradient_is_the_mean_of_the_one_sample_gradients():
 
 def test_a_training_sweep_leaves_gradients_on_the_parameters_only():
     # backward releases every interior gradient once it has been passed on;
-    # the parameters the batch reached keep theirs for the optimizer
+    # the parameters hold theirs in the store, exactly zero where the batch did not reach
     cfg = RunConfig()
     specs, _ = build_stream(cfg)
     batch = TaskSampler(specs[0], cfg.seed).test_set()[:cfg.batch_size]
@@ -672,8 +728,10 @@ def test_a_training_sweep_leaves_gradients_on_the_parameters_only():
             reached.add(id(node))
     assert interior and reached
     assert [node for node in interior if node.grad is not None] == []
+    _, grad = model.params.flat()           # every parameter still views the store
+    assert grad.any()
     for path, p in model.params.items():
-        assert (p.grad is not None) == (id(p) in reached), path
+        assert id(p) in reached or not p.grad.any(), path
 
 
 def test_evaluate_scores_the_argmax_of_each_sample():
@@ -772,7 +830,7 @@ def test_each_copy_objective_is_the_loss_with_that_copy_as_the_leaf(leaf):
     model = cfg.model(seed=5)
     rng = named_rng(5, "copy-loss")
     for _, p in model.params.items():
-        p.data = 0.2 * rng.normal(size=p.data.shape)
+        p.data[...] = 0.2 * rng.normal(size=p.data.shape)
     shadow = EmaShadow.from_states(model.routing_states())
     for arr in shadow.arrays.values():
         arr += 0.1 * rng.normal(size=arr.shape)
@@ -880,7 +938,7 @@ def test_audit_pins_are_the_baseline_forwards_routing_and_reference(monkeypatch)
 def test_an_expert_no_sample_selected_probes_to_an_exactly_zero_difference():
     model, objective, probe = _audit_problem(small_audit_config(), n_samples=1, seed=7)
     backward(objective())
-    unused = [p for path, p in model.params.items() if ".expert." in path and p.grad is None]
+    unused = [p for path, p in model.params.items() if ".expert." in path and not p.grad.any()]
     assert len(unused) == 2 * 2 * 2         # per site 2 of 4 experts, A and B each
     for fd in finite_diff_grad(probe, unused, copies=trainer_module.AUDIT_ROWS):
         assert not fd.any()
