@@ -2,9 +2,12 @@
 
 The whole training stack runs on this module: a `Value` wraps an ndarray,
 operations build a graph of parent links and backward closures, and
-`backward` walks the graph once in reverse topological order. The graph is
-rebuilt on every forward pass; nothing persists between steps except the
-leaf tensors themselves.
+`backward` walks the graph once in reverse topological order. Each closure
+is a pure function of its node's output gradient that returns one
+gradient per parent (`None` for a parent that does not require grad);
+only `backward` stores and sums them. The graph is rebuilt on every
+forward pass; nothing persists between steps except the leaf tensors
+themselves.
 
 Design choices that matter for correctness:
 
@@ -16,9 +19,9 @@ Design choices that matter for correctness:
   the sweep needs it: `backward` drops it once the node has passed it on.
 * softmax subtracts the row max before exponentiating. The max is treated
   as a constant, which is exact because softmax is shift invariant.
-* backward closures receive the output node as an argument instead of
-  capturing it, so the graph has no reference cycles and plain refcounting
-  frees it as soon as the caller drops the root.
+* backward closures capture their parents and arrays, never their output
+  node, so the graph has no reference cycles and plain refcounting frees
+  it as soon as the caller drops the root.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 Array = np.ndarray
+Grads = Sequence[Array | None]          # a closure's gradients, one per parent
+Backward = Callable[[Array], Grads]
 
 # ---------------------------------------------------------------------------
 # grad mode
@@ -70,12 +75,12 @@ class Value:
 
     `data` is the forward value and `requires_grad` marks leaves the
     optimizer owns and any node downstream of one. `grad` is the adjoint,
-    `None` until something writes to it. A leaf (a node without `_parents`)
+    `None` until a backward sweep writes it. A leaf (a node without `_parents`)
     accumulates it over backward sweeps until `zero_grad`; a leaf in a
     `ParamStore` holds a view of the store's zeroed gradient vector from
     the start, so one no path reached holds an exactly-zero `grad`, not
-    `None`. An interior node holds it only during a sweep, from its
-    consumers' backward until its own has run.
+    `None`. An interior node holds it only during a sweep, from its first
+    consumer's turn until its own closure runs.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -86,23 +91,7 @@ class Value:
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Value, ...] = ()
-        self._backward: Callable[[Value], None] | None = None
-
-    def accumulate_grad(self, g: Array, owned: bool = False, released: bool = False) -> None:
-        """Add `g`, of this node's full shape, into `grad`. A leaf in a
-        `ParamStore` adds it into its view of the store's gradient vector.
-        Otherwise a first gradient is adopted when `owned` says the caller
-        has just computed it and keeps no other reference. An interior node
-        also adopts it when `released` says it is (a view of) the caller's
-        own gradient, which the sweep drops next and hands to no other node
-        that adopts it. Any other first gradient is copied: a leaf's
-        outlives the sweep, so a leaf always owns its memory."""
-        if self.grad is not None:
-            self.grad += g
-        elif owned or (released and self._parents):
-            self.grad = g
-        else:
-            self.grad = np.array(g, dtype=np.float64)
+        self._backward: Backward | None = None
 
     def detach(self) -> "Value":
         """Same data, no history. Gradients never flow through the result."""
@@ -127,7 +116,7 @@ def _as_value(x) -> Value:
     return x if isinstance(x, Value) else Value(x)
 
 
-def _make_node(data: Array, parents: Sequence[Value], backward: Callable[[Value], None]) -> Value:
+def _make_node(data: Array, parents: Sequence[Value], backward: Backward) -> Value:
     out = Value(data)
     if _grad_enabled[0] and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -157,12 +146,9 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 def add(a: Value, b: Value) -> Value:
     data = a.data + b.data
 
-    def backward(out: Value) -> None:
-        g = out.grad
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape), released=True)
-        if b.requires_grad:     # unless a adopted out.grad itself
-            b.accumulate_grad(_unbroadcast(g, b.data.shape), released=a.grad is not g)
+    def backward(g: Array) -> Grads:
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _make_node(data, (a, b), backward)
 
@@ -170,11 +156,9 @@ def add(a: Value, b: Value) -> Value:
 def sub(a: Value, b: Value) -> Value:
     data = a.data - b.data
 
-    def backward(out: Value) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(out.grad, a.data.shape), released=True)
-        if b.requires_grad:
-            b.accumulate_grad(-_unbroadcast(out.grad, b.data.shape), owned=True)
+    def backward(g: Array) -> Grads:
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                -_unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _make_node(data, (a, b), backward)
 
@@ -182,11 +166,9 @@ def sub(a: Value, b: Value) -> Value:
 def mul(a: Value, b: Value) -> Value:
     data = a.data * b.data
 
-    def backward(out: Value) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(out.grad * b.data, a.data.shape), owned=True)
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(out.grad * a.data, b.data.shape), owned=True)
+    def backward(g: Array) -> Grads:
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return _make_node(data, (a, b), backward)
 
@@ -199,16 +181,17 @@ def matmul(a: Value, b: Value) -> Value:
                          f"got shapes {a.data.shape} and {b.data.shape}")
     data = np.matmul(a.data, b.data)
 
-    def backward(out: Value) -> None:
-        g, ad, bd = out.grad, a.data, b.data
+    def backward(g: Array) -> Grads:
+        ad, bd = a.data, b.data
+        ga = gb = None
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape), owned=True)
+            ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
         if b.requires_grad:
             if bd.ndim == 2 and ad.ndim > 2:     # one product over every leading axis
                 gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
                 gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
-            b.accumulate_grad(gb, owned=True)
+        return ga, gb
 
     return _make_node(data, (a, b), backward)
 
@@ -217,37 +200,21 @@ def transpose(a: Value, axis1: int = -1, axis2: int = -2) -> Value:
     """Swap two axes, by default the last two."""
     if a.data.ndim < 2:
         raise ValueError("transpose expects a value of at least two dimensions")
-
-    def backward(out: Value) -> None:
-        a.accumulate_grad(np.swapaxes(out.grad, axis1, axis2), released=True)
-
-    return _make_node(np.swapaxes(a.data, axis1, axis2), (a,), backward)
+    return _make_node(np.swapaxes(a.data, axis1, axis2), (a,), lambda g: (np.swapaxes(g, axis1, axis2),))
 
 
 def reshape(a: Value, shape: tuple[int, ...]) -> Value:
-    def backward(out: Value) -> None:
-        a.accumulate_grad(out.grad.reshape(a.data.shape), released=True)
-
-    return _make_node(a.data.reshape(shape), (a,), backward)
+    return _make_node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
 
 
 def powi(a: Value, exponent: float) -> Value:
     """Elementwise power with a constant exponent."""
-    data = a.data ** exponent
-
-    def backward(out: Value) -> None:
-        a.accumulate_grad(out.grad * exponent * a.data ** (exponent - 1.0), owned=True)
-
-    return _make_node(data, (a,), backward)
+    return _make_node(a.data ** exponent, (a,), lambda g: (g * exponent * a.data ** (exponent - 1.0),))
 
 
 def tanh(a: Value) -> Value:
     data = np.tanh(a.data)
-
-    def backward(out: Value) -> None:
-        a.accumulate_grad(out.grad * (1.0 - out.data ** 2), owned=True)
-
-    return _make_node(data, (a,), backward)
+    return _make_node(data, (a,), lambda g: (g * (1.0 - data ** 2),))
 
 
 def log(a: Value, floor: float) -> Value:
@@ -257,37 +224,26 @@ def log(a: Value, floor: float) -> Value:
     finite pull instead of an inf.
     """
     clamped = np.maximum(a.data, floor)
-    data = np.log(clamped)
-
-    def backward(out: Value) -> None:
-        a.accumulate_grad(out.grad / clamped, owned=True)
-
-    return _make_node(data, (a,), backward)
+    return _make_node(np.log(clamped), (a,), lambda g: (g / clamped,))
 
 
 def mean(a: Value, axis: int | None = None, keepdims: bool = False) -> Value:
     count = a.data.size if axis is None else a.data.shape[axis]
     data = a.data.sum(axis=axis, keepdims=keepdims) / count   # the bits of ndarray.mean
-
-    def backward(out: Value) -> None:
-        g = out.grad
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        a.accumulate_grad(np.broadcast_to(g, a.data.shape) / count, owned=True)
-
-    return _make_node(data, (a,), backward)
+    return _make_node(data, (a,), lambda g: (_spread(g, a.data.shape, axis, keepdims) / count,))
 
 
 def vsum(a: Value, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Value:
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    return _make_node(data, (a,), lambda g: (_spread(g, a.data.shape, axis, keepdims),))
 
-    def backward(out: Value) -> None:
-        g = out.grad
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        a.accumulate_grad(np.broadcast_to(g, a.data.shape).copy(), owned=True)
 
-    return _make_node(data, (a,), backward)
+def _spread(g: Array, shape: tuple[int, ...], axis, keepdims: bool) -> Array:
+    """A read-only view of a reduction's gradient `g` broadcast back over
+    the reduced `axis` to the input's `shape`."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +268,14 @@ def concat(values: Sequence[Value], axis: int = 0) -> Value:
         data = np.concatenate(_broadcast_off_axis(arrays, axis), axis=axis)
     sizes = [a.shape[axis] for a in arrays]
 
-    def backward(out: Value) -> None:
-        offset = 0
+    def backward(g: Array) -> Grads:
+        grads, offset = [], 0
         for v, n in zip(values, sizes):
-            if v.requires_grad:
-                index = [slice(None)] * out.grad.ndim
-                index[axis] = slice(offset, offset + n)
-                # the operands' slices do not overlap
-                v.accumulate_grad(_unbroadcast(out.grad[tuple(index)], v.data.shape), released=True)
+            index = [slice(None)] * g.ndim
+            index[axis] = slice(offset, offset + n)
+            grads.append(_unbroadcast(g[tuple(index)], v.data.shape) if v.requires_grad else None)
             offset += n
+        return grads
 
     return _make_node(data, tuple(values), backward)
 
@@ -361,14 +316,7 @@ def masked_softmax(logits: Value, mask: Array | None = None) -> Value:
     A row with no admissible entry raises.
     """
     data = masked_softmax_np(logits.data, mask)
-
-    def backward(out: Value) -> None:
-        y = out.data
-        g = out.grad
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        logits.accumulate_grad(y * (g - dot), owned=True)
-
-    return _make_node(data, (logits,), backward)
+    return _make_node(data, (logits,), lambda g: (data * (g - (g * data).sum(axis=-1, keepdims=True)),))
 
 
 def softmax(logits: Value) -> Value:
@@ -395,11 +343,7 @@ def cross_entropy(logits: Value, target) -> Value:
     total = e.sum(axis=-1, keepdims=True)
     picked = np.take_along_axis(x, np.broadcast_to(t[..., None], x.shape[:-1] + (1,)), axis=-1)
     data = (m + np.log(total) - picked)[..., 0]
-
-    def backward(out: Value) -> None:
-        logits.accumulate_grad(out.grad[..., None] * (e / total - onehot), owned=True)
-
-    return _make_node(data, (logits,), backward)
+    return _make_node(data, (logits,), lambda g: (g[..., None] * (e / total - onehot),))
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +354,14 @@ def cross_entropy(logits: Value, target) -> Value:
 def backward(root: Value) -> None:
     """Reverse-mode sweep from a scalar root.
 
-    Every reachable leaf that requires grad gets its gradient added to
-    `.grad`, where it accumulates until `zero_grad`. Interior nodes,
-    the root included, are released as the sweep passes them: a node's
-    `grad` is set back to `None` as soon as its own backward has handed
-    it to its parents, so at most the gradients of the sweep's frontier
-    are alive at once. The traversal is iterative, so graph depth is not
-    limited by the recursion limit.
+    The root's gradient is ones; a leaf root adds them like any leaf.
+    Then each interior node, in reverse topological order, hands its
+    gradient to its closure and is released (`grad` back to `None`), so
+    at most the gradients of the sweep's frontier are alive at once; each
+    gradient the closure returns goes to its parent (`_receive`). Every
+    reachable leaf that requires grad thus gets its gradient added to
+    `.grad`, where it accumulates until `zero_grad`. The traversal is
+    iterative, so graph depth is not limited by the recursion limit.
     """
     if root.data.shape != ():
         raise ValueError(f"backward needs a scalar root, got shape {root.data.shape}")
@@ -439,11 +384,28 @@ def backward(root: Value) -> None:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
 
-    root.accumulate_grad(np.ones_like(root.data), owned=True)
+    _receive(root, np.ones_like(root.data))
     for node in reversed(topo):
         if node._backward is not None:
-            node._backward(node)
-            node.grad = None
+            g, node.grad = node.grad, None
+            for parent, pg in zip(node._parents, node._backward(g)):
+                if pg is not None:
+                    _receive(parent, pg)
+
+
+def _receive(node: Value, g: Array) -> None:
+    """Add `g`, of `node`'s full shape, into `node.grad`. A leaf in a
+    `ParamStore` adds it into its view of the store's gradient vector, and
+    a standalone leaf starts from a copy of its first gradient, since a
+    leaf's gradient outlives the sweep. An interior node adopts its first
+    gradient and sums later ones out of place: one array may reach several
+    nodes (`add` hands its own to both operands), so none is written to."""
+    if node.grad is None:
+        node.grad = g if node._parents else np.array(g, dtype=np.float64)
+    elif node._parents:
+        node.grad = node.grad + g
+    else:
+        node.grad += g
 
 
 # ---------------------------------------------------------------------------

@@ -140,9 +140,11 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        for key in ("classes_per_task", "test_size", "routing_dim", "visual_tokens"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        # a mixture stream needs two tasks, and 7 chunks keep a retired task gone for 3
+        for key, least in (("classes_per_task", 1), ("test_size", 1), ("routing_dim", 1),
+                           ("visual_tokens", 1), ("n_experts", 1), ("n_tasks", 2), ("n_chunks", 7)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
         if self.noise_tokens < 0:
             raise ValueError(f"noise_tokens must be >= 0, got {self.noise_tokens}")
         if self.visual_noise < 0.0:

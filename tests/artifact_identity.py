@@ -1,14 +1,16 @@
 """Compare the artifacts of `streamlora train` between this tree and another.
 
 Runs `streamlora train --seed S --variant V --out DIR` for every seed and
-each of the eight variants, once with this tree's `src` and once with
+each of the eight variants, and the default `streamlora gradcheck` and
+`gradcheck --samples 1`, once with this tree's `src` and once with
 `--against TREE`'s (for example a `git archive` export of the parent
 commit), then prints every artifact that differs between the two: a file
-whose bytes differ, or that only one side wrote. For a `.json` artifact it
-names up to five dotted key paths that differ or exist on one side only,
-such as `manifest.json: config.seed differs`. `runlog.json` is compared
-without `wall_seconds`, the one field that is not deterministic. Each tree
-runs its commands in one Python process, and the two run side by side.
+whose bytes differ, or that only one side wrote. A `gradcheck`'s artifact
+is its stdout, the audit table. For a `.json` artifact it names up to
+five dotted key paths that differ or exist on one side only, such as
+`manifest.json: config.seed differs`. `runlog.json` is compared without
+`wall_seconds`, the one field that is not deterministic. Each tree runs
+its commands in one Python process, and the two run side by side.
 
 Run from the repository root (about two minutes for the default five seeds
 on two CPUs):
@@ -33,13 +35,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 VARIANTS = ("full", "uniform_moe", "shared_lora", "frozen", "p", "s", "s,reg", "p,s")
 
-# runs each argv of a JSON list through `streamlora.cli.main` in one process
+GRADCHECKS = {"gradcheck": [], "gradcheck --samples 1": ["--samples", "1"]}
+
+# runs each argv of a JSON list of [argv, stdout file or null] pairs through
+# `streamlora.cli.main` in one process, writing the stdout a pair names
 RUNNER = """
 import contextlib, io, json, sys
 from streamlora.cli import main
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
+for argv, stdout_path in json.loads(sys.argv[1]):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
         code = main(argv)
+    if stdout_path:
+        with open(stdout_path, "w") as fh:
+            fh.write(stdout.getvalue())
     if code != 0:
         raise SystemExit(f"streamlora {' '.join(argv)} exited {code}")
 """
@@ -55,8 +64,10 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def start_runs(tree: Path, out: Path, runs: list[tuple[int, str]]) -> subprocess.Popen:
-    argv = [["train", "--seed", str(seed), "--variant", variant, "--out", str(out / run_name(seed, variant))]
-            for seed, variant in runs]
+    out.mkdir(parents=True)
+    argv = [[["train", "--seed", str(seed), "--variant", variant, "--out", str(out / run_name(seed, variant))],
+             None] for seed, variant in runs]
+    argv += [[["gradcheck", *flags], str(out / f"{name}.txt")] for name, flags in GRADCHECKS.items()]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.Popen([sys.executable, "-c", RUNNER, json.dumps(argv)], env=env, cwd=tree)
 
@@ -133,7 +144,7 @@ def main() -> int:
         ours, theirs = Path(tmp) / "this", Path(tmp) / "other"
         procs = [start_runs(ROOT, ours, runs), start_runs(other, theirs, runs)]
         if [proc.wait() for proc in procs] != [0, 0]:
-            print("a train run failed; see its message above", file=sys.stderr)
+            print("a streamlora command failed; see its message above", file=sys.stderr)
             return 1
         found = 0
         for seed, variant in runs:
@@ -142,7 +153,11 @@ def main() -> int:
                 for line in lines:
                     print(f"seed {seed} variant {variant}: {artifact}: {line}")
                 found += 1
-    print(f"{len(runs)} runs per tree, {found} artifacts differ "
+        for name in GRADCHECKS:
+            if (ours / f"{name}.txt").read_bytes() != (theirs / f"{name}.txt").read_bytes():
+                print(f"{name}: stdout differs")
+                found += 1
+    print(f"{len(runs)} runs and {len(GRADCHECKS)} gradchecks per tree, {found} artifacts differ "
           f"(runlog.json compared without wall_seconds)")
     return 1 if found else 0
 

@@ -3,9 +3,13 @@
 Every test prints a single [PASS]/[FAIL] line (visible with `pytest -s`)
 before asserting, so a full run yields a readable scorecard. The three
 directional criteria share one set of trained runs: four variants, five
-seeds each, at the default configuration.
+seeds each, at the default configuration, plus a control per seed, `full`
+with its routers frozen at initialisation. The lines for criteria 6 and 7
+print the trained router's margin over that control: their pass
+conditions compare architectures, and the margin is what learning adds.
 """
 
+import contextlib
 import statistics
 import time
 
@@ -25,10 +29,11 @@ from streamlora.routing import (
 )
 from streamlora.stability import EmaShadow, ema_update, reference_weights, reg_loss, total_loss
 from streamlora.stream import TaskSampler, build_default_stream, make_task_specs, single_pass_stream
-from streamlora.trainer import RunConfig, apply_variant, gradient_audit, run_stream
+from streamlora.trainer import Adam, RunConfig, apply_variant, gradient_audit, run_stream
 
 SEEDS = (0, 1, 2, 3, 4)
 VARIANTS = ("full", "uniform_moe", "shared_lora", "two_stage")
+FROZEN_ROUTER = "full, router frozen"
 
 
 def _report(number: int, name: str, passed: bool, detail: str) -> None:
@@ -40,6 +45,24 @@ def _variant_config(name: str, seed: int) -> RunConfig:
     return apply_variant(RunConfig(seed=seed), spec)
 
 
+@contextlib.contextmanager
+def _routers_frozen():
+    """Every `Adam.step` in the block first zeroes the gradient of each
+    `router.*` leaf, so the routers never leave their initialisation (their
+    moments stay zero, and so does their update)."""
+    step = Adam.step
+
+    def frozen_step(self):
+        for path, leaf in self.params.items():
+            if ".router." in path:
+                leaf.grad[...] = 0.0
+        step(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Adam, "step", frozen_step)
+        yield
+
+
 @pytest.fixture(scope="module")
 def trained_runs():
     t0 = time.perf_counter()
@@ -48,7 +71,14 @@ def trained_runs():
         for name in VARIANTS
         for seed in SEEDS
     }
-    return runs, time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0
+    with _routers_frozen():
+        for seed in SEEDS:
+            runs[(FROZEN_ROUTER, seed)] = control = run_stream(_variant_config("full", seed))
+            initial = control.config.model().params
+            for path, leaf in control.model.params.items():
+                assert np.array_equal(leaf.data, initial[path].data) == (".router." in path), path
+    return runs, elapsed
 
 
 def _median_summary(runs, name, index):
@@ -320,10 +350,12 @@ def test_criterion_6_routing_homogeneity_contrast(trained_runs):
     runs, elapsed = trained_runs
     full = statistics.median(_post_stream_cka(runs[("full", s)]) for s in SEEDS)
     uniform = statistics.median(_post_stream_cka(runs[("uniform_moe", s)]) for s in SEEDS)
+    frozen = statistics.median(_post_stream_cka(runs[(FROZEN_ROUTER, s)]) for s in SEEDS)
     passed = (uniform - full) >= 0.05 and elapsed < 600.0
     _report(6, "routing homogeneity contrast", passed,
             f"median cross-task CKA {full:.3f} (routed) vs {uniform:.3f} (dense), "
-            f"gap {uniform - full:.3f}, runs took {elapsed:.0f}s")
+            f"gap {uniform - full:.3f}, runs took {elapsed:.0f}s; "
+            f"router frozen at init {frozen:.3f}, trained margin {frozen - full:+.3f}")
     assert passed
 
 
@@ -339,6 +371,8 @@ def test_criterion_7_forgetting_reduction(trained_runs):
     maf_shared = _median_summary(runs, "shared_lora", 1)
     map_full = _median_summary(runs, "full", 0)
     map_uniform = _median_summary(runs, "uniform_moe", 0)
+    maf_frozen = _median_summary(runs, FROZEN_ROUTER, 1)
+    map_frozen = _median_summary(runs, FROZEN_ROUTER, 0)
     passed = (
         maf_full < maf_uniform
         and maf_full < maf_shared
@@ -347,7 +381,9 @@ def test_criterion_7_forgetting_reduction(trained_runs):
     _report(7, "forgetting reduction", passed,
             f"median MAF {maf_full:.4f} (routed) vs {maf_uniform:.4f} (dense) "
             f"and {maf_shared:.4f} (single adapter); "
-            f"median MAP {map_full:.4f} vs {map_uniform:.4f}")
+            f"median MAP {map_full:.4f} vs {map_uniform:.4f}; router frozen at init: "
+            f"MAF {maf_frozen:.4f}, MAP {map_frozen:.4f}, trained margin "
+            f"{maf_frozen - maf_full:+.4f} MAF, {map_full - map_frozen:+.4f} MAP")
     assert passed
 
 

@@ -30,6 +30,7 @@ from streamlora.autograd import (
     reshape,
     save_checkpoint,
     softmax,
+    sub,
     tanh,
     transpose,
     vsum,
@@ -305,31 +306,78 @@ def test_leaves_fed_by_one_node_get_gradients_of_their_own(join):
     np.testing.assert_array_equal(b.grad, before)
 
 
-def test_interior_nodes_adopt_views_and_add_copies_for_one_operand_at_most(monkeypatch):
-    # transpose and reshape hand a view of their gradient on to an interior
-    # parent, and add hands its own gradient to one operand: no copies there
-    firsts = {}
-    accumulate = Value.accumulate_grad
-
-    def spy(node, g, *args, **kwargs):
-        first = node.grad is None
-        accumulate(node, g, *args, **kwargs)
-        if first:
-            firsts[id(node)] = node.grad
-
-    monkeypatch.setattr(Value, "accumulate_grad", spy)
+def test_views_pass_down_the_sweep_and_the_gradient_is_exact():
+    # transpose and reshape return views of their gradient and add returns
+    # its own to both operands; the sweep adopts each without a copy
     x = Value(np.arange(6.0).reshape(2, 3), requires_grad=True)
     y = mul(x, Value(2.0))
     t = transpose(y)
     r = reshape(t, (6,))
     u, v = mul(x, Value(3.0)), mul(x, Value(4.0))
     s = add(u, v)
-    backward(vsum(mul(r, Value(np.arange(6.0)))) + vsum(mul(s, s)))
-    assert np.shares_memory(firsts[id(t)], firsts[id(r)])
-    assert np.shares_memory(firsts[id(y)], firsts[id(t)])
-    assert np.shares_memory(firsts[id(u)], firsts[id(s)]) != np.shares_memory(firsts[id(v)], firsts[id(s)])
-    assert not np.shares_memory(firsts[id(u)], firsts[id(v)])
+    root = vsum(mul(r, Value(np.arange(6.0)))) + vsum(mul(s, s))
+    received = {}       # the gradient the sweep hands each node's closure
+    for node in (y, t, r, u, v, s):
+        def spy(g, node=node, closure=node._backward):
+            received[id(node)] = g
+            return closure(g)
+        node._backward = spy
+    backward(root)
+    assert np.shares_memory(received[id(t)], received[id(r)])
+    assert np.shares_memory(received[id(y)], received[id(t)])
+    assert received[id(u)] is received[id(s)] and received[id(v)] is received[id(s)]
     np.testing.assert_array_equal(x.grad, 2.0 * np.arange(6.0).reshape(3, 2).T + 2.0 * 49.0 * x.data)
+
+
+@pytest.mark.parametrize("second_first", [True, False], ids=["second-first", "joined-first"])
+def test_one_array_handed_to_two_interior_operands_is_never_written(second_first):
+    # add hands one array to u and v, and both also feed `second`. When the
+    # sweep runs add's closure before second's (the traversal does so for
+    # one of the two orders), summing second's gradients into the arrays u
+    # and v adopted from add would write one array twice, for both of them
+    x = Value(np.array([[1.0, -2.0, 0.5]]), requires_grad=True)
+    u, v = mul(x, Value(3.0)), mul(x, Value(5.0))
+    joined = vsum(mul(add(u, v), Value([[1.0, 2.0, 3.0]])))
+    second = vsum(mul(u, v))
+    backward(second + joined if second_first else joined + second)
+    # d/dx: 8 w from the joined branch, 30 x from second = 15 x^2
+    np.testing.assert_array_equal(x.grad, [[8.0 + 30.0, 16.0 - 60.0, 24.0 + 15.0]])
+
+
+def test_a_leaf_root_adds_one_into_its_store_view():
+    store = ParamStore([("w", Value(np.array(2.0))), ("b", Value([4.0]))])
+    w = store["w"]
+    w.grad[...] = 0.5
+    backward(w)
+    assert w.grad.base is store.grad
+    np.testing.assert_array_equal(store.grad, [1.5, 0.0])
+    loose = Value(3.0, requires_grad=True)
+    backward(loose)
+    backward(loose)
+    assert float(loose.grad) == 2.0
+
+
+def test_a_closure_returns_one_gradient_per_parent_and_none_for_a_constant():
+    rng = named_rng(3, "closures")
+    x = Value(rng.uniform(0.5, 1.5, size=(2, 3)), requires_grad=True)
+    c = Value(rng.normal(size=(2, 3)))
+    w = Value(rng.normal(size=(3, 2)))
+    nodes = [add(x, c), add(c, x), sub(x, c), sub(c, x), mul(x, c), mul(c, x),
+             matmul(x, w), matmul(w, x), concat([c, x, c], axis=0), transpose(x),
+             reshape(x, (6,)), powi(x, 2.0), tanh(x), log(x, floor=1e-3), mean(x, axis=0),
+             vsum(x, axis=1), masked_softmax(x), cross_entropy(x, [0, 2])]
+    for node in nodes:
+        g = rng.normal(size=node.data.shape)
+        before = g.copy()
+        grads = node._backward(g)
+        assert len(grads) == len(node._parents)
+        for parent, pg in zip(node._parents, grads):
+            if parent.requires_grad:
+                assert pg.shape == parent.data.shape
+            else:
+                assert pg is None
+        np.testing.assert_array_equal(g, before)    # a closure writes to nothing
+        assert x.grad is None and node.grad is None
 
 
 def test_backward_rejects_non_scalar_root():

@@ -184,6 +184,12 @@ def test_config_validation_catches_inconsistencies():
             tiny_config(stream_seed=stream_seed).validate()
     tiny_config(stream_seed=-1).validate()
     tiny_config(stream_seed=0).validate()
+    # named by key, before the backbone, top_k or stream builder see them
+    for key, value, least in [("n_experts", 0, 1), ("n_tasks", 0, 2), ("n_tasks", 1, 2),
+                              ("n_chunks", 6, 7), ("n_chunks", 0, 7)]:
+        with pytest.raises(ValueError, match=f"^{key} must be at least {least}, got {value}$"):
+            tiny_config(**{key: value}).validate()
+    tiny_config(n_experts=1, top_k=1, n_tasks=2, n_chunks=7).validate()
 
 
 def test_config_rejects_an_empty_test_set():
@@ -210,7 +216,15 @@ def test_cli_input_errors_print_one_line_and_exit_2(tmp_path):
     no_file = r"\[Errno 2\] No such file or directory: "
     for argv, message in [
         (["train", "--set", "n_chunks=0", "--out", str(tmp_path / "run")],
-         "need at least 7 chunks"),
+         "n_chunks must be at least 7, got 0"),
+        (["train", "--set", "n_chunks=6", "--out", str(tmp_path / "run")],
+         "n_chunks must be at least 7, got 6"),
+        (["train", "--set", "n_experts=0", "--out", str(tmp_path / "run")],
+         "n_experts must be at least 1, got 0"),
+        (["train", "--set", "n_tasks=0", "--out", str(tmp_path / "run")],
+         "n_tasks must be at least 2, got 0"),
+        (["train", "--set", "n_tasks=1", "--out", str(tmp_path / "run")],
+         "n_tasks must be at least 2, got 1"),
         (["train", "--stream-seed", "-7", "--out", str(tmp_path / "run")],
          "stream_seed must be >= 0, or -1 to use seed, got -7"),
         (["train", "--set", "mode=frozen", "--out", str(tmp_path / "run")],
