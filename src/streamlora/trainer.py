@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -88,11 +88,8 @@ class RunConfig:
     top_k: int = 2
     rank: int = 16
     routing_dim: int = 64
-    # variant
-    mode: str = "routed"            # routed | shared_lora | frozen
-    use_selection: bool = True
-    use_token_weighting: bool = True
-    use_reg: bool = True
+    # variant: full | uniform_moe | none | shared_lora | frozen | a comma list of p, s, reg
+    method: str = "full"
     # optimization
     learning_rate: float = 1e-3
     batch_size: int = 32
@@ -131,9 +128,11 @@ class RunConfig:
         )
 
     def variant(self) -> Variant:
-        if self.mode != "routed":
-            return Variant(self.mode, False, False, False)    # validate rejects unknown modes
-        return Variant("routed", self.use_selection, self.use_token_weighting, self.use_reg)
+        """The `Variant` that `method` names, spelled as `--variant` spells it."""
+        try:
+            return _parse_method(self.method)
+        except ValueError as exc:
+            raise ValueError(f"method {self.method!r}: {exc}") from None
 
     def validate(self) -> None:
         for f in fields(self):
@@ -141,8 +140,9 @@ class RunConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         # a mixture stream needs two tasks, and 7 chunks keep a retired task gone for 3
-        for key, least in (("classes_per_task", 1), ("test_size", 1), ("routing_dim", 1),
-                           ("visual_tokens", 1), ("n_experts", 1), ("n_tasks", 2), ("n_chunks", 7)):
+        for key, least in (("n_layers", 1), ("vocab_size", 2), ("classes_per_task", 1), ("test_size", 1),
+                           ("routing_dim", 1), ("visual_tokens", 1), ("n_experts", 1), ("n_tasks", 2),
+                           ("n_chunks", 7), ("batch_size", 1), ("chunk_size", 1)):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
         if self.noise_tokens < 0:
@@ -152,21 +152,15 @@ class RunConfig:
         self.backbone().validate()
         if not 0 < self.rank < self.d_hidden:
             raise ValueError(f"rank must be in (0, d_hidden = {self.d_hidden}), got {self.rank}")
-        self.variant().validate()
+        variant = self.variant()
         if not 1 <= self.top_k <= self.n_experts:
             raise ValueError(f"top_k must be in [1, {self.n_experts}]")
-        if self.mode == "shared_lora" and self.n_experts != 1:
-            raise ValueError("shared_lora means a single expert; set n_experts = 1")
-        flags = [key for key in ("use_selection", "use_token_weighting", "use_reg") if getattr(self, key)]
-        if self.mode != "routed" and flags:
-            raise ValueError(f"{', '.join(flags)} must be false when mode is {self.mode} "
-                             f"(use --variant {self.mode})")
+        if variant.mode == "shared_lora" and self.n_experts != 1:
+            raise ValueError("shared_lora means a single expert; set n_experts = top_k = 1")
         if not 0.0 <= self.ema_momentum < 1.0:
             raise ValueError("ema_momentum must be in [0, 1)")
         if self.reg_weight < 0.0:
             raise ValueError("reg_weight must be non-negative")
-        if self.batch_size < 1 or self.chunk_size < 1:
-            raise ValueError("batch and chunk sizes must be positive")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
         if self.stream_seed < -1:
@@ -194,14 +188,13 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-_KIND_NAMES = {bool: "a boolean", int: "an int", float: "a float"}
+_KIND_NAMES = {int: "an int", float: "a float"}
 
 
 def _coerce(where: str, kind: type, raw: str):
     try:
-        return _BOOL_WORDS[raw.lower()] if kind is bool else kind(raw)
-    except (KeyError, ValueError):
+        return kind(raw)
+    except ValueError:
         raise ValueError(f"{where}: expected {_KIND_NAMES[kind]}, got {raw!r}") from None
 
 
@@ -236,20 +229,25 @@ _VARIANT_ALIASES = {
 }
 
 
-def apply_variant(config: RunConfig, spec: str) -> RunConfig:
-    """Apply a variant name ('full', 'uniform_moe', 'shared_lora', 'frozen',
-    'none') or a comma list of stage toggles out of {p, s, reg}."""
-    spec = spec.strip().lower()
-    variant = _VARIANT_ALIASES.get(spec)
+def _parse_method(method: str) -> Variant:
+    """The variant of an alias, or of a comma list of stage toggles out of {p, s, reg}."""
+    variant = _VARIANT_ALIASES.get(method)
     if variant is None:
-        parts = [part.strip() for part in spec.split(",")]
+        parts = [part.strip() for part in method.split(",")]
         unknown = [part for part in parts if part not in ("p", "s", "reg")]
         if unknown:
             raise ValueError(f"unknown variant component {unknown[0]!r}; use p, s, reg or an alias")
         variant = Variant("routed", "p" in parts, "s" in parts, "reg" in parts)
-    if variant.mode == "shared_lora":
+        variant.validate()
+    return variant
+
+
+def apply_variant(config: RunConfig, spec: str) -> RunConfig:
+    """`config` with `method = spec`, as `--variant spec` sets it, and one expert for shared_lora."""
+    config = replace(config, method=spec.strip().lower())
+    if config.variant().mode == "shared_lora":
         config = replace(config, n_experts=1, top_k=1)
-    return replace(config, **asdict(variant))
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +370,10 @@ def _batch_loss(
     (`forward`); training leaves both unset. A leaf holding n copies of
     itself (the audit's probes) gives task, reg and total one value per
     copy."""
-    use_reg = model.variant.use_reg
     result = forward(model, batch, pinned=pinned, start=start)
     task = task_loss(result.logits, [sample.label for sample in batch])
-    reg = _batch_reg(shadow, result, pinned) if use_reg else None
-    return task, reg, total_loss(task, reg, reg_weight if use_reg else 0.0), result
+    reg = _batch_reg(shadow, result, pinned) if model.variant.use_reg else None
+    return task, reg, total_loss(task, reg, reg_weight), result
 
 
 def _trace_records(chunk_index: int, samples: Sequence[Sample], site_records) -> list[dict]:
@@ -713,7 +710,7 @@ def gradient_audit(
     config = config or audit_config()
     config.validate()
     if config.variant() != FULL:
-        raise ValueError("the audit exercises the full variant; enable all three stages")
+        raise ValueError(f"the audit exercises the full variant, got method {config.method!r}")
 
     model, objective, probe = _audit_problem(config, n_samples, seed)
     backward(objective())
@@ -760,11 +757,12 @@ def run_ablation_suite(config: RunConfig, out_dir: str | Path | None = None) -> 
         run_cfg = apply_variant(config, spec)
         result = run_stream(run_cfg, out_dir=(out / name) if out else None)
         map_t, maf_t = result.summary()
+        variant = run_cfg.variant()
         rows.append({
             "variant": name,
-            "use_selection": run_cfg.use_selection,
-            "use_token_weighting": run_cfg.use_token_weighting,
-            "use_reg": run_cfg.use_reg,
+            "use_selection": variant.use_selection,
+            "use_token_weighting": variant.use_token_weighting,
+            "use_reg": variant.use_reg,
             "MAP": map_t,
             "MAF": maf_t,
         })

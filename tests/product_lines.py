@@ -7,8 +7,10 @@ override, so the option handling runs too), `ablate`, `gradcheck`,
 of a file with a blank line), all at their default sizes. Then it prints
 each statement of `src/streamlora` that none of them ran, as
 `file:line: source`. Error paths are skipped: `raise` statements, the
-blocks that end in one, and `except` clauses. What it prints is code only
-the tests run, or nothing runs at all.
+blocks that end in one, and `except` clauses. What it prints is code that
+no command runs: the tests run it, the benchmark's output check runs it
+(`perfbench/check.py` loads each `full_default` checkpoint through
+`ParamStore.load` and `load_checkpoint`), or nothing runs it at all.
 
 Run from the repository root (about 30 seconds on a 2-vCPU host):
 

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import streamlora.cli as cli_module
 import streamlora.trainer as trainer_module
 from streamlora.autograd import ParamStore, Value, backward, finite_diff_grad, named_rng, no_grad
 from streamlora.cli import build_parser, main
@@ -76,24 +77,13 @@ def test_parse_config_coerces_each_field_type():
         # a comment line
         n_layers = 3
         learning_rate = 0.01   # trailing comment
-        use_reg = false
-        mode = shared_lora
-        n_experts = 1
-        top_k = 1
+        method = p, s
         """
     )
     assert cfg.n_layers == 3
     assert cfg.learning_rate == pytest.approx(0.01)
-    assert cfg.use_reg is False
-    assert cfg.mode == "shared_lora"
+    assert cfg.method == "p, s"
     assert cfg.d_hidden == RunConfig().d_hidden  # untouched fields keep defaults
-
-
-def test_parse_config_accepts_bool_synonyms():
-    assert parse_config_text("use_reg = Yes").use_reg is True
-    assert parse_config_text("use_reg = 0").use_reg is False
-    with pytest.raises(ValueError, match="expected a boolean"):
-        parse_config_text("use_reg = maybe")
 
 
 def test_parse_config_rejects_unknown_keys_and_bad_lines(capsys):
@@ -113,7 +103,7 @@ def test_parse_config_rejects_unknown_keys_and_bad_lines(capsys):
 
 
 def test_every_config_field_survives_a_text_round_trip():
-    cfg = tiny_config(learning_rate=0.003, use_reg=False, stream_seed=9)
+    cfg = tiny_config(learning_rate=0.003, method="p,s", stream_seed=9)
     text = "\n".join(f"{k} = {v}" for k, v in cfg.to_dict().items())
     assert parse_config_text(text) == cfg
 
@@ -128,25 +118,16 @@ def test_load_config_reads_a_file_on_top_of_a_base(tmp_path):
 
 def test_apply_variant_aliases_and_toggle_lists():
     base = tiny_config()
-    full = apply_variant(base, "full")
-    assert (full.mode, full.use_selection, full.use_token_weighting, full.use_reg) == (
-        "routed", True, True, True,
-    )
-    uniform = apply_variant(base, "uniform_moe")
-    assert (uniform.use_selection, uniform.use_token_weighting, uniform.use_reg) == (
-        False, False, False,
-    )
-    assert apply_variant(base, "none") == uniform
+    assert RunConfig().method == "full" and RunConfig().variant() == FULL
+    assert apply_variant(base, "none").variant() == UNIFORM_MOE
     shared = apply_variant(base, "shared_lora")
-    assert shared.mode == "shared_lora"
+    assert shared.method == "shared_lora"
     assert shared.n_experts == 1 and shared.top_k == 1
-    assert apply_variant(base, "frozen").mode == "frozen"
-    two_stage = apply_variant(base, "p, s")
-    assert (two_stage.use_selection, two_stage.use_token_weighting, two_stage.use_reg) == (
-        True, True, False,
-    )
-    assert apply_variant(base, "S,REG").use_reg is True
-    with pytest.raises(ValueError, match="unknown variant component"):
+    two_stage = apply_variant(base, " p, s ")
+    assert two_stage.method == "p, s"       # --variant trims and lower-cases, nothing more
+    assert two_stage.variant() == Variant("routed", True, True, False)
+    assert apply_variant(base, "S,REG").variant() == Variant("routed", False, True, True)
+    with pytest.raises(ValueError, match=r"^method 'p,q': unknown variant component 'q'"):
         apply_variant(base, "p,q")
     assert apply_variant(base, "full").variant() == FULL
     assert apply_variant(base, "uniform_moe").variant() == UNIFORM_MOE
@@ -154,27 +135,48 @@ def test_apply_variant_aliases_and_toggle_lists():
     assert apply_variant(base, "frozen").variant() == FROZEN
 
 
+# the eight variants tests/artifact_identity.py runs
+@pytest.mark.parametrize("name", ["full", "uniform_moe", "shared_lora", "frozen", "p", "s", "s,reg", "p,s"])
+def test_a_variant_reads_the_same_from_the_flag_and_from_a_config_file(tmp_path, name):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"method = {name}\n" + ("n_experts = 1\ntop_k = 1\n" if name == "shared_lora" else ""))
+    parser = build_parser()
+    by_flag = cli_module._build_config(parser.parse_args(["train", "--variant", name]))
+    by_file = cli_module._build_config(parser.parse_args(["train", "--config", str(path)]))
+    assert by_flag.variant() == by_file.variant()
+    assert by_flag == by_file
+
+
+@pytest.mark.parametrize("text, message", [
+    ("method = reg", "method 'reg': the stability regularizer needs token weighting"),
+    ("method = p,reg", "method 'p,reg': the stability regularizer needs token weighting"),
+    ("method = routed", "method 'routed': unknown variant component 'routed'"),
+    ("method =", "method '': unknown variant component ''"),
+    ("use_reg = false", "line 1: unknown config key 'use_reg'"),
+])
+def test_a_method_that_names_no_variant_exits_2_naming_the_key(tmp_path, capsys, text, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(text + "\n")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"streamlora: {re.escape(message)}[^\n]*\n", captured.err), captured.err
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_validation_catches_inconsistencies():
     with pytest.raises(ValueError, match="top_k"):
         tiny_config(top_k=5).validate()
     with pytest.raises(ValueError, match="single expert"):
-        tiny_config(mode="shared_lora").validate()  # pinned at n_experts=3
-    with pytest.raises(ValueError, match="unknown mode"):
-        tiny_config(mode="shared", n_experts=1, top_k=1).validate()
+        tiny_config(method="shared_lora").validate()  # pinned at n_experts=3
+    with pytest.raises(ValueError, match="^method 'shared': unknown variant component"):
+        tiny_config(method="shared", n_experts=1, top_k=1).validate()
     with pytest.raises(ValueError, match="ema_momentum"):
         tiny_config(ema_momentum=1.0).validate()
     with pytest.raises(ValueError, match="reg_weight"):
         tiny_config(reg_weight=-0.1).validate()
     with pytest.raises(ValueError, match="learning_rate"):
         tiny_config(learning_rate=0.0).validate()
-    with pytest.raises(ValueError, match="sizes must be positive"):
-        tiny_config(batch_size=0).validate()
-    for mode in ("frozen", "shared_lora"):
-        for flags, named in [(dict(), "use_selection, use_token_weighting, use_reg"),
-                             (dict(use_selection=False, use_token_weighting=False), "use_reg")]:
-            with pytest.raises(ValueError, match=f"^{named} must be false when mode is {mode} "
-                                                 f"\\(use --variant {mode}\\)$"):
-                tiny_config(mode=mode, n_experts=1, top_k=1, **flags).validate()
     apply_variant(tiny_config(), "frozen").validate()
     apply_variant(tiny_config(), "shared_lora").validate()
     with pytest.raises(ValueError, match="trace_interval"):
@@ -186,7 +188,8 @@ def test_config_validation_catches_inconsistencies():
     tiny_config(stream_seed=0).validate()
     # named by key, before the backbone, top_k or stream builder see them
     for key, value, least in [("n_experts", 0, 1), ("n_tasks", 0, 2), ("n_tasks", 1, 2),
-                              ("n_chunks", 6, 7), ("n_chunks", 0, 7)]:
+                              ("n_chunks", 6, 7), ("n_chunks", 0, 7), ("n_layers", 0, 1),
+                              ("vocab_size", 1, 2), ("batch_size", 0, 1), ("chunk_size", 0, 1)]:
         with pytest.raises(ValueError, match=f"^{key} must be at least {least}, got {value}$"):
             tiny_config(**{key: value}).validate()
     tiny_config(n_experts=1, top_k=1, n_tasks=2, n_chunks=7).validate()
@@ -227,9 +230,14 @@ def test_cli_input_errors_print_one_line_and_exit_2(tmp_path):
          "n_tasks must be at least 2, got 1"),
         (["train", "--stream-seed", "-7", "--out", str(tmp_path / "run")],
          "stream_seed must be >= 0, or -1 to use seed, got -7"),
-        (["train", "--set", "mode=frozen", "--out", str(tmp_path / "run")],
-         r"use_selection, use_token_weighting, use_reg must be false when mode is frozen "
-         r"\(use --variant frozen\)"),
+        (["train", "--set", "n_layers=0", "--out", str(tmp_path / "run")],
+         "n_layers must be at least 1, got 0"),
+        (["train", "--set", "vocab_size=1", "--out", str(tmp_path / "run")],
+         "vocab_size must be at least 2, got 1"),
+        (["train", "--set", "batch_size=0", "--out", str(tmp_path / "run")],
+         "batch_size must be at least 1, got 0"),
+        (["train", "--set", "chunk_size=0", "--out", str(tmp_path / "run")],
+         "chunk_size must be at least 1, got 0"),
         (["gradcheck", "--samples", "1", "--epsilon", "1e308"], "epsilon 1e\\+308 is too large"),
         (["gradcheck", "--samples", "1", "--epsilon", "1e300"], "epsilon 1e\\+300 is too large"),
         (["train", "--config", str(missing / "x.cfg"), "--out", str(tmp_path / "run")], no_file),
@@ -293,6 +301,16 @@ def test_every_benchmark_span_hook_resolves():
     assert missing == []
 
 
+def test_benchmark_selftest_passes():
+    """perfbench/selftest.py builds its configs through `apply_variant` and
+    `RunConfig.variant()` and loads each checkpoint with `ParamStore.load`,
+    so a change there must fail here, not only in a refused benchmark run."""
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+
+
 def test_op_microbenchmarks_still_run():
     """tests/bench_ops.py is not collected by a plain pytest run, so an API
     change that breaks it must fail here. Runs each case once, untimed."""
@@ -321,7 +339,7 @@ def test_config_derived_properties():
     assert cfg.effective_stream_seed == cfg.seed
     assert tiny_config(stream_seed=5).effective_stream_seed == 5
     assert cfg.backbone().n_classes == 4
-    shared = tiny_config(mode="shared_lora", n_experts=1, top_k=1, use_reg=True)
+    shared = tiny_config(method="shared_lora", n_experts=1, top_k=1)
     assert shared.variant() == Variant("shared_lora", False, False, False)
 
 
@@ -472,7 +490,7 @@ def test_frozen_run_never_steps_and_never_forgets():
 
 
 def test_reg_free_variants_carry_no_shadow():
-    result = run_stream(tiny_config(use_reg=False))
+    result = run_stream(tiny_config(method="p,s"))
     assert result.shadow is None
     assert all(s["reg_loss"] is None for s in result.steps)
 
@@ -595,7 +613,7 @@ def test_checkpoint_restores_the_exact_parameters(tmp_path):
 
 
 def train_a_diverging_chunk(out_dir):
-    cfg = tiny_config(use_reg=False)
+    cfg = tiny_config(method="p,s")
     model = cfg.model()
     model.head_weight.data[:] = np.nan
     specs = make_task_specs(
