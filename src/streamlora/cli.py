@@ -118,7 +118,11 @@ def _read_accuracy_rows(path: str) -> list[tuple[int, int, float]]:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    ledger = MetricLedger.from_accuracy_rows(_read_accuracy_rows(args.input))
+    rows = _read_accuracy_rows(args.input)
+    try:
+        ledger = MetricLedger.from_accuracy_rows(rows)
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: {exc}") from None
     text = ledger.to_csv()
     if args.out:
         with atomic_open(args.out) as fh:
@@ -149,9 +153,15 @@ def _cmd_diag(args: argparse.Namespace) -> int:
             if missing:
                 raise ValueError(f"{args.traces}: line {lineno}: trace record lacks {sorted(missing)}")
             traces.append(record)
+    where = args.traces
     if args.chunk is not None:
         traces = [rec for rec in traces if rec["chunk"] == args.chunk]
-    report = homogeneity_report(traces)
+        where = f"{args.traces} --chunk {args.chunk}"
+    try:
+        report = homogeneity_report(traces)
+        mean_cka = report.mean_off_diagonal()
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
     matrix = io.StringIO()
     writer = csv.writer(matrix, lineterminator="\n")
@@ -173,7 +183,7 @@ def _cmd_diag(args: argparse.Namespace) -> int:
         with atomic_open(out / name) as fh:
             fh.write(table.getvalue())
     print(f"tasks: {list(report.task_ids)}")
-    print(f"mean off-diagonal CKA: {report.mean_off_diagonal():.4f}")
+    print(f"mean off-diagonal CKA: {mean_cka:.4f}")
     print(f"wrote {out / 'cka_matrix.csv'} and {out / 'activation.csv'}")
     return 0
 

@@ -24,10 +24,11 @@ instruction length go through one graph over (B, L, d) tensors, and each
 sample is routed on its own (its own top-K subset, its own token weights).
 A trainable leaf may hold n copies of itself, (n, 1, *shape), as the
 gradient audit's probes do: activations then gain a leading copy axis
-where they first meet that leaf. A forward may also start at one block (a
-site or the head) from the state an earlier forward entered it with; the
-audit's probes start at the probed leaf's block, so nothing upstream of
-it runs at all.
+where they first meet that leaf. An unpinned forward records the state
+it entered each block (a site or the head) with, and a later forward
+over the same samples, pinned to it, may start at one block from that
+record; the audit's probes start at the probed leaf's block, so nothing
+upstream of it runs at all.
 """
 
 from __future__ import annotations
@@ -209,23 +210,17 @@ class SiteRecord:
 
 
 @dataclass
-class BlockEntry:
-    """The state a forward enters one block with, the block a site
-    `layer.{i}.{attn_out|ffn_up}` or `head`. A forward given it as `start`
-    resumes there."""
-
-    block: str
-    x: Value                          # the residual stream entering the block
-    hidden: Value                     # the site input; the pooled stream at the head
-    x_text: Value
-    sites: tuple[SiteRecord, ...]     # the records of every site upstream
-
-
-@dataclass
 class ForwardResult:
+    """A forward's logits and site records, and in `entries` the state it
+    entered each block with: block name -> (residual stream x, site input,
+    number of site records before the block). The site input is the pooled
+    stream at the head. A forward pinned to a baseline leaves `entries`
+    empty."""
+
     logits: Value                     # (B, n_classes), (n, B, n_classes) with a copy leaf
     x_text: Value                     # (B, d_e) pooled instruction embeddings
     sites: list[SiteRecord] = field(default_factory=list)
+    entries: dict[str, tuple[Value, Value, int]] = field(default_factory=dict)
 
 
 class Model:
@@ -391,9 +386,8 @@ def _site_forward(
 def forward(
     model: Model,
     samples: Sequence[Sample],
-    pinned: dict[str, SiteRecord] | None = None,
-    start: BlockEntry | None = None,
-    entries: dict[str, BlockEntry] | None = None,
+    baseline: ForwardResult | None = None,
+    start: str | None = None,
 ) -> ForwardResult:
     """Run a batch of samples through the adapted backbone under
     `model.variant`: one graph over (B, L, d) tensors.
@@ -402,13 +396,14 @@ def forward(
     (`check_uniform_batch`). The pooled instruction embeddings are computed
     once and shared by every router. Each routed site leaves one
     `SiteRecord`, which the regularizer, the trace writer and the audit's
-    pins read; frozen mode produces none. `pinned` maps each site to a
-    baseline record whose subsets and detach(p) the gradient audit holds
-    fixed. `entries`, when given, collects each block's `BlockEntry` by
-    block name. `start`, one such entry from a forward over the same
-    samples and the same parameters upstream of its block, resumes there:
-    the embedding and the blocks before it are skipped and their records
-    carried over. Training and evaluation set none of the three.
+    pins read; frozen mode produces none. Training and evaluation pass
+    neither `baseline` nor `start`. `baseline`, an earlier forward's result
+    over the same samples, pins every site's subsets and detach(p) at its
+    records' values, as the gradient audit holds them fixed. `start`, a
+    block name, resumes at that block from the state `baseline` entered it
+    with, the parameters upstream of it unchanged: the embedding and the
+    blocks before it are skipped and their records carried over. Only a
+    forward without `baseline` fills `entries`.
     """
     cfg = model.config
     if start is None:
@@ -422,31 +417,34 @@ def forward(
         instr_emb = Value(model.embed.data[ids])         # (B, T, d_e), the frozen embedding
         x_text = pool_text(instr_emb)                    # (B, d_e)
         x = concat([Value(visual), instr_emb], axis=1)   # (B, L, d)
+        result = ForwardResult(logits=None, x_text=x_text)   # logits filled below
     else:
-        x, x_text = start.x, start.x_text
-
-    result = ForwardResult(logits=None, x_text=x_text,  # logits filled below
-                           sites=list(start.sites) if start else [])
+        x, resumed, before = baseline.entries[start]
+        x_text = baseline.x_text
+        result = ForwardResult(logits=None, x_text=x_text, sites=baseline.sites[:before])
+    pins = {rec.site: rec for rec in baseline.sites} if baseline else {}
 
     def enter(block: str, site_input: Callable[[Value], Value]) -> Value | None:
         """The site input of `block`, or None while a resumed forward skips
-        the blocks before `start`'s."""
+        the blocks before `start`."""
         nonlocal start
         if start is None:
             hidden = site_input(x)
-        elif start.block == block:
-            hidden, start = start.hidden, None
+        elif start == block:
+            hidden, start = resumed, None
         else:
             return None
-        if entries is not None:
-            entries[block] = BlockEntry(block, x, hidden, x_text, tuple(result.sites))
+        # a pinned forward (an audit probe) records none: keeping each block's
+        # copy-axis activations to its end made `gradient_audit` about 5% slower
+        # (median of 40 interleaved pairs, one CPU of a 2-vCPU host)
+        if baseline is None:
+            result.entries[block] = (x, hidden, len(result.sites))
         return hidden
 
     def site(i: int, layer: Layer, name: str, hidden: Value) -> Value:
         site_key = f"layer.{i}.{name}"
         out, record = _site_forward(
-            model, site_key, layer.banks[name], layer.routers[name], hidden, x_text,
-            pinned.get(site_key) if pinned else None,
+            model, site_key, layer.banks[name], layer.routers[name], hidden, x_text, pins.get(site_key),
         )
         if record is not None:
             result.sites.append(record)

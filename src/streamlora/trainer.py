@@ -44,11 +44,9 @@ from .model import (
     SHARED_LORA,
     UNIFORM_MOE,
     BackboneConfig,
-    BlockEntry,
     ForwardResult,
     Model,
     Sample,
-    SiteRecord,
     Variant,
     forward,
     task_loss,
@@ -154,15 +152,15 @@ class RunConfig:
             raise ValueError(f"rank must be in (0, d_hidden = {self.d_hidden}), got {self.rank}")
         variant = self.variant()
         if not 1 <= self.top_k <= self.n_experts:
-            raise ValueError(f"top_k must be in [1, {self.n_experts}]")
+            raise ValueError(f"top_k must be in [1, {self.n_experts}], got {self.top_k}")
         if variant.mode == "shared_lora" and self.n_experts != 1:
             raise ValueError("shared_lora means a single expert; set n_experts = top_k = 1")
         if not 0.0 <= self.ema_momentum < 1.0:
-            raise ValueError("ema_momentum must be in [0, 1)")
+            raise ValueError(f"ema_momentum must be in [0, 1), got {self.ema_momentum}")
         if self.reg_weight < 0.0:
-            raise ValueError("reg_weight must be non-negative")
+            raise ValueError(f"reg_weight must be non-negative, got {self.reg_weight}")
         if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.stream_seed < -1:
             raise ValueError(f"stream_seed must be >= 0, or -1 to use seed, got {self.stream_seed}")
         if self.trace_eval_samples < 0:
@@ -340,17 +338,19 @@ def _mean_value(parts: list[Value]) -> Value:
     return acc * (1.0 / len(parts))
 
 
-def _batch_reg(shadow: EmaShadow | None, result, pinned: dict[str, SiteRecord] | None) -> Value:
+def _batch_reg(shadow: EmaShadow | None, result: ForwardResult,
+               baseline: ForwardResult | None = None) -> Value:
     """Mean stability term over the sites. Each record keeps its term and
-    the reference it was compared against, the pinned one in the gradient
-    audit; the records a resumed forward carried over keep theirs."""
-    for rec in result.sites:
+    the reference it was compared against: the EMA shadow's, or, given a
+    `baseline` (the gradient audit), its record's at the same site. The
+    records a resumed forward carried over keep theirs."""
+    for k, rec in enumerate(result.sites):
         if rec.reg is not None:
             continue
-        if pinned is None:
+        if baseline is None:
             rec.reference = reference_weights(shadow, rec.site, rec.hidden_data, result.x_text.data, rec.mask)
         else:
-            rec.reference = pinned[rec.site].reference
+            rec.reference = baseline.sites[k].reference
         rec.reg = reg_loss(rec.reference, rec.weights, rec.mask)
     return _mean_value([rec.reg for rec in result.sites])
 
@@ -360,19 +360,19 @@ def _batch_loss(
     batch: Sequence[Sample],
     shadow: EmaShadow | None,
     reg_weight: float,
-    pinned: dict[str, SiteRecord] | None = None,
-    start: BlockEntry | None = None,
+    baseline: ForwardResult | None = None,
+    start: str | None = None,
 ) -> tuple[Value, Value | None, Value, ForwardResult]:
     """(task, reg, total, forward result) of the training objective on one
-    batch, from one forward over the whole batch. `pinned` maps each site
-    to a baseline record whose routing constants and EMA reference the
-    gradient audit holds fixed, and `start` resumes the forward at a block
-    (`forward`); training leaves both unset. A leaf holding n copies of
-    itself (the audit's probes) gives task, reg and total one value per
-    copy."""
-    result = forward(model, batch, pinned=pinned, start=start)
+    batch, from one forward over the whole batch. Training leaves
+    `baseline` and `start` unset. The gradient audit passes a `baseline`
+    result of this call over the same batch, whose routing constants and
+    EMA references its probes hold fixed, and a `start` block to resume
+    the forward at (`forward`). A leaf holding n copies of itself (the
+    audit's probes) gives task, reg and total one value per copy."""
+    result = forward(model, batch, baseline=baseline, start=start)
     task = task_loss(result.logits, [sample.label for sample in batch])
-    reg = _batch_reg(shadow, result, pinned) if model.variant.use_reg else None
+    reg = _batch_reg(shadow, result, baseline) if model.variant.use_reg else None
     return task, reg, total_loss(task, reg, reg_weight), result
 
 
@@ -591,22 +591,24 @@ AUDIT_ROWS = 192
 
 def _audit_problem(
     config: RunConfig, n_samples: int, seed: int,
-) -> tuple[Model, Callable[[], Value], Callable[[], float | np.ndarray]]:
-    """The audit's model and objective, and the probe `finite_diff_grad`
-    evaluates.
+) -> tuple[Model, Value, Callable[[], float | np.ndarray]]:
+    """The audit's model, its training objective, and the probe
+    `finite_diff_grad` evaluates.
 
-    `objective()` is `_batch_loss`, the training loss (task + weighted
-    stability term) through the training forward, on a fixed batch. The
-    routing constants (the expert subset, the detached half of the
-    straight-through gate, the EMA reference weights) are pinned at their
-    baseline values, so probing a parameter can never flip the selection:
-    the pins are the site records of one no-grad baseline forward.
-    `probe()` evaluates it under `no_grad`: a scalar while every parameter
-    has its own shape, and one value per copy while one parameter holds an
-    (n, *shape) stack of copies, which it sets as an (n, 1, *shape) leaf
-    so the copies broadcast over the batch. That forward resumes at the
-    leaf's block from the baseline's `BlockEntry`, which the probe refuses
-    once a leaf upstream holds another array.
+    The objective is `_batch_loss`, the training loss (task + weighted
+    stability term) through the training forward on a fixed batch, called
+    once exactly as training calls it: its total's graph gives the analytic
+    gradient, and its result is the probes' baseline. The routing
+    constants (the expert subset, the detached half of the straight-through
+    gate, the EMA reference weights) are pinned at that result's values,
+    so probing a parameter can never flip the selection. `probe()` finds
+    the probed parameter as the one leaf that no longer holds the array
+    the baseline ran on, and evaluates the pinned objective under
+    `no_grad` from that leaf's block on, starting from the state the
+    baseline entered it with: a scalar for a single copy of the leaf, and
+    one value per copy for an (n, *shape) stack of copies, which it sets
+    as an (n, 1, *shape) leaf so the copies broadcast over the batch. Any
+    other number of rebound leaves raises `ValueError`.
     """
     model = config.model(seed)
     rng = named_rng(seed, "audit.params")
@@ -629,50 +631,30 @@ def _audit_problem(
             uid=f"audit-{i}",
         ))
 
-    # the baseline: the pins, and the state each block is entered with
-    entries: dict[str, BlockEntry] = {}
-    with no_grad():
-        baseline = forward(model, samples, entries=entries)
-        _batch_reg(shadow, baseline, None)
-    pins = {rec.site: rec for rec in baseline.sites}
-
-    def objective() -> Value:
-        return _batch_loss(model, samples, shadow, config.reg_weight, pinned=pins)[2]
-
-    # each leaf's block, and the leaves upstream of it with the arrays the
-    # entry was computed from
-    blocks = list(entries)                      # in forward order
-    block_of = {path: next(b for b in blocks if path.startswith(b + ".")) for path in model.params.paths()}
-    depth = {path: blocks.index(block) for path, block in block_of.items()}
-    upstream = {path: [(up, p, p.data) for up, p in model.params.items() if depth[up] < depth[path]]
-                for path in depth}
-    ndims = {path: p.data.ndim for path, p in model.params.items()}
+    *_, total, baseline = _batch_loss(model, samples, shadow, config.reg_weight)   # the training call
+    held = [(path, p, p.data) for path, p in model.params.items()]         # the arrays it ran on
 
     def probe() -> float | np.ndarray:
-        stacked = [path for path, p in model.params.items() if p.data.ndim > ndims[path]]
-        if not stacked:
-            with no_grad():
-                return float(objective().data)
-        if len(stacked) > 1:
-            raise ValueError(f"a probe block perturbs one parameter, got copies of {', '.join(stacked)}")
-        (path,) = stacked
-        for up, p, held in upstream[path]:
-            if p.data is not held:
-                raise ValueError(f"cannot probe {path} from its cached block entry: {up} upstream "
-                                 f"no longer holds the array the entry was computed from")
-        leaf = model.params[path]
-        copies = leaf.data
-        leaf.data = copies[:, None]
+        rebound = [(path, p, data) for path, p, data in held if p.data is not data]
+        if len(rebound) != 1:
+            raise ValueError(f"a probe perturbs exactly one parameter, got rebound: "
+                             f"{', '.join(path for path, _, _ in rebound) or 'none'}")
+        ((path, leaf, data),) = rebound
+        probed = leaf.data
+        stacked = probed.ndim > data.ndim
+        if stacked:
+            leaf.data = probed[:, None]
+        block = next(block for block in baseline.entries if path.startswith(block + "."))
         try:
             with no_grad():
                 values = _batch_loss(model, samples, shadow, config.reg_weight,
-                                     pinned=pins, start=entries[block_of[path]])[2].data
+                                     baseline=baseline, start=block)[2].data
         finally:
-            leaf.data = copies
+            leaf.data = probed
         # 0-d when no sample's subset reaches the leaf: every copy scores the same
-        return np.broadcast_to(values, copies.shape[:1])
+        return np.broadcast_to(values, probed.shape[:1]) if stacked else float(values)
 
-    return model, objective, probe
+    return model, total, probe
 
 
 def gradient_audit(
@@ -686,11 +668,13 @@ def gradient_audit(
     """Check every trainable parameter's gradient against central differences.
 
     The objective is `_batch_loss`, the training loss through the training
-    forward, on a fixed batch (`_audit_problem`). Finite differences probe
-    the same surrogate the analytic gradient differentiates: the expert
-    subset, the detached half of the straight-through gate, and the EMA
-    reference weights stay pinned at their baseline values, read from the
-    baseline forward's site records, while parameters move. They probe in
+    forward, on a fixed batch (`_audit_problem`); one call of it, exactly
+    as training makes it, gives the analytic gradient and the baseline.
+    Finite differences probe the same surrogate the analytic gradient
+    differentiates: the expert subset, the detached half of the
+    straight-through gate, and the EMA reference weights stay pinned at
+    that call's values, read from its site records, while parameters
+    move. They probe in
     blocks of `AUDIT_ROWS // n_samples` perturbed copies (at least 2) per
     forward, on a copy axis that only the layers downstream of the probed
     parameter carry, in a forward that starts at its block. Adapters are
@@ -712,8 +696,8 @@ def gradient_audit(
     if config.variant() != FULL:
         raise ValueError(f"the audit exercises the full variant, got method {config.method!r}")
 
-    model, objective, probe = _audit_problem(config, n_samples, seed)
-    backward(objective())
+    model, total, probe = _audit_problem(config, n_samples, seed)
+    backward(total)
     analytic = {path: p.grad.copy() for path, p in model.params.items()}
     copies = max(2, AUDIT_ROWS // n_samples)
     try:

@@ -5,9 +5,11 @@ each of the eight variants, and the default `streamlora gradcheck` and
 `gradcheck --samples 1`, once with this tree's `src` and once with
 `--against TREE`'s (for example a `git archive` export of the parent
 commit), then prints every artifact that differs between the two: a file
-whose bytes differ, or that only one side wrote. A `gradcheck`'s artifact
-is its stdout, the audit table. For a `.json` artifact it names up to
-five dotted key paths that differ or exist on one side only, such as
+whose bytes differ, or that only one side wrote. A `gradcheck`'s artifacts
+are its stdout, the audit table, and its rows at full precision: each
+row's `repr` of (path, max_abs_err, max_rel_err, ok), the fingerprint
+`perfbench/check.py::audit_fingerprint` takes. For a `.json` artifact it
+names up to five dotted key paths that differ or exist on one side only, such as
 `manifest.json: config.seed differs`. `runlog.json` is compared without
 `wall_seconds`, the one field that is not deterministic. Each tree runs
 its commands in one Python process, and the two run side by side.
@@ -38,17 +40,28 @@ VARIANTS = ("full", "uniform_moe", "shared_lora", "frozen", "p", "s", "s,reg", "
 GRADCHECKS = {"gradcheck": [], "gradcheck --samples 1": ["--samples", "1"]}
 
 # runs each argv of a JSON list of [argv, stdout file or null] pairs through
-# `streamlora.cli.main` in one process, writing the stdout a pair names
+# `streamlora.cli.main` in one process, writing the stdout a pair names and,
+# beside it in `<file>.rows`, one repr per row of the audits the command ran
 RUNNER = """
 import contextlib, io, json, sys
-from streamlora.cli import main
+import streamlora.cli as cli
+audits, gradient_audit = [], cli.gradient_audit
+def recorded_audit(*args, **kwargs):
+    audits.append(gradient_audit(*args, **kwargs))
+    return audits[-1]
+cli.gradient_audit = recorded_audit
 for argv, stdout_path in json.loads(sys.argv[1]):
+    audits.clear()
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        code = main(argv)
+        code = cli.main(argv)
     if stdout_path:
         with open(stdout_path, "w") as fh:
             fh.write(stdout.getvalue())
+        with open(stdout_path + ".rows", "w") as fh:
+            for _, rows in audits:
+                for row in rows:
+                    fh.write(repr((row.path, row.max_abs_err, row.max_rel_err, row.ok)) + "\\n")
     if code != 0:
         raise SystemExit(f"streamlora {' '.join(argv)} exited {code}")
 """
@@ -156,6 +169,12 @@ def main() -> int:
         for name in GRADCHECKS:
             if (ours / f"{name}.txt").read_bytes() != (theirs / f"{name}.txt").read_bytes():
                 print(f"{name}: stdout differs")
+                found += 1
+            rows = [(ours / f"{name}.txt.rows").read_text().splitlines(),
+                    (theirs / f"{name}.txt.rows").read_text().splitlines()]
+            if rows[0] != rows[1]:
+                differing = sum(a != b for a, b in zip(*rows)) + abs(len(rows[0]) - len(rows[1]))
+                print(f"{name}: {differing} of {max(map(len, rows))} rows differ at full precision")
                 found += 1
     print(f"{len(runs)} runs and {len(GRADCHECKS)} gradchecks per tree, {found} artifacts differ "
           f"(runlog.json compared without wall_seconds)")

@@ -10,14 +10,15 @@ selection, rank 16 and routing_dim 64. `test_backward_sweep` times the
 reverse sweep alone over one default training graph, which
 `test_training_step` times together with the forward, Adam and EMA. The
 audit benchmarks use the gradient audit's model (`audit_config`, 3
-samples): one finite-difference probe, which runs the whole forward, and
+samples): one finite-difference probe of a single nudged coordinate, and
 a block of AUDIT_BLOCK probes in a single forward (the copies the audit
 takes at 3 samples), the copies on a leading axis of the probed leaf; a
-block's time over AUDIT_BLOCK is its cost per probe. A block starts the
-forward at the probed leaf's own block from the entry the audit cached,
-so its cost falls with the leaf's depth: a first-layer stage-two query
-(the worst case, nearly the whole forward on the copy axis) and a
-last-layer one (one site, then the head).
+block's time over AUDIT_BLOCK is its cost per probe. A probe starts the
+forward at the probed leaf's own block from the state the audit's
+training call entered it with, so its cost falls with the leaf's depth:
+a first-layer stage-two query (the worst case, nearly the whole forward,
+on the copy axis in a block) and a last-layer one (one site, then the
+head).
 """
 
 import numpy as np
@@ -146,8 +147,16 @@ def audit():
 
 
 def test_audit_single_probe(benchmark, audit):
-    _, _, probe = audit
-    benchmark(probe)
+    # one coordinate nudged, as finite_diff_grad hands a single copy over
+    model, _, probe = audit
+    leaf = model.params["layer.0.attn_out.router.query"]
+    held = leaf.data
+    leaf.data = held.copy()
+    leaf.data.flat[0] += 1e-5
+    try:
+        benchmark(probe)
+    finally:
+        leaf.data = held
 
 
 @pytest.mark.parametrize("path", ["layer.0.attn_out.router.query", "layer.1.ffn_up.router.query"],
@@ -156,7 +165,7 @@ def test_audit_probe_block(benchmark, audit, path):
     # a block as finite_diff_grad hands it over, an (n, *shape) stack; the
     # probe sets it as an (n, 1, *shape) leaf, so the copies ride a leading
     # axis from the leaf's site on, and resumes the forward at that site
-    model, _, probe = audit
+    model, total, probe = audit
     leaf = model.params[path]
     shared = leaf.data
     leaf.data = np.stack([shared] * AUDIT_BLOCK)
@@ -165,4 +174,4 @@ def test_audit_probe_block(benchmark, audit, path):
     finally:
         leaf.data = shared
     assert values.shape == (AUDIT_BLOCK,)
-    np.testing.assert_allclose(values, probe(), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(values, total.data, rtol=1e-12, atol=0)

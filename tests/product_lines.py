@@ -10,7 +10,8 @@ each statement of `src/streamlora` that none of them ran, as
 blocks that end in one, and `except` clauses. What it prints is code that
 no command runs: the tests run it, the benchmark's output check runs it
 (`perfbench/check.py` loads each `full_default` checkpoint through
-`ParamStore.load` and `load_checkpoint`), or nothing runs it at all.
+`ParamStore.load` and `load_checkpoint`, and reads parameters by path),
+or nothing runs it at all.
 
 Run from the repository root (about 30 seconds on a 2-vCPU host):
 

@@ -238,6 +238,14 @@ def test_cli_input_errors_print_one_line_and_exit_2(tmp_path):
          "batch_size must be at least 1, got 0"),
         (["train", "--set", "chunk_size=0", "--out", str(tmp_path / "run")],
          "chunk_size must be at least 1, got 0"),
+        (["train", "--set", "top_k=9", "--out", str(tmp_path / "run")],
+         r"top_k must be in \[1, 4\], got 9"),
+        (["train", "--set", "ema_momentum=1.0", "--out", str(tmp_path / "run")],
+         r"ema_momentum must be in \[0, 1\), got 1\.0"),
+        (["train", "--set", "reg_weight=-0.5", "--out", str(tmp_path / "run")],
+         "reg_weight must be non-negative, got -0.5"),
+        (["train", "--set", "learning_rate=0", "--out", str(tmp_path / "run")],
+         "learning_rate must be positive, got 0.0"),
         (["gradcheck", "--samples", "1", "--epsilon", "1e308"], "epsilon 1e\\+308 is too large"),
         (["gradcheck", "--samples", "1", "--epsilon", "1e300"], "epsilon 1e\\+300 is too large"),
         (["train", "--config", str(missing / "x.cfg"), "--out", str(tmp_path / "run")], no_file),
@@ -873,17 +881,16 @@ def test_each_copy_objective_is_the_loss_with_that_copy_as_the_leaf(leaf):
     samples = TaskSampler(spec, 0).test_set()
     with no_grad():
         baseline = _batch_loss(model, samples, shadow, cfg.reg_weight)[3]
-    pins = {rec.site: rec for rec in baseline.sites}
     param = model.params[leaf.format(j=baseline.sites[0].subset[0][0])]
     copies = param.data + 0.05 * rng.normal(size=(3,) + param.data.shape)
     param.data = copies[:, None]
-    stacked = _batch_loss(model, samples, shadow, cfg.reg_weight, pinned=pins)
+    stacked = _batch_loss(model, samples, shadow, cfg.reg_weight, baseline=baseline)
     assert stacked[0].data.shape == stacked[2].data.shape == (3,)
     # the stability term gets the copy axis only from a leaf stage two reads
     assert stacked[1].data.shape == (() if leaf.endswith(("select", "weight")) else (3,))
     for c in range(3):
         param.data = copies[c]
-        alone = _batch_loss(model, samples, shadow, cfg.reg_weight, pinned=pins)
+        alone = _batch_loss(model, samples, shadow, cfg.reg_weight, baseline=baseline)
         for per_copy, scalar in zip(stacked[:3], alone[:3]):
             assert scalar.data.shape == ()
             np.testing.assert_allclose(np.broadcast_to(per_copy.data, (3,))[c], scalar.data,
@@ -943,42 +950,80 @@ def test_per_sample_weights_repeat_on_every_token_as_a_read_only_view(spec):
         assert view.mean(axis=1).tobytes() == np.ascontiguousarray(view).mean(axis=1).tobytes()
 
 
-def test_audit_pins_are_the_baseline_forwards_routing_and_reference(monkeypatch):
-    _, objective, _ = _audit_problem(small_audit_config(), n_samples=2, seed=7)
+def audit_problem(config: RunConfig, n_samples: int, seed: int = 7):
+    """`_audit_problem`'s (model, total, probe), and the audit's training
+    call: its (model, samples, shadow, reg_weight) arguments and its
+    `ForwardResult`, the probes' baseline."""
     calls = []
     batch_loss = trainer_module._batch_loss
 
     def spy(*args, **kwargs):
-        calls.append((args, kwargs))
-        return batch_loss(*args, **kwargs)
+        calls.append((args, kwargs, batch_loss(*args, **kwargs)))
+        return calls[-1][2]
 
-    monkeypatch.setattr(trainer_module, "_batch_loss", spy)
-    objective()
-    ((model, samples, shadow, _), kwargs), = calls
-    pins = kwargs["pinned"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trainer_module, "_batch_loss", spy)
+        model, total, probe = _audit_problem(config, n_samples, seed)
+    ((args, kwargs, (_, _, called_total, baseline)),) = calls
+    assert kwargs == {} and called_total is total       # one call, as train_chunk makes it
+    return model, total, probe, args, baseline
+
+
+def test_audit_pins_are_the_baseline_forwards_routing_and_reference():
+    model, _, probe, (_, samples, shadow, reg_weight), baseline = audit_problem(small_audit_config(), 2)
     with no_grad():
         result = forward(model, samples)
-    assert list(pins) == [rec.site for rec in result.sites]
-    for rec in result.sites:
+    assert [pin.site for pin in baseline.sites] == [rec.site for rec in result.sites]
+    for pin, rec in zip(baseline.sites, result.sites):
         ref = reference_weights(shadow, rec.site, rec.hidden_data, result.x_text.data, rec.mask)
-        pin = pins[rec.site]
         assert np.array_equal(pin.mask, rec.mask)
         assert pin.sample_probs.tobytes() == rec.sample_probs.tobytes()
         assert pin.reference.tobytes() == ref.tobytes()
+    # off baseline the pins hold: a selector whose rows trade experts flips
+    # its site's subsets, and the pinned forward keeps the baseline's
+    select = model.params["layer.0.attn_out.router.select"]
+    held = select.data
+    select.data = np.roll(held, 1, axis=0)
+    try:
+        with no_grad():
+            moved = forward(model, samples)
+            pinned = _batch_loss(model, samples, shadow, reg_weight, baseline=baseline)[3]
+    finally:
+        select.data = held
+    assert moved.sites[0].subset != baseline.sites[0].subset
+    for pin, rec in zip(baseline.sites, pinned.sites):
+        assert np.array_equal(pin.mask, rec.mask)
+        assert rec.reference is pin.reference
+
+
+def test_the_audit_runs_one_whole_forward_the_training_call(monkeypatch):
+    starts = []
+    forward_fn = trainer_module.forward
+
+    def spy(*args, start=None, **kwargs):
+        starts.append(start)
+        return forward_fn(*args, start=start, **kwargs)
+
+    monkeypatch.setattr(trainer_module, "forward", spy)
+    ok, _ = gradient_audit()
+    assert ok
+    assert len(starts) == 128           # the training call and 127 probe blocks
+    assert starts.count(None) == 1 and starts[0] is None
 
 
 def test_an_expert_no_sample_selected_probes_to_an_exactly_zero_difference():
-    model, objective, probe = _audit_problem(small_audit_config(), n_samples=1, seed=7)
-    backward(objective())
+    model, total, probe = _audit_problem(small_audit_config(), n_samples=1, seed=7)
+    backward(total)
     unused = [p for path, p in model.params.items() if ".expert." in path and not p.grad.any()]
     assert len(unused) == 2 * 2 * 2         # per site 2 of 4 experts, A and B each
-    for fd in finite_diff_grad(probe, unused, copies=trainer_module.AUDIT_ROWS):
-        assert not fd.any()
+    for copies in (1, trainer_module.AUDIT_ROWS):
+        for fd in finite_diff_grad(probe, unused, copies=copies):
+            assert not fd.any()
 
 
 @pytest.fixture(scope="module")
 def two_layer_audit():
-    return _audit_problem(audit_config(), n_samples=3, seed=7)
+    return audit_problem(audit_config(), n_samples=3)
 
 
 LEAF_KINDS = ["expert.{j}.A", "expert.{j}.B", "router.select", "router.query", "router.key",
@@ -992,16 +1037,20 @@ LEAF_KINDS = ["expert.{j}.A", "expert.{j}.B", "router.select", "router.query", "
 def test_a_probe_block_resumes_at_its_leafs_block_and_matches_the_full_objective(
     monkeypatch, two_layer_audit, path, perturbed,
 ):
-    # the probe starts the forward at the leaf's own block from the entry
-    # the baseline cached; every copy's value must be the full pinned
-    # objective's, bit for bit
-    model, objective, probe = two_layer_audit
+    # the probe starts the forward at the leaf's own block from the state
+    # the training call entered it with; every copy's value, and a single
+    # copy's, must be the whole pinned objective's, bit for bit
+    model, _, probe, args, baseline = two_layer_audit
     starts = []
     forward_fn = trainer_module.forward
 
     def spy(*args, start=None, **kwargs):
-        starts.append(None if start is None else start.block)
+        starts.append(start)
         return forward_fn(*args, start=start, **kwargs)
+
+    def objective() -> np.ndarray:
+        with no_grad():
+            return _batch_loss(*args, baseline=baseline)[2].data
 
     monkeypatch.setattr(trainer_module, "forward", spy)
     block = "head" if path.startswith("head.") else ".".join(path.split(".")[:3])
@@ -1012,14 +1061,17 @@ def test_a_probe_block_resumes_at_its_leafs_block_and_matches_the_full_objective
         copies = np.stack([held] * 5) + (0.05 * rng.normal(size=(5,) + held.shape) if perturbed else 0.0)
         try:
             leaf.data = copies[:, None]
-            with no_grad():
-                full = np.broadcast_to(objective().data, (5,))
+            full = np.broadcast_to(objective(), (5,))
             leaf.data = copies
             resumed = probe()
+            assert starts[-2:] == [None, block]
+            leaf.data = copies[0]
+            single = objective()
+            assert probe() == single
+            assert starts[-2:] == [None, block]
         finally:
             leaf.data = held
         assert resumed.tobytes() == full.tobytes()
-        assert starts[-2:] == [None, block]
 
 
 @pytest.mark.parametrize("n_samples, paths", [
@@ -1043,15 +1095,17 @@ def test_a_probe_refuses_a_stale_upstream_and_more_than_one_stacked_leaf():
     model, _, probe = _audit_problem(small_audit_config(), n_samples=2, seed=7)
     first, late = model.params["layer.0.attn_out.router.query"], model.params["head.weight"]
     held_first, held_late = first.data, late.data
+    with pytest.raises(ValueError, match=r"exactly one parameter, got rebound: none"):
+        probe()
     late.data = np.stack([held_late] * 3)
     values = probe()
-    first.data = held_first.copy()              # equal values, but not the array the entry saw
-    with pytest.raises(ValueError, match=r"head\.weight.*layer\.0\.attn_out\.router\.query upstream"):
+    first.data = held_first.copy()              # equal values, but not the array the baseline ran on
+    with pytest.raises(ValueError, match=r"exactly one parameter.*: layer\.0\.attn_out\.router\.query, head\.weight$"):
         probe()
     first.data = held_first
     assert probe().tobytes() == values.tobytes()
     first.data = np.stack([held_first] * 3)
-    with pytest.raises(ValueError, match=r"one parameter.*layer\.0\.attn_out\.router\.query, head\.weight"):
+    with pytest.raises(ValueError, match=r"exactly one parameter.*: layer\.0\.attn_out\.router\.query, head\.weight$"):
         probe()
     late.data = held_late
     assert probe().shape == (3,)                # nothing upstream of the first block
@@ -1117,6 +1171,18 @@ def test_cli_metrics_names_the_line_of_a_row_it_cannot_parse(tmp_path, capsys, t
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("text, error", [
+    ("1,0,1.5\n", r"accuracy 1\.5 for dataset 0 outside \[0, 1\]"),
+    ("0,0,0.5\n1,0,0.5\n1,1,0.5\n2,1,0.5\n", r"previously seen datasets absent from evaluation: \[0\]"),
+], ids=["out-of-range", "vanished-dataset"])
+def test_cli_metrics_names_the_file_whose_rows_the_ledger_rejects(tmp_path, capsys, text, error):
+    rows = tmp_path / "rows.csv"
+    rows.write_text(text)
+    assert main(["metrics", "--input", str(rows), "--out", str(tmp_path / "out.csv")]) == 2
+    assert re.fullmatch(rf"streamlora: {re.escape(str(rows))}: {error}\n", capsys.readouterr().err)
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_cli_train_applies_seed_and_overrides(tmp_path, config_file):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -1158,6 +1224,20 @@ def test_cli_diag_names_the_line_it_cannot_read(tmp_path, capsys, bad_line, erro
     traces.write_text("\n".join(lines[:2] + [bad_line] + lines[2:]) + "\n")
     assert main(["diag", "--traces", str(traces), "--out", str(tmp_path / "diag")]) == 2
     assert re.fullmatch(rf"streamlora: .*traces.jsonl: line 3: {error}.*\n", capsys.readouterr().err)
+    assert not (tmp_path / "diag").exists()
+
+
+@pytest.mark.parametrize("task_ids, chunk, error", [
+    ((0, 1), ["--chunk", "99"], " --chunk 99: no trace records"),
+    ((0,), [], ": need at least two tasks for an off-diagonal mean"),
+], ids=["empty-chunk", "one-task"])
+def test_cli_diag_names_the_file_and_chunk_whose_traces_it_rejects(tmp_path, capsys, task_ids, chunk, error):
+    write_diag_tables(tmp_path)
+    traces = tmp_path / "traces.jsonl"
+    kept = [line for line in traces.read_text().splitlines() if json.loads(line)["task_id"] in task_ids]
+    traces.write_text("\n".join(kept) + "\n")
+    assert main(["diag", "--traces", str(traces), "--out", str(tmp_path / "diag"), *chunk]) == 2
+    assert capsys.readouterr().err == f"streamlora: {traces}{error}\n"
     assert not (tmp_path / "diag").exists()
 
 
