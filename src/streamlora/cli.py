@@ -7,7 +7,8 @@ diag (routing homogeneity report from a trace file), gradcheck
 
 An input error (a bad config value, an unreadable row or trace line, a
 file that cannot be opened or written) prints `streamlora: <message>` to
-stderr and exits with status 2.
+stderr and exits with status 2; a training run that diverges prints one
+such line, naming the chunk, the batch and the dump file, and exits 1.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .autograd import atomic_open
 from .metrics import MetricLedger, homogeneity_report
 from .trainer import (
     RunConfig,
+    TrainingDiverged,
     apply_variant,
     audit_config,
     gradient_audit,
@@ -249,9 +251,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (TrainingDiverged, ValueError, OSError) as exc:
         print(f"streamlora: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, TrainingDiverged) else 2    # a failed run, not an input error
 
 
 if __name__ == "__main__":

@@ -53,60 +53,56 @@ def ap_af(history: Sequence[float]) -> tuple[float, float]:
 
 
 class MetricLedger:
-    """Incremental accuracy matrix with per-chunk summaries.
+    """The task x chunk accuracy matrix: one `(chunk, {dataset: accuracy})`
+    pair per `add_chunk`, in chunk order, from which every export derives.
 
     `add_chunk` receives the evaluation results for every dataset seen so
     far; a dataset may join at any chunk but can never be dropped again.
     """
 
     def __init__(self) -> None:
-        self.chunks: list[int] = []
-        self.histories: dict[int, list[float]] = {}
+        self.evaluations: list[tuple[int, dict[int, float]]] = []
 
     def add_chunk(self, chunk: int, accuracies: Mapping[int, float]) -> None:
-        if self.chunks and chunk <= self.chunks[-1]:
-            raise ValueError(f"chunk {chunk} is not after {self.chunks[-1]}")
+        if self.evaluations and chunk <= self.evaluations[-1][0]:
+            raise ValueError(f"chunk {chunk} is not after {self.evaluations[-1][0]}")
         if not accuracies:
             raise ValueError("no accuracies to record")
-        missing = set(self.histories) - set(accuracies)
+        missing = set(self.dataset_ids()) - set(accuracies)
         if missing:
             raise ValueError(f"previously seen datasets absent from evaluation: {sorted(missing)}")
         for m, acc in accuracies.items():
             if not 0.0 <= acc <= 1.0:
                 raise ValueError(f"accuracy {acc} for dataset {m} outside [0, 1]")
-            self.histories.setdefault(int(m), []).append(float(acc))
-        self.chunks.append(chunk)
+        self.evaluations.append((chunk, {int(m): float(acc) for m, acc in accuracies.items()}))
 
     def dataset_ids(self) -> list[int]:
-        return sorted(self.histories)
+        """Every dataset evaluated so far: the last chunk's, since none is dropped."""
+        return sorted(self.evaluations[-1][1]) if self.evaluations else []
 
     def summary(self) -> tuple[float, float]:
-        """(MAP, MAF) after the last chunk."""
-        if not self.chunks:
+        """(MAP, MAF) after the last chunk: its summary row."""
+        if not self.evaluations:
             raise ValueError("nothing recorded yet")
-        aps, afs = zip(*(ap_af(self.histories[m]) for m in self.dataset_ids()))
-        return float(np.mean(aps)), float(np.mean(afs))
+        last = self.rows()[-1]
+        return last["MAP"], last["MAF"]
 
     def rows(self) -> list[dict]:
         """Flat export: one row per (chunk, dataset) and one summary row per
         chunk with dataset set to None, whose MAP/MAF average the AP/AF of
         that chunk's dataset rows."""
         out: list[dict] = []
-        for k, chunk in enumerate(self.chunks, start=1):
+        for k, (chunk, accuracies) in enumerate(self.evaluations, start=1):
             aps, afs = [], []
-            for m in self.dataset_ids():
-                hist = self.histories[m]
-                offset = len(self.chunks) - len(hist)
-                if k <= offset:
-                    continue  # dataset not seen yet at this chunk
-                visible = hist[: k - offset]
-                ap, af = ap_af(visible)
+            for m in sorted(accuracies):
+                history = [acc[m] for _, acc in self.evaluations[:k] if m in acc]
+                ap, af = ap_af(history)
                 aps.append(ap)
                 afs.append(af)
                 out.append({
                     "t": chunk, "m": m,
-                    "a": visible[-1],
-                    "F": forgetting(visible),
+                    "a": history[-1],
+                    "F": forgetting(history),
                     "AP": ap, "AF": af,
                 })
             out.append({"t": chunk, "m": None,

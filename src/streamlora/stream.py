@@ -22,6 +22,7 @@ the config, and its manifest records the schedule (`stream_manifest`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -108,20 +109,29 @@ class TaskSampler:
 
 @dataclass(frozen=True)
 class StreamSchedule:
-    """T mixture rows over M tasks plus the chunk size; rows sum to one."""
+    """T mixture rows over M tasks plus the chunk size; rows sum to one.
+    Chunks, the manifest and the trainer read the sample counts from `counts`."""
 
-    n_chunks: int
     chunk_size: int
     mixtures: np.ndarray  # (n_chunks, n_tasks)
     seed: int
 
     @property
+    def n_chunks(self) -> int:
+        return self.mixtures.shape[0]
+
+    @property
     def n_tasks(self) -> int:
         return self.mixtures.shape[1]
 
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """(n_chunks, n_tasks) read-only counts, row t-1 for chunk t, apportioned once."""
+        counts = np.stack([apportion(row, self.chunk_size) for row in self.mixtures])
+        counts.setflags(write=False)
+        return counts
+
     def validate(self) -> None:
-        if self.mixtures.shape != (self.n_chunks, self.n_tasks):
-            raise ValueError("mixture matrix shape disagrees with the schedule")
         if np.any(self.mixtures < 0.0):
             raise ValueError("mixture proportions must be non-negative")
         sums = self.mixtures.sum(axis=1)
@@ -170,12 +180,12 @@ class Chunk:
 
 
 def compose_chunk(schedule: StreamSchedule, index: int, samplers: list[TaskSampler]) -> Chunk:
-    """Materialize chunk `index` (1-based): apportion, draw, shuffle."""
+    """Materialize chunk `index` (1-based): draw the schedule's counts, shuffle."""
     if not 1 <= index <= schedule.n_chunks:
         raise ValueError(f"chunk index {index} outside 1..{schedule.n_chunks}")
     if len(samplers) != schedule.n_tasks:
         raise ValueError("one sampler per task, in task order")
-    counts = apportion(schedule.mixtures[index - 1], schedule.chunk_size)
+    counts = schedule.counts[index - 1]
     samples: list[Sample] = []
     for task_id, count in enumerate(counts):
         if count > 0:
@@ -273,7 +283,7 @@ def build_default_stream(
         weights = rng.dirichlet(np.full(len(active), 2.0))
         for m, w in zip(active, weights):
             mixtures[t - 1, m] = w
-    schedule = StreamSchedule(n_chunks=n_chunks, chunk_size=chunk_size, mixtures=mixtures, seed=seed)
+    schedule = StreamSchedule(chunk_size=chunk_size, mixtures=mixtures, seed=seed)
     schedule.validate()
     return schedule
 
@@ -286,8 +296,6 @@ def build_default_stream(
 def stream_manifest(schedule: StreamSchedule, specs: list[TaskSpec]) -> dict:
     """The JSON-ready stream description a run records under `stream` in
     its `manifest.json`: schedule, per-chunk counts and task specs."""
-    counts = [apportion(schedule.mixtures[t - 1], schedule.chunk_size).tolist()
-              for t in range(1, schedule.n_chunks + 1)]
     return {
         "format": STREAM_FORMAT,
         "seed": schedule.seed,
@@ -295,7 +303,7 @@ def stream_manifest(schedule: StreamSchedule, specs: list[TaskSpec]) -> dict:
         "chunk_size": schedule.chunk_size,
         "n_tasks": schedule.n_tasks,
         "mixtures": schedule.mixtures.tolist(),
-        "counts": counts,
+        "counts": schedule.counts.tolist(),
         "tasks": [
             {
                 "task_id": spec.task_id,

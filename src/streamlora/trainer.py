@@ -64,7 +64,7 @@ from .stream import (
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a batch loss turns non-finite; details are in the dump."""
+    """Raised when a training batch overflows or its loss turns non-finite."""
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +140,10 @@ class RunConfig:
         # a mixture stream needs two tasks, and 7 chunks keep a retired task gone for 3
         for key, least in (("n_layers", 1), ("vocab_size", 2), ("classes_per_task", 1), ("test_size", 1),
                            ("routing_dim", 1), ("visual_tokens", 1), ("n_experts", 1), ("n_tasks", 2),
-                           ("n_chunks", 7), ("batch_size", 1), ("chunk_size", 1)):
+                           ("n_chunks", 7), ("batch_size", 1), ("chunk_size", 1), ("noise_tokens", 0),
+                           ("visual_noise", 0), ("trace_eval_samples", 0)):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
-        if self.noise_tokens < 0:
-            raise ValueError(f"noise_tokens must be >= 0, got {self.noise_tokens}")
-        if self.visual_noise < 0.0:
-            raise ValueError(f"visual_noise must be >= 0, got {self.visual_noise}")
         self.backbone().validate()
         if not 0 < self.rank < self.d_hidden:
             raise ValueError(f"rank must be in (0, d_hidden = {self.d_hidden}), got {self.rank}")
@@ -163,8 +160,6 @@ class RunConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.stream_seed < -1:
             raise ValueError(f"stream_seed must be >= 0, or -1 to use seed, got {self.stream_seed}")
-        if self.trace_eval_samples < 0:
-            raise ValueError(f"trace_eval_samples must be >= 0, got {self.trace_eval_samples}")
         if self.trace_interval < 0:
             raise ValueError(f"trace_interval must be >= 0 (0 disables training-batch traces), "
                              f"got {self.trace_interval}")
@@ -242,7 +237,7 @@ def _parse_method(method: str) -> Variant:
 
 def apply_variant(config: RunConfig, spec: str) -> RunConfig:
     """`config` with `method = spec`, as `--variant spec` sets it, and one expert for shared_lora."""
-    config = replace(config, method=spec.strip().lower())
+    config = replace(config, method=spec.strip())
     if config.variant().mode == "shared_lora":
         config = replace(config, n_experts=1, top_k=1)
     return config
@@ -253,11 +248,14 @@ def apply_variant(config: RunConfig, spec: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adaptive step with bias-corrected first and second moments.
 
-    m <- b1 m + (1-b1) g ; v <- b2 v + (1-b2) g^2
-    theta <- theta - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
+    m <- BETA1 m + (1-BETA1) g ; v <- BETA2 v + (1-BETA2) g^2
+    theta <- theta - lr * (m / (1-BETA1^t)) / (sqrt(v / (1-BETA2^t)) + EPS)
 
     One elementwise update steps the store's whole flat `vector` from its
     `grad`, with `m` and `v` flat beside them. A leaf no path reached holds
@@ -266,13 +264,9 @@ class Adam:
     from the store makes `step` raise, naming its path.
     """
 
-    def __init__(self, params: ParamStore, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: ParamStore, lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = np.zeros_like(params.vector)
         self._v = np.zeros_like(params.vector)
@@ -281,14 +275,14 @@ class Adam:
         theta, g = self.params.flat()
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         m, v = self._m, self._v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        theta -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        theta -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -299,23 +293,17 @@ class Adam:
 @dataclass
 class RunResult:
     """One run's whole state: `run_stream` builds it before the first
-    chunk, `train_chunk` advances it, and `run_stream` returns it."""
+    chunk, `train_chunk` advances it, and `run_stream` returns it. The
+    evaluations live in the ledger, the test sets in the stream's samplers."""
 
     config: RunConfig
     model: Model
     optimizer: Adam
     shadow: EmaShadow | None
-    test_sets: dict[int, list[Sample]]
     out: Path | None = None                 # artifact directory; also gets divergence dumps
     ledger: MetricLedger = field(default_factory=MetricLedger)
     steps: list[dict] = field(default_factory=list)     # one loss record per batch
-    evals: list[dict] = field(default_factory=list)     # one accuracy record per chunk
     traces: list[dict] = field(default_factory=list)
-    seen: set[int] = field(default_factory=set)         # tasks the stream has shown so far
-
-    @property
-    def metrics_csv(self) -> str:
-        return self.ledger.to_csv()
 
     def summary(self) -> tuple[float, float]:
         return self.ledger.summary()
@@ -401,34 +389,40 @@ def _trace_records(chunk_index: int, samples: Sequence[Sample], site_records) ->
 
 
 def train_chunk(run: RunResult, chunk) -> None:
-    """One epoch over one chunk: the single pass."""
+    """One epoch over one chunk: the single pass. A numpy overflow, invalid
+    or divide error in a batch's steps, or a non-finite loss, raises `TrainingDiverged`."""
     config, model = run.config, run.model
     for batch_index, batch in enumerate(_batches(chunk.samples, config.batch_size)):
         model.params.zero_grad()
-        task, reg, total, result = _batch_loss(model, batch, run.shadow, config.reg_weight)
-        tracing = config.trace_interval > 0 and batch_index % config.trace_interval == 0
-        if tracing and model.variant.mode == "routed":
-            run.traces.extend(_trace_records(chunk.index, batch, result.sites))
-
-        if not np.isfinite(total.data):
+        task = reg = None
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                task, reg, total, result = _batch_loss(model, batch, run.shadow, config.reg_weight)
+                tracing = config.trace_interval > 0 and batch_index % config.trace_interval == 0
+                if tracing and model.variant.mode == "routed":
+                    run.traces.extend(_trace_records(chunk.index, batch, result.sites))
+                if not np.isfinite(total.data):     # a NaN parameter spreads without raising
+                    raise FloatingPointError("non-finite loss")
+                if model.variant.mode != "frozen":
+                    backward(total)
+                    run.optimizer.step()
+                    if run.shadow is not None:
+                        ema_update(run.shadow, model.routing_states(), config.ema_momentum)
+        except FloatingPointError as exc:
             dump = {
                 "chunk": chunk.index,
                 "batch_index": batch_index,
                 "sample_uids": [s.uid for s in batch],
-                "task_loss": float(task.data),
+                "task_loss": None if task is None else float(task.data),    # null: not computed
                 "reg_loss": None if reg is None else float(reg.data),
                 "optimizer_steps": run.optimizer.step_count,
             }
-            if run.out is not None:
-                with atomic_open(run.out / f"diverged_chunk{chunk.index}_batch{batch_index}.json") as fh:
+            path = None if run.out is None else run.out / f"diverged_chunk{chunk.index}_batch{batch_index}.json"
+            if path:
+                with atomic_open(path) as fh:
                     fh.write(json.dumps(dump, indent=2))
-            raise TrainingDiverged(f"non-finite loss in chunk {chunk.index}, batch {batch_index}: {dump}")
-
-        if model.variant.mode != "frozen":
-            backward(total)
-            run.optimizer.step()
-            if run.shadow is not None:
-                ema_update(run.shadow, model.routing_states(), config.ema_momentum)
+            raise TrainingDiverged(f"{exc} in chunk {chunk.index}, batch {batch_index}; " + (
+                f"batch dumped to {path}" if path else "no output directory, nothing dumped")) from None
 
         run.steps.append({
             "chunk": chunk.index,
@@ -489,31 +483,31 @@ def run_stream(config: RunConfig, out_dir: str | Path | None = None) -> RunResul
         model=model,
         optimizer=Adam(model.params, lr=config.learning_rate),
         shadow=shadow,
-        test_sets={spec.task_id: samplers[spec.task_id].test_set() for spec in specs},
         out=out,
     )
+    # row t-1: the tasks chunk t or an earlier one drew samples of
+    seen_by = np.cumsum(schedule.counts, axis=0) > 0
 
     for chunk in single_pass_stream(schedule, samplers):
-        run.seen.update(int(m) for m in np.nonzero(chunk.counts)[0])
         train_chunk(run, chunk)
         # the last chunk's evaluation also gives the post-stream traces, under chunk T+1
         post_stream = chunk.index == schedule.n_chunks and model.variant.mode == "routed"
         accuracies = {}
-        for m in sorted(run.seen):
-            accuracies[m], result = evaluate(model, run.test_sets[m])
+        for m in np.flatnonzero(seen_by[chunk.index - 1]).tolist():
+            test_set = samplers[m].test_set()
+            accuracies[m], result = evaluate(model, test_set)
             if post_stream:
-                samples = run.test_sets[m][: config.trace_eval_samples]
+                samples = test_set[: config.trace_eval_samples]
                 run.traces.extend(_trace_records(chunk.index + 1, samples, result.sites))
             del result      # free this task's forward before the next task's
         run.ledger.add_chunk(chunk.index, accuracies)
-        run.evals.append({"chunk": chunk.index, "accuracy": {str(m): a for m, a in accuracies.items()}})
 
     wall_seconds = time.monotonic() - started
 
     if out is not None:
         # every artifact appears whole or not at all (atomic_open)
         with atomic_open(out / "metrics.csv") as fh:
-            fh.write(run.metrics_csv)
+            fh.write(run.ledger.to_csv())
         with atomic_open(out / "traces.jsonl") as fh:
             encoder = json.JSONEncoder(sort_keys=True)      # json.dumps would build one per record
             for record in run.traces:
@@ -536,7 +530,8 @@ def run_stream(config: RunConfig, out_dir: str | Path | None = None) -> RunResul
         runlog = {
             "config": config.to_dict(),
             "steps": run.steps,
-            "evals": run.evals,
+            "evals": [{"chunk": t, "accuracy": {str(m): a for m, a in accuracies.items()}}
+                      for t, accuracies in run.ledger.evaluations],
             "optimizer_steps": run.optimizer.step_count,
             "ema_updates": 0 if shadow is None else shadow.updates,
             "wall_seconds": wall_seconds,
@@ -708,16 +703,11 @@ def gradient_audit(
 
     rows: list[AuditRow] = []
     for (path, _), fd in zip(model.params.items(), numeric):
-        a = analytic[path]
-        err = np.abs(a - fd)
-        scale = np.maximum(np.maximum(np.abs(a), np.abs(fd)), atol)
-        rel = err / scale
-        rows.append(AuditRow(
-            path=path,
-            max_abs_err=float(err.max()),
-            max_rel_err=float(rel.max()),
-            ok=bool(np.all(err <= atol + rtol * np.maximum(np.abs(a), np.abs(fd)))),
-        ))
+        err = np.abs(analytic[path] - fd)
+        magnitude = np.maximum(np.abs(analytic[path]), np.abs(fd))
+        rows.append(AuditRow(path=path, max_abs_err=float(err.max()),
+                             max_rel_err=float((err / np.maximum(magnitude, atol)).max()),
+                             ok=bool(np.all(err <= atol + rtol * magnitude))))
     return all(row.ok for row in rows), rows
 
 

@@ -410,11 +410,14 @@ def test_criterion_8_regularizer_no_harm(trained_runs):
 def test_criterion_9_baseline_and_determinism(trained_runs):
     runs, _ = trained_runs
     frozen = run_stream(_variant_config("frozen", 0))
-    frozen_ok = frozen.summary()[1] == 0.0 and all(
-        len(set(h)) == 1 for h in frozen.ledger.histories.values())
+    accuracies: dict[int, set[float]] = {}      # task -> every accuracy it was scored
+    for _, scored in frozen.ledger.evaluations:
+        for m, a in scored.items():
+            accuracies.setdefault(m, set()).add(a)
+    frozen_ok = frozen.summary()[1] == 0.0 and all(len(a) == 1 for a in accuracies.values())
 
     repeat = run_stream(_variant_config("full", 0))
-    deterministic = repeat.metrics_csv == runs[("full", 0)].metrics_csv
+    deterministic = repeat.ledger.to_csv() == runs[("full", 0)].ledger.to_csv()
 
     specs = make_task_specs(0, n_tasks=2, d_e=8, classes_per_task=2, sigma=0.25,
                             visual_tokens=2, noise_tokens=2, test_size=4, vocab_size=32)

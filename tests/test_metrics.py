@@ -198,8 +198,8 @@ def test_csv_export_shape_and_round_trip():
 def test_from_accuracy_rows_orders_chunks_itself():
     rows = [(5, 0, 0.3), (1, 0, 0.9), (3, 0, 0.6)]
     ledger = MetricLedger.from_accuracy_rows(rows)
-    assert ledger.chunks == [1, 3, 5]
-    assert ledger.histories[0] == [0.9, 0.6, 0.3]
+    assert ledger.evaluations == [(1, {0: 0.9}), (3, {0: 0.6}), (5, {0: 0.3})]
+    assert [row["a"] for row in ledger.rows() if row["m"] == 0] == [0.9, 0.6, 0.3]
 
 
 def test_from_accuracy_rows_rejects_a_repeated_chunk_and_dataset():

@@ -199,14 +199,10 @@ def test_build_default_stream_rejects_degenerate_requests():
 
 
 def test_schedule_validate_rejects_bad_mixtures():
-    bad = StreamSchedule(
-        n_chunks=2, chunk_size=10, mixtures=np.array([[0.7, 0.2], [0.5, 0.5]]), seed=0
-    )
+    bad = StreamSchedule(chunk_size=10, mixtures=np.array([[0.7, 0.2], [0.5, 0.5]]), seed=0)
     with pytest.raises(ValueError, match="sum to 1"):
         bad.validate()
-    negative = StreamSchedule(
-        n_chunks=1, chunk_size=10, mixtures=np.array([[1.5, -0.5]]), seed=0
-    )
+    negative = StreamSchedule(chunk_size=10, mixtures=np.array([[1.5, -0.5]]), seed=0)
     with pytest.raises(ValueError, match="non-negative"):
         negative.validate()
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import streamlora.cli as cli_module
+import streamlora.stream as stream_module
 import streamlora.trainer as trainer_module
 from streamlora.autograd import ParamStore, Value, backward, finite_diff_grad, named_rng, no_grad
 from streamlora.cli import build_parser, main
@@ -28,7 +29,8 @@ from streamlora.model import (
     forward,
 )
 from streamlora.stability import EmaShadow, reference_weights
-from streamlora.stream import TaskSampler, build_default_stream, compose_chunk, make_task_specs
+from streamlora.metrics import MetricLedger
+from streamlora.stream import TaskSampler, apportion, build_default_stream, compose_chunk, make_task_specs
 from streamlora.trainer import (
     ABLATION_ROWS,
     Adam,
@@ -124,9 +126,11 @@ def test_apply_variant_aliases_and_toggle_lists():
     assert shared.method == "shared_lora"
     assert shared.n_experts == 1 and shared.top_k == 1
     two_stage = apply_variant(base, " p, s ")
-    assert two_stage.method == "p, s"       # --variant trims and lower-cases, nothing more
+    assert two_stage.method == "p, s"       # --variant trims, nothing more
     assert two_stage.variant() == Variant("routed", True, True, False)
-    assert apply_variant(base, "S,REG").variant() == Variant("routed", False, True, True)
+    assert apply_variant(base, "s,reg").variant() == Variant("routed", False, True, True)
+    with pytest.raises(ValueError, match=r"^method 'S,REG': unknown variant component 'S'"):
+        apply_variant(base, "S,REG")    # as `method = S,REG` in a config is
     with pytest.raises(ValueError, match=r"^method 'p,q': unknown variant component 'q'"):
         apply_variant(base, "p,q")
     assert apply_variant(base, "full").variant() == FULL
@@ -211,10 +215,16 @@ def test_cli_train_validates_the_config_before_writing(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def test_cli_input_errors_print_one_line_and_exit_2(tmp_path):
+def run_cli_process(argv):
+    """`python -m streamlora.cli ARGV` in a fresh process, on this tree's sources."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(root / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "streamlora.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_cli_input_errors_print_one_line_and_exit_2(tmp_path):
     missing = tmp_path / "nonexistent"
     no_file = r"\[Errno 2\] No such file or directory: "
     for argv, message in [
@@ -246,6 +256,11 @@ def test_cli_input_errors_print_one_line_and_exit_2(tmp_path):
          "reg_weight must be non-negative, got -0.5"),
         (["train", "--set", "learning_rate=0", "--out", str(tmp_path / "run")],
          "learning_rate must be positive, got 0.0"),
+        # --variant V is exactly --set method=V: neither lower-cases
+        (["train", "--variant", "Full", "--out", str(tmp_path / "run")],
+         "method 'Full': unknown variant component 'Full'"),
+        (["train", "--set", "method=Full", "--out", str(tmp_path / "run")],
+         "method 'Full': unknown variant component 'Full'"),
         (["gradcheck", "--samples", "1", "--epsilon", "1e308"], "epsilon 1e\\+308 is too large"),
         (["gradcheck", "--samples", "1", "--epsilon", "1e300"], "epsilon 1e\\+300 is too large"),
         (["train", "--config", str(missing / "x.cfg"), "--out", str(tmp_path / "run")], no_file),
@@ -253,8 +268,7 @@ def test_cli_input_errors_print_one_line_and_exit_2(tmp_path):
         (["diag", "--traces", str(missing / "traces.jsonl"), "--out", str(tmp_path / "run")],
          no_file),
     ]:
-        done = subprocess.run([sys.executable, "-m", "streamlora.cli", *argv],
-                              env=env, capture_output=True, text=True, timeout=60)
+        done = run_cli_process(argv)
         assert done.returncode == 2, argv
         assert done.stdout == ""
         assert re.fullmatch(f"streamlora: {message}[^\n]*\n", done.stderr), done.stderr
@@ -470,8 +484,13 @@ def test_run_stream_step_accounting_and_summary():
     assert result.optimizer.step_count == 14
     assert result.shadow is not None and result.shadow.updates == 14
     assert len(result.steps) == 14
-    assert len(result.evals) == 7
-    assert result.seen == {0, 1} and set(result.test_sets) == {0, 1}
+    # chunk t scores every task chunks 1..t drew samples of
+    _, schedule = build_stream(tiny_config())
+    evaluations = result.ledger.evaluations
+    assert [t for t, _ in evaluations] == list(range(1, 8))
+    for t, accuracies in evaluations:
+        assert sorted(accuracies) == np.flatnonzero(schedule.counts[:t].sum(axis=0)).tolist()
+    assert sorted(evaluations[-1][1]) == [0, 1]
     assert result.summary() == result.ledger.summary()
     map_t, maf_t = result.summary()
     assert 0.0 <= map_t <= 1.0 and 0.0 <= maf_t <= 1.0
@@ -480,10 +499,10 @@ def test_run_stream_step_accounting_and_summary():
 def test_run_stream_is_deterministic():
     a = run_stream(tiny_config())
     b = run_stream(tiny_config())
-    assert a.metrics_csv == b.metrics_csv
+    assert a.ledger.to_csv() == b.ledger.to_csv()
     assert [s["total_loss"] for s in a.steps] == [s["total_loss"] for s in b.steps]
     c = run_stream(tiny_config(seed=1))
-    assert c.metrics_csv != a.metrics_csv
+    assert c.ledger.to_csv() != a.ledger.to_csv()
 
 
 def test_frozen_run_never_steps_and_never_forgets():
@@ -491,7 +510,8 @@ def test_frozen_run_never_steps_and_never_forgets():
     assert result.optimizer.step_count == 0
     assert result.shadow is None
     assert len(result.model.params) == 0
-    for history in result.ledger.histories.values():
+    for m in result.ledger.dataset_ids():
+        history = [accuracies[m] for _, accuracies in result.ledger.evaluations if m in accuracies]
         assert len(set(history)) == 1  # constant accuracy per task
     assert result.summary()[1] == 0.0
     assert result.traces == []
@@ -522,15 +542,17 @@ def test_run_stream_traces_cover_training_and_the_final_pass():
 def test_post_stream_rows_are_the_trace_records_of_the_final_model(trace_eval_samples):
     cfg = tiny_config(trace_eval_samples=trace_eval_samples)     # 20 > test_size = 8
     result = run_stream(cfg)
+    specs, _ = build_stream(cfg)
+    seen = result.ledger.dataset_ids()
     expected = []
     with no_grad():
-        for m in sorted(result.seen):
-            samples = result.test_sets[m][:trace_eval_samples]
+        for m in seen:
+            samples = TaskSampler(specs[m], cfg.effective_stream_seed).test_set()[:trace_eval_samples]
             if samples:
                 expected.extend(_trace_records(cfg.n_chunks + 1, samples,
                                                forward(result.model, samples).sites))
     assert [r for r in result.traces if r["chunk"] == cfg.n_chunks + 1] == expected
-    assert len(expected) == len(result.seen) * min(trace_eval_samples, cfg.test_size) * 2
+    assert len(expected) == len(seen) * min(trace_eval_samples, cfg.test_size) * 2
 
 
 def test_run_stream_forwards_once_per_batch_and_per_seen_task_per_chunk(monkeypatch):
@@ -540,13 +562,23 @@ def test_run_stream_forwards_once_per_batch_and_per_seen_task_per_chunk(monkeypa
         calls.append(samples)
         return forward(model, samples, **kwargs)
 
+    test_sets = []
+    test_set = TaskSampler.test_set
+
+    def recording_test_set(sampler):
+        test_sets.append(test_set(sampler))
+        return test_sets[-1]
+
     monkeypatch.setattr(trainer_module, "forward", counting_forward)
+    monkeypatch.setattr(TaskSampler, "test_set", recording_test_set)
     cfg = tiny_config()
     result = run_stream(cfg)
-    evaluations = sum(len(e["accuracy"]) for e in result.evals)
+    evaluations = sum(len(accuracies) for _, accuracies in result.ledger.evaluations)
     assert len(calls) == len(result.steps) + evaluations == 14 + evaluations
-    # the last forward is the final chunk's evaluation of the last seen task
-    assert calls[-1] is result.test_sets[max(result.seen)]
+    # the last forward is the final chunk's evaluation of the last seen task,
+    # on the test set its sampler returned
+    assert calls[-1] is test_sets[-1]
+    assert {s.task_id for s in calls[-1]} == {max(result.ledger.dataset_ids())}
 
 
 def test_run_stream_writes_the_artifact_set(tmp_path):
@@ -554,7 +586,7 @@ def test_run_stream_writes_the_artifact_set(tmp_path):
     result = run_stream(cfg, out_dir=tmp_path)
     for name in ("metrics.csv", "traces.jsonl", "checkpoint.bin", "manifest.json", "runlog.json"):
         assert (tmp_path / name).exists(), name
-    assert (tmp_path / "metrics.csv").read_text() == result.metrics_csv
+    assert (tmp_path / "metrics.csv").read_text() == result.ledger.to_csv()
 
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config"]["n_chunks"] == 7
@@ -564,12 +596,36 @@ def test_run_stream_writes_the_artifact_set(tmp_path):
 
     runlog = json.loads((tmp_path / "runlog.json").read_text())
     assert runlog["optimizer_steps"] == 14
-    assert runlog["steps"] == result.steps and runlog["evals"] == result.evals
+    assert runlog["steps"] == result.steps
+    assert runlog["evals"] == [{"chunk": t, "accuracy": {str(m): a for m, a in accuracies.items()}}
+                               for t, accuracies in result.ledger.evaluations]
     assert runlog["config"] == cfg.to_dict()
 
     lines = (tmp_path / "traces.jsonl").read_text().strip().split("\n")
     assert len(lines) == len(result.traces)
     assert json.loads(lines[0])["chunk"] == 1
+
+
+def test_runlog_evals_rebuild_metrics_csv_byte_for_byte(tmp_path):
+    run_stream(tiny_config(), out_dir=tmp_path)
+    evals = json.loads((tmp_path / "runlog.json").read_text())["evals"]
+    rows = [(e["chunk"], int(m), a) for e in evals for m, a in e["accuracy"].items()]
+    rebuilt = MetricLedger.from_accuracy_rows(rows).to_csv()
+    assert rebuilt == (tmp_path / "metrics.csv").read_text()
+
+
+def test_a_default_run_apportions_each_chunk_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_apportion(proportions, total):
+        calls.append(total)
+        return apportion(proportions, total)
+
+    monkeypatch.setattr(stream_module, "apportion", counting_apportion)
+    config = RunConfig()
+    run_stream(config, out_dir=tmp_path)
+    # the schedule's counts feed the chunks, the manifest and the seen tasks
+    assert calls == [config.chunk_size] * config.n_chunks
 
 
 def test_run_stream_leaves_no_partial_artifact_when_a_write_fails(tmp_path, monkeypatch):
@@ -630,7 +686,7 @@ def train_a_diverging_chunk(out_dir):
     )
     schedule = build_default_stream(0, n_tasks=2, n_chunks=7, chunk_size=12)
     chunk = compose_chunk(schedule, 1, [TaskSampler(s, 0) for s in specs])
-    run = RunResult(cfg, model, Adam(model.params, lr=cfg.learning_rate), None, {}, out=out_dir)
+    run = RunResult(cfg, model, Adam(model.params, lr=cfg.learning_rate), None, out=out_dir)
     train_chunk(run, chunk)
 
 
@@ -641,6 +697,34 @@ def test_divergence_raises_and_dumps_the_batch(tmp_path):
     assert dump_path.exists()
     dump = json.loads(dump_path.read_text())
     assert dump["chunk"] == 1 and len(dump["sample_uids"]) == 6
+
+
+def assert_diverged_run(done, out, chunk, batch):
+    """A diverged `train`: exit 1 and one stderr line naming the chunk, the
+    batch and the dump file, which exists; returns the dump."""
+    dump = out / f"diverged_chunk{chunk}_batch{batch}.json"
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == ""
+    assert re.fullmatch(f"streamlora: [^\n]* in chunk {chunk}, batch {batch}; "
+                        f"batch dumped to {re.escape(str(dump))}\n", done.stderr), done.stderr
+    return json.loads(dump.read_text())
+
+
+def test_cli_a_diverged_run_prints_one_line_and_exits_1(tmp_path):
+    out = tmp_path / "run"
+    done = run_cli_process(["train", "--variant", "uniform_moe", "--set", "learning_rate=1e308",
+                            "--out", str(out)])
+    dump = assert_diverged_run(done, out, chunk=1, batch=1)
+    assert len(dump["sample_uids"]) == 32 and dump["optimizer_steps"] == 1
+
+
+@pytest.mark.parametrize("override, batch", [("learning_rate=1e308", 1), ("visual_noise=1e200", 0)])
+def test_cli_an_overflow_in_a_training_batch_is_reported_as_divergence(tmp_path, override, batch):
+    out = tmp_path / "run"
+    done = run_cli_process(["train", "--set", override, "--out", str(out)])
+    dump = assert_diverged_run(done, out, chunk=1, batch=batch)
+    assert "overflow encountered" in done.stderr
+    assert dump["task_loss"] is None and dump["reg_loss"] is None     # the forward overflowed
 
 
 class HalfWriter:
