@@ -16,13 +16,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .autograd import atomic_open
-from .metrics import MetricLedger, homogeneity_report
+from .metrics import MetricLedger, homogeneity_report, read_traces
 from .trainer import (
     RunConfig,
     TrainingDiverged,
@@ -135,30 +134,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-# the trace fields `homogeneity_report` reads
-_REPORT_FIELDS = {"task_id", "sample_id", "layer", "site", "s_mean"}
-
-
 def _cmd_diag(args: argparse.Namespace) -> int:
-    required = _REPORT_FIELDS | ({"chunk"} if args.chunk is not None else set())
-    traces = []
-    with open(args.traces) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{args.traces}: line {lineno}: not JSON: {exc.msg}") from None
-            missing = required - (record.keys() if isinstance(record, dict) else set())
-            if missing:
-                raise ValueError(f"{args.traces}: line {lineno}: trace record lacks {sorted(missing)}")
-            traces.append(record)
-    where = args.traces
-    if args.chunk is not None:
-        traces = [rec for rec in traces if rec["chunk"] == args.chunk]
-        where = f"{args.traces} --chunk {args.chunk}"
+    traces = read_traces(args.traces, args.chunk)
+    where = args.traces if args.chunk is None else f"{args.traces} --chunk {args.chunk}"
     try:
         report = homogeneity_report(traces)
         mean_cka = report.mean_off_diagonal()

@@ -1,4 +1,5 @@
-"""Forgetting and performance accounting, plus routing-similarity diagnostics.
+"""Forgetting and performance accounting, the routing-trace format, and
+routing-similarity diagnostics.
 
 Accuracy bookkeeping follows the usual continual-learning definitions. For
 one dataset with accuracy history a_1..a_t (indexed by the evaluations it
@@ -20,14 +21,21 @@ then the routing dimensions, shared by construction, and columns are
 samples. Homogeneous routing makes every task's expert-usage structure
 look alike (scores near 1); specialized routing drives cross-task scores
 down.
+
+This module is the one home of `traces.jsonl`: `trace_records` turns a
+forward's site records into rows, `write_traces` encodes them one JSON
+object per line, `read_traces` reads and checks them back, and
+`homogeneity_report` is built from them.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -172,6 +180,92 @@ def cka(x: np.ndarray, y: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# routing traces: the one home of the traces.jsonl format
+# ---------------------------------------------------------------------------
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_weights(value) -> bool:
+    return isinstance(value, list) and len(value) > 0 and all(
+        _is_int(v) or (isinstance(v, float) and math.isfinite(v)) for v in value)
+
+
+# the trace fields `homogeneity_report` reads: each one's check and what it must be
+_REPORT_FIELDS = {
+    "task_id": (_is_int, "an integer"),
+    "sample_id": (lambda value: isinstance(value, str), "a string"),
+    "layer": (_is_int, "an integer"),
+    "site": (lambda value: isinstance(value, str), "a string"),
+    "s_mean": (_is_weights, "a non-empty list of finite numbers"),
+}
+
+
+def trace_records(chunk_index: int, samples: Sequence, site_records: Sequence) -> list[dict]:
+    """The trace rows of one forward over `samples`, given its `SiteRecord`s:
+    one row per (sample, site), samples in batch order."""
+    sites = [
+        (rec.site.split("."), rec.subset,
+         None if rec.sample_probs is None else rec.sample_probs.tolist(),
+         rec.weights_data.mean(axis=1).tolist())
+        for rec in site_records
+    ]
+    rows = []
+    for i, sample in enumerate(samples):
+        for (_, layer_index, site), subset, probs, s_mean in sites:
+            rows.append({
+                "chunk": chunk_index,
+                "sample_id": sample.uid,
+                "task_id": sample.task_id,
+                "layer": int(layer_index),
+                "site": site,
+                "p": None if probs is None else probs[i],
+                "S": list(subset[i]),
+                "s_mean": s_mean[i],
+            })
+    return rows
+
+
+def write_traces(fh: TextIO, records: Iterable[Mapping]) -> None:
+    """Write trace rows as `traces.jsonl`: one JSON object per line, keys sorted."""
+    encoder = json.JSONEncoder(sort_keys=True)      # json.dumps would build one per record
+    for record in records:
+        fh.write(encoder.encode(record) + "\n")
+
+
+def read_traces(path, chunk: int | None = None) -> list[dict]:
+    """The records of a `traces.jsonl` file, or only those of `chunk`.
+
+    Blank lines are skipped. A line that is not JSON, a record that lacks
+    a field `homogeneity_report` reads (or `chunk`, when given), or one
+    that holds such a field with the wrong type raises `ValueError` naming
+    the file and the line.
+    """
+    checks = _REPORT_FIELDS if chunk is None else {**_REPORT_FIELDS, "chunk": (_is_int, "an integer")}
+    records = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}: line {lineno}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: not JSON: {exc.msg}") from None
+            missing = checks.keys() - (record.keys() if isinstance(record, dict) else set())
+            if missing:
+                raise ValueError(f"{where}: trace record lacks {sorted(missing)}")
+            for name, (ok, kind) in checks.items():
+                if not ok(record[name]):
+                    raise ValueError(f"{where}: {name} must be {kind}, got {json.dumps(record[name])}")
+            if chunk is None or record["chunk"] == chunk:
+                records.append(record)
+    return records
+
+
+# ---------------------------------------------------------------------------
 # routing homogeneity
 # ---------------------------------------------------------------------------
 
@@ -192,45 +286,43 @@ class HomogeneityReport:
         return float(m[mask].mean())
 
 
-def _trace_site_key(record: Mapping) -> tuple[int, str]:
-    return int(record["layer"]), str(record["site"])
-
-
 def homogeneity_report(traces: Iterable[Mapping]) -> HomogeneityReport:
     """Build the similarity report from routing trace records.
 
-    Each record carries {task_id, sample_id, layer, site, s_mean}. A
-    sample's feature vector concatenates its mean-token weight vectors
-    over all (layer, site) pairs in sorted order; every sample must cover
-    every site and every task needs at least two samples.
+    Each record carries {task_id, sample_id, layer, site, s_mean}. Each
+    site's `s_mean` vectors, one per sample and all of one width, give its
+    activation shares; a sample's feature vector concatenates them over
+    all (layer, site) pairs in sorted order. Every sample must cover every
+    site and every task needs at least two samples.
     """
-    per_sample: dict[tuple[int, str], dict[tuple[int, str], np.ndarray]] = {}
-    sites: set[tuple[int, str]] = set()
+    by_site: dict[tuple[int, str], dict[tuple[int, str], np.ndarray]] = {}
     for record in traces:
-        key = (int(record["task_id"]), str(record["sample_id"]))
-        site = _trace_site_key(record)
-        sites.add(site)
-        slot = per_sample.setdefault(key, {})
-        if site in slot:
-            raise ValueError(f"duplicate trace for sample {key[1]} at site {site}")
-        slot[site] = np.asarray(record["s_mean"], dtype=np.float64)
-    if not per_sample:
+        sample = (record["task_id"], record["sample_id"])
+        slot = by_site.setdefault((record["layer"], record["site"]), {})
+        if sample in slot:
+            raise ValueError(f"duplicate trace for sample {sample[1]} at site "
+                             f"{(record['layer'], record['site'])}")
+        slot[sample] = np.asarray(record["s_mean"], dtype=np.float64)
+    if not by_site:
         raise ValueError("no trace records")
-    site_order = sorted(sites)
-
-    by_task: dict[int, list[np.ndarray]] = {}
-    for (task_id, sample_id), slots in sorted(per_sample.items()):
-        if set(slots) != sites:
+    site_order = sorted(by_site)
+    samples = sorted(set().union(*by_site.values()))
+    for task_id, sample_id in samples:
+        if any((task_id, sample_id) not in by_site[site] for site in site_order):
             raise ValueError(f"sample {sample_id} is missing sites in the trace")
-        by_task.setdefault(task_id, []).append(np.concatenate([slots[s] for s in site_order]))
+    for layer, site in site_order:
+        widths = sorted({len(v) for v in by_site[layer, site].values()})
+        if len(widths) > 1:
+            raise ValueError(f"site layer.{layer}.{site} has s_mean widths {widths}")
 
-    task_ids = sorted(by_task)
-    features = {}
+    task_ids = sorted({task_id for task_id, _ in samples})
+    blocks: dict[int, list[np.ndarray]] = {}        # task -> one (samples, width) block per site
     for task_id in task_ids:
-        rows = by_task[task_id]
-        if len(rows) < 2:
+        keys = [key for key in samples if key[0] == task_id]
+        if len(keys) < 2:
             raise ValueError(f"task {task_id} has fewer than two traced samples")
-        features[task_id] = np.stack(rows)
+        blocks[task_id] = [np.stack([by_site[site][key] for key in keys]) for site in site_order]
+    features = {task_id: np.concatenate(blocks[task_id], axis=1) for task_id in task_ids}
 
     n = len(task_ids)
     matrix = np.zeros((n, n))
@@ -242,14 +334,8 @@ def homogeneity_report(traces: Iterable[Mapping]) -> HomogeneityReport:
                 # transpose: rows become the shared routing dimensions
                 matrix[i, j] = cka(features[a].T, features[b].T)
 
-    activation: dict[str, np.ndarray] = {}
-    n_sites = len(site_order)
-    for s_idx, site in enumerate(site_order):
-        width = features[task_ids[0]].shape[1] // n_sites
-        rows = []
-        for task_id in task_ids:
-            block = features[task_id][:, s_idx * width : (s_idx + 1) * width]
-            rows.append(block.mean(axis=0))
-        activation[f"layer.{site[0]}.{site[1]}"] = np.stack(rows)
-
+    activation = {
+        f"layer.{layer}.{site}": np.stack([blocks[task_id][k].mean(axis=0) for task_id in task_ids])
+        for k, (layer, site) in enumerate(site_order)
+    }
     return HomogeneityReport(task_ids=task_ids, cka_matrix=matrix, activation=activation)

@@ -37,7 +37,7 @@ from .autograd import (
     named_rng,
     no_grad,
 )
-from .metrics import MetricLedger
+from .metrics import MetricLedger, trace_records, write_traces
 from .model import (
     FROZEN,
     FULL,
@@ -364,28 +364,13 @@ def _batch_loss(
     return task, reg, total_loss(task, reg, reg_weight), result
 
 
-def _trace_records(chunk_index: int, samples: Sequence[Sample], site_records) -> list[dict]:
-    """One row per (sample, site), samples in batch order."""
-    sites = [
-        (rec.site.split("."), rec.subset,
-         None if rec.sample_probs is None else rec.sample_probs.tolist(),
-         rec.weights_data.mean(axis=1).tolist())
-        for rec in site_records
-    ]
-    rows = []
-    for i, sample in enumerate(samples):
-        for (_, layer_index, site), subset, probs, s_mean in sites:
-            rows.append({
-                "chunk": chunk_index,
-                "sample_id": sample.uid,
-                "task_id": sample.task_id,
-                "layer": int(layer_index),
-                "site": site,
-                "p": None if probs is None else probs[i],
-                "S": list(subset[i]),
-                "s_mean": s_mean[i],
-            })
-    return rows
+def _loss_field(loss: Value | None) -> float | str | None:
+    """A loss as the divergence dump writes it: null when not computed, a
+    non-finite one as the string "nan", "inf" or "-inf" (strict JSON)."""
+    if loss is None:
+        return None
+    value = float(loss.data)
+    return value if math.isfinite(value) else str(value)
 
 
 def train_chunk(run: RunResult, chunk) -> None:
@@ -400,7 +385,7 @@ def train_chunk(run: RunResult, chunk) -> None:
                 task, reg, total, result = _batch_loss(model, batch, run.shadow, config.reg_weight)
                 tracing = config.trace_interval > 0 and batch_index % config.trace_interval == 0
                 if tracing and model.variant.mode == "routed":
-                    run.traces.extend(_trace_records(chunk.index, batch, result.sites))
+                    run.traces.extend(trace_records(chunk.index, batch, result.sites))
                 if not np.isfinite(total.data):     # a NaN parameter spreads without raising
                     raise FloatingPointError("non-finite loss")
                 if model.variant.mode != "frozen":
@@ -413,14 +398,14 @@ def train_chunk(run: RunResult, chunk) -> None:
                 "chunk": chunk.index,
                 "batch_index": batch_index,
                 "sample_uids": [s.uid for s in batch],
-                "task_loss": None if task is None else float(task.data),    # null: not computed
-                "reg_loss": None if reg is None else float(reg.data),
+                "task_loss": _loss_field(task),
+                "reg_loss": _loss_field(reg),
                 "optimizer_steps": run.optimizer.step_count,
             }
             path = None if run.out is None else run.out / f"diverged_chunk{chunk.index}_batch{batch_index}.json"
             if path:
                 with atomic_open(path) as fh:
-                    fh.write(json.dumps(dump, indent=2))
+                    fh.write(json.dumps(dump, indent=2, allow_nan=False))
             raise TrainingDiverged(f"{exc} in chunk {chunk.index}, batch {batch_index}; " + (
                 f"batch dumped to {path}" if path else "no output directory, nothing dumped")) from None
 
@@ -498,7 +483,7 @@ def run_stream(config: RunConfig, out_dir: str | Path | None = None) -> RunResul
             accuracies[m], result = evaluate(model, test_set)
             if post_stream:
                 samples = test_set[: config.trace_eval_samples]
-                run.traces.extend(_trace_records(chunk.index + 1, samples, result.sites))
+                run.traces.extend(trace_records(chunk.index + 1, samples, result.sites))
             del result      # free this task's forward before the next task's
         run.ledger.add_chunk(chunk.index, accuracies)
 
@@ -509,9 +494,7 @@ def run_stream(config: RunConfig, out_dir: str | Path | None = None) -> RunResul
         with atomic_open(out / "metrics.csv") as fh:
             fh.write(run.ledger.to_csv())
         with atomic_open(out / "traces.jsonl") as fh:
-            encoder = json.JSONEncoder(sort_keys=True)      # json.dumps would build one per record
-            for record in run.traces:
-                fh.write(encoder.encode(record) + "\n")
+            write_traces(fh, run.traces)
         ema_records = {} if shadow is None else {f"ema.{k}": v for k, v in shadow.arrays.items()}
         model.params.save(out / "checkpoint.bin", extra=ema_records)
         manifest = {

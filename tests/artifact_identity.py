@@ -1,18 +1,23 @@
 """Compare the artifacts of `streamlora train` between this tree and another.
 
 Runs `streamlora train --seed S --variant V --out DIR` for every seed and
-each of the eight variants, and the default `streamlora gradcheck` and
-`gradcheck --samples 1`, once with this tree's `src` and once with
-`--against TREE`'s (for example a `git archive` export of the parent
-commit), then prints every artifact that differs between the two: a file
-whose bytes differ, or that only one side wrote. A `gradcheck`'s artifacts
-are its stdout, the audit table, and its rows at full precision: each
-row's `repr` of (path, max_abs_err, max_rel_err, ok), the fingerprint
-`perfbench/check.py::audit_fingerprint` takes. For a `.json` artifact it
-names up to five dotted key paths that differ or exist on one side only, such as
-`manifest.json: config.seed differs`. `runlog.json` is compared without
-`wall_seconds`, the one field that is not deterministic. Each tree runs
-its commands in one Python process, and the two run side by side.
+each of the eight variants, `streamlora diag` on each routed run's traces,
+whole and with `--chunk 13` (the post-stream records at the default 12
+chunks), and the default `streamlora gradcheck` and `gradcheck --samples
+1`, once with this tree's `src` and once with `--against TREE`'s (for
+example a `git archive` export of the parent commit), then prints every
+artifact that differs between the two: a file whose bytes differ, or that
+only one side wrote. A `diag`'s artifacts are its two tables and its
+stdout, kept beside them. A `gradcheck`'s artifacts are its stdout, the audit table, and
+its rows at full precision: each row's `repr` of (path, max_abs_err,
+max_rel_err, ok), the fingerprint `perfbench/check.py::audit_fingerprint`
+takes. For a `.json` artifact it names up to five dotted key paths that
+differ or exist on one side only, such as `manifest.json: config.seed
+differs`. `runlog.json` is compared without `wall_seconds`, the one field
+that is not deterministic. Each tree runs its commands in one Python
+process, in its own output directory, and the two run side by side. The
+commands name their files by paths relative to that directory, so that
+stdouts that name them compare byte for byte.
 
 Run from the repository root (about two minutes for the default five seeds
 on two CPUs):
@@ -36,6 +41,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 VARIANTS = ("full", "uniform_moe", "shared_lora", "frozen", "p", "s", "s,reg", "p,s")
+ROUTED = tuple(v for v in VARIANTS if v not in ("shared_lora", "frozen"))    # the variants that trace
+
+DIAGS = {"diag": [], "diag --chunk 13": ["--chunk", "13"]}
 
 GRADCHECKS = {"gradcheck": [], "gradcheck --samples 1": ["--samples", "1"]}
 
@@ -77,16 +85,24 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def start_runs(tree: Path, out: Path, runs: list[tuple[int, str]]) -> subprocess.Popen:
+    """Start `tree`'s commands in `out`, which they name by relative paths."""
     out.mkdir(parents=True)
-    argv = [[["train", "--seed", str(seed), "--variant", variant, "--out", str(out / run_name(seed, variant))],
-             None] for seed, variant in runs]
-    argv += [[["gradcheck", *flags], str(out / f"{name}.txt")] for name, flags in GRADCHECKS.items()]
+    argv = [[["train", "--seed", str(seed), "--variant", variant, "--out", run_name(seed, variant)], None]
+            for seed, variant in runs]
+    argv += [[["diag", "--traces", f"{run_name(seed, variant)}/traces.jsonl",
+               "--out", diag_name(seed, variant, name), *flags], f"{diag_name(seed, variant, name)}/stdout.txt"]
+             for seed, variant in runs if variant in ROUTED for name, flags in DIAGS.items()]
+    argv += [[["gradcheck", *flags], f"{name}.txt"] for name, flags in GRADCHECKS.items()]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.Popen([sys.executable, "-c", RUNNER, json.dumps(argv)], env=env, cwd=tree)
+    return subprocess.Popen([sys.executable, "-c", RUNNER, json.dumps(argv)], env=env, cwd=out)
 
 
 def run_name(seed: int, variant: str) -> str:
     return f"seed{seed}-{variant.replace(',', '+')}"
+
+
+def diag_name(seed: int, variant: str, diag: str) -> str:
+    return f"{run_name(seed, variant)}.{diag.replace(' --', '-').replace(' ', '')}"
 
 
 def comparable(path: Path) -> bytes:
@@ -161,11 +177,14 @@ def main() -> int:
             return 1
         found = 0
         for seed, variant in runs:
-            name = run_name(seed, variant)
-            for artifact, lines in differences(ours / name, theirs / name).items():
-                for line in lines:
-                    print(f"seed {seed} variant {variant}: {artifact}: {line}")
-                found += 1
+            names = {"": run_name(seed, variant)}
+            if variant in ROUTED:
+                names.update({f" {diag}": diag_name(seed, variant, diag) for diag in DIAGS})
+            for command, name in names.items():
+                for artifact, lines in differences(ours / name, theirs / name).items():
+                    for line in lines:
+                        print(f"seed {seed} variant {variant}{command}: {artifact}: {line}")
+                    found += 1
         for name in GRADCHECKS:
             if (ours / f"{name}.txt").read_bytes() != (theirs / f"{name}.txt").read_bytes():
                 print(f"{name}: stdout differs")
@@ -176,8 +195,9 @@ def main() -> int:
                 differing = sum(a != b for a, b in zip(*rows)) + abs(len(rows[0]) - len(rows[1]))
                 print(f"{name}: {differing} of {max(map(len, rows))} rows differ at full precision")
                 found += 1
-    print(f"{len(runs)} runs and {len(GRADCHECKS)} gradchecks per tree, {found} artifacts differ "
-          f"(runlog.json compared without wall_seconds)")
+    n_diags = len(DIAGS) * sum(variant in ROUTED for _, variant in runs)
+    print(f"{len(runs)} runs, {n_diags} diags and {len(GRADCHECKS)} gradchecks per tree, "
+          f"{found} artifacts differ (runlog.json compared without wall_seconds)")
     return 1 if found else 0
 
 

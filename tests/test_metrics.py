@@ -350,6 +350,8 @@ def test_report_input_validation():
         homogeneity_report(base + [base[0]])
     with pytest.raises(ValueError, match="missing sites"):
         homogeneity_report(base + [trace(1, "lonely", 0, "attn_out", [0.5, 0.5])])
+    with pytest.raises(ValueError, match=r"site layer.0.ffn_up has s_mean widths \[2, 3\]"):
+        homogeneity_report(base[:-1] + [trace(1, "t1-s1", 0, "ffn_up", [0.5, 0.25, 0.25])])
     short = two_site_traces({0: [[0.9, 0.1], [0.6, 0.4]], 1: [[0.3, 0.7]]})
     with pytest.raises(ValueError, match="fewer than two"):
         homogeneity_report(short)

@@ -1,5 +1,6 @@
 """Config parsing, the optimizer, the training loop, artifacts, and the CLI."""
 
+import csv
 import importlib.util
 import json
 import os
@@ -29,7 +30,7 @@ from streamlora.model import (
     forward,
 )
 from streamlora.stability import EmaShadow, reference_weights
-from streamlora.metrics import MetricLedger
+from streamlora.metrics import MetricLedger, read_traces, trace_records
 from streamlora.stream import TaskSampler, apportion, build_default_stream, compose_chunk, make_task_specs
 from streamlora.trainer import (
     ABLATION_ROWS,
@@ -39,7 +40,6 @@ from streamlora.trainer import (
     TrainingDiverged,
     _audit_problem,
     _batch_loss,
-    _trace_records,
     apply_variant,
     audit_config,
     build_stream,
@@ -549,8 +549,8 @@ def test_post_stream_rows_are_the_trace_records_of_the_final_model(trace_eval_sa
         for m in seen:
             samples = TaskSampler(specs[m], cfg.effective_stream_seed).test_set()[:trace_eval_samples]
             if samples:
-                expected.extend(_trace_records(cfg.n_chunks + 1, samples,
-                                               forward(result.model, samples).sites))
+                expected.extend(trace_records(cfg.n_chunks + 1, samples,
+                                              forward(result.model, samples).sites))
     assert [r for r in result.traces if r["chunk"] == cfg.n_chunks + 1] == expected
     assert len(expected) == len(seen) * min(trace_eval_samples, cfg.test_size) * 2
 
@@ -697,6 +697,17 @@ def test_divergence_raises_and_dumps_the_batch(tmp_path):
     assert dump_path.exists()
     dump = json.loads(dump_path.read_text())
     assert dump["chunk"] == 1 and len(dump["sample_uids"]) == 6
+
+
+def test_the_divergence_dump_is_strict_json(tmp_path):
+    def reject(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    with pytest.raises(TrainingDiverged):
+        train_a_diverging_chunk(tmp_path)
+    dump = json.loads((tmp_path / "diverged_chunk1_batch0.json").read_text(), parse_constant=reject)
+    assert dump["task_loss"] == "nan"
+    assert dump["reg_loss"] is None         # p,s has no stability term: not computed
 
 
 def assert_diverged_run(done, out, chunk, batch):
@@ -1300,7 +1311,15 @@ def test_cli_diag_builds_the_homogeneity_tables(tmp_path, config_file, capsys):
     ("{not json", r"not JSON"),
     ('{"chunk": 0, "sample_id": "0-9", "layer": 0, "site": "ffn_up", "s_mean": [1.0]}',
      r"trace record lacks \['task_id'\]"),
-], ids=["not-json", "no-task-id"])
+    ('{"task_id": null, "sample_id": "0-9", "layer": 0, "site": "ffn_up", "s_mean": [1.0]}',
+     r"task_id must be an integer, got null"),
+    ('{"task_id": 0, "sample_id": "0-9", "layer": null, "site": "ffn_up", "s_mean": [1.0]}',
+     r"layer must be an integer, got null"),
+    ('{"task_id": 0, "sample_id": "0-9", "layer": [0], "site": "ffn_up", "s_mean": [1.0]}',
+     r"layer must be an integer, got \[0\]"),
+    ('{"task_id": 0, "sample_id": "0-9", "layer": 0, "site": "ffn_up", "s_mean": [0.5, null, 0.5]}',
+     r"s_mean must be a non-empty list of finite numbers, got \[0.5, null, 0.5\]"),
+], ids=["not-json", "no-task-id", "null-task-id", "null-layer", "list-layer", "null-weight"])
 def test_cli_diag_names_the_line_it_cannot_read(tmp_path, capsys, bad_line, error):
     write_diag_tables(tmp_path)
     traces = tmp_path / "traces.jsonl"
@@ -1323,6 +1342,34 @@ def test_cli_diag_names_the_file_and_chunk_whose_traces_it_rejects(tmp_path, cap
     assert main(["diag", "--traces", str(traces), "--out", str(tmp_path / "diag"), *chunk]) == 2
     assert capsys.readouterr().err == f"streamlora: {traces}{error}\n"
     assert not (tmp_path / "diag").exists()
+
+
+def test_cli_diag_reports_each_site_at_its_own_width(tmp_path, capsys):
+    rng = named_rng(0, "diag-widths")
+    weights = {(task, site): rng.dirichlet(np.ones(width), size=3)
+               for task in range(2) for site, width in (("attn_out", 2), ("ffn_up", 3))}
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text("".join(
+        json.dumps({"task_id": task, "sample_id": f"{task}-{i}", "layer": 0, "site": site,
+                    "s_mean": rows[i].tolist()}) + "\n"
+        for (task, site), rows in weights.items() for i in range(3)))
+    assert main(["diag", "--traces", str(traces), "--out", str(tmp_path / "diag")]) == 0
+    with open(tmp_path / "diag" / "activation.csv") as fh:
+        shares = {}
+        for row in csv.DictReader(fh):
+            shares.setdefault((int(row["task"]), row["site"].split(".")[-1]), []).append(float(row["share"]))
+    assert shares.keys() == weights.keys()
+    for key, rows in weights.items():
+        np.testing.assert_allclose(shares[key], rows.mean(axis=0), rtol=0, atol=1e-15)
+    assert "nan" not in capsys.readouterr().out
+
+
+def test_read_traces_gives_back_the_records_run_stream_wrote(tmp_path):
+    cfg = tiny_config()
+    result = run_stream(cfg, out_dir=tmp_path)
+    assert read_traces(tmp_path / "traces.jsonl") == result.traces
+    post = cfg.n_chunks + 1
+    assert read_traces(tmp_path / "traces.jsonl", post) == [r for r in result.traces if r["chunk"] == post]
 
 
 def test_cli_ablate_runs_every_toggle_combination(tmp_path, config_file, capsys):
