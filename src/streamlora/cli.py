@@ -83,48 +83,8 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_accuracy_rows(path: str) -> list[tuple[int, int, float]]:
-    """Accept either a bare t,m,a dump or a full metrics.csv.
-
-    The first record may be a header. Summary rows (empty m) and extra
-    columns are ignored, so the command can re-digest its own output. Any
-    other row that is not an integer t, an integer m and a float a, or
-    that repeats the (t, m) of an earlier row, raises `ValueError` naming
-    the file and the line.
-    """
-    rows: list[tuple[int, int, float]] = []
-    lines: dict[tuple[int, int], int] = {}      # (t, m) -> the line that gave it
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        records = (record for record in reader if any(field.strip() for field in record))
-        for index, record in enumerate(records):
-            if index == 0 and not record[0].strip().lstrip("-").isdigit():
-                continue  # header line
-            if len(record) > 1 and not record[1].strip():
-                continue  # per-chunk summary row
-            where = f"{path}: line {reader.line_num}"
-            try:
-                t, m, a = int(record[0]), int(record[1]), float(record[2])
-            except (ValueError, IndexError):
-                raise ValueError(f"{where}: expected integer t, integer m "
-                                 f"and float a, got {','.join(record)!r}") from None
-            if (t, m) in lines:
-                raise ValueError(f"{where}: repeats the (t, m) of line {lines[t, m]}, "
-                                 f"got {','.join(record)!r}")
-            lines[t, m] = reader.line_num
-            rows.append((t, m, a))
-    if not rows:
-        raise ValueError(f"no (t, m, a) rows found in {path}")
-    return rows
-
-
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    rows = _read_accuracy_rows(args.input)
-    try:
-        ledger = MetricLedger.from_accuracy_rows(rows)
-    except ValueError as exc:
-        raise ValueError(f"{args.input}: {exc}") from None
-    text = ledger.to_csv()
+    text = MetricLedger.read_csv(args.input).to_csv()
     if args.out:
         with atomic_open(args.out) as fh:
             fh.write(text)
@@ -205,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("metrics", help="rebuild forgetting metrics from dumped accuracies")
-    p.add_argument("--input", required=True, metavar="CSV", help="rows of t,m,a (metrics.csv also accepted)")
+    p.add_argument("--input", required=True, metavar="CSV", help="per-chunk task accuracies, or a metrics.csv")
     p.add_argument("--out", metavar="CSV", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_metrics)
 

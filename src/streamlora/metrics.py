@@ -22,7 +22,9 @@ samples. Homogeneous routing makes every task's expert-usage structure
 look alike (scores near 1); specialized routing drives cross-task scores
 down.
 
-This module is the one home of `traces.jsonl`: `trace_records` turns a
+This module is the one home of both run formats. `metrics.csv`:
+`MetricLedger.to_csv` writes it and `MetricLedger.read_csv` reads it
+back, both against `COLUMNS`. `traces.jsonl`: `trace_records` turns a
 forward's site records into rows, `write_traces` encodes them one JSON
 object per line, `read_traces` reads and checks them back, and
 `homogeneity_report` is built from them.
@@ -58,6 +60,19 @@ def ap_af(history: Sequence[float]) -> tuple[float, float]:
         raise ValueError("empty accuracy history")
     drops = [forgetting(history[: i + 1]) for i in range(len(history))]
     return float(np.mean(history)), float(np.mean(drops))
+
+
+# the columns of `metrics.csv`, in order: `to_csv` writes them, `read_csv` checks rows against them
+COLUMNS = ("t", "m", "a", "F", "AP", "AF", "MAP", "MAF")
+_SUMMARY_BLANKS = slice(COLUMNS.index("m"), COLUMNS.index("AF") + 1)    # empty in a summary row
+
+
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
 
 
 class MetricLedger:
@@ -118,19 +133,54 @@ class MetricLedger:
         return out
 
     def to_csv(self) -> str:
-        """Deterministic text form; floats use shortest round-trip repr."""
+        """`metrics.csv`: a `COLUMNS` header, then `rows()` with every column
+        a row lacks left empty; floats use shortest round-trip repr."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t", "m", "a", "F", "AP", "AF", "MAP", "MAF"])
-        for row in self.rows():
-            if row["m"] is None:
-                writer.writerow([row["t"], "", "", "", "", "", repr(row["MAP"]), repr(row["MAF"])])
-            else:
-                writer.writerow([
-                    row["t"], row["m"],
-                    repr(row["a"]), repr(row["F"]), repr(row["AP"]), repr(row["AF"]), "", "",
-                ])
+        writer.writerow(COLUMNS)
+        writer.writerows([row.get(column) for column in COLUMNS] for row in self.rows())
         return buf.getvalue()
+
+    @classmethod
+    def read_csv(cls, path) -> "MetricLedger":
+        """Rebuild a ledger from a file of (t, m, a) rows: a bare dump or a
+        `metrics.csv` that `to_csv` wrote.
+
+        Blank lines are skipped. The first record is a header if none of
+        its t, m and a fields is a number. A record laid out as a `to_csv`
+        summary row (one field per column, m through AF empty) is skipped.
+        Every other row must be an integer t, an integer m and a float a,
+        its columns after a ignored, and must not repeat the (t, m) of an
+        earlier row, or `ValueError` names the file and the line. Rows the
+        ledger rejects as a whole (`add_chunk`) raise it naming the file.
+        """
+        rows: list[tuple[int, int, float]] = []
+        lines: dict[tuple[int, int], int] = {}      # (t, m) -> the line that gave it
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            records = (record for record in reader if any(field.strip() for field in record))
+            for index, record in enumerate(records):
+                if index == 0 and not any(_is_number(field) for field in record[:3]):
+                    continue  # header
+                if len(record) == len(COLUMNS) and not "".join(record[_SUMMARY_BLANKS]).strip():
+                    continue  # per-chunk summary row
+                where = f"{path}: line {reader.line_num}"
+                try:
+                    t, m, a = int(record[0]), int(record[1]), float(record[2])
+                except (ValueError, IndexError):
+                    raise ValueError(f"{where}: expected integer t, integer m "
+                                     f"and float a, got {','.join(record)!r}") from None
+                if (t, m) in lines:
+                    raise ValueError(f"{where}: repeats the (t, m) of line {lines[t, m]}, "
+                                     f"got {','.join(record)!r}")
+                lines[t, m] = reader.line_num
+                rows.append((t, m, a))
+        if not rows:
+            raise ValueError(f"no (t, m, a) rows found in {path}")
+        try:
+            return cls.from_accuracy_rows(rows)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     @classmethod
     def from_accuracy_rows(cls, rows: Iterable[tuple[int, int, float]]) -> "MetricLedger":

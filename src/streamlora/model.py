@@ -95,15 +95,12 @@ class BackboneConfig:
         return 2 * self.d_hidden
 
     def validate(self) -> None:
-        if self.n_layers < 1:
-            raise ValueError("need at least one layer")
-        for key in ("d_hidden", "n_heads"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        for key, least in (("n_layers", 1), ("d_hidden", 1), ("n_heads", 1),
+                           ("vocab_size", 2), ("n_classes", 2)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
         if self.d_hidden % self.n_heads != 0:
             raise ValueError(f"d_hidden {self.d_hidden} not divisible by n_heads {self.n_heads}")
-        if self.vocab_size < 2 or self.n_classes < 2:
-            raise ValueError("vocab and class counts must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -184,8 +181,9 @@ class SiteRecord:
     `weights` is the very `Value` `adapted_forward` applied, before the
     gate: the live stage-two output (B, L, N) wherever the regularizer can
     run, (B, 1, N) rows where weights do not vary by token. The
-    regularizer sets `reference` to the EMA reference it compared against
-    and `reg` to the term it computed.
+    regularizer sets `reg` to the term it computed and, unless the record
+    was pinned to a baseline record and copied its reference, `reference`
+    to the EMA reference it compared against.
     """
 
     site: str
@@ -346,8 +344,8 @@ def _site_forward(
     only), and the stage-one distributions; the bank and the record are
     the same for all of them. `pinned`, a baseline record of this site,
     holds the full method's subsets and detach(p) at their baseline
-    values. Frozen mode applies the bare base projection and records
-    nothing.
+    values and gives the record its EMA reference. Frozen mode applies
+    the bare base projection and records nothing.
     """
     variant = model.variant
     if variant.mode == "frozen":
@@ -380,6 +378,7 @@ def _site_forward(
         weights=weights,
         hidden_data=hidden.data,
         sample_probs=None if probs is None else probs.data,
+        reference=None if pinned is None else pinned.reference,
     )
 
 
@@ -398,12 +397,12 @@ def forward(
     `SiteRecord`, which the regularizer, the trace writer and the audit's
     pins read; frozen mode produces none. Training and evaluation pass
     neither `baseline` nor `start`. `baseline`, an earlier forward's result
-    over the same samples, pins every site's subsets and detach(p) at its
-    records' values, as the gradient audit holds them fixed. `start`, a
-    block name, resumes at that block from the state `baseline` entered it
-    with, the parameters upstream of it unchanged: the embedding and the
-    blocks before it are skipped and their records carried over. Only a
-    forward without `baseline` fills `entries`.
+    over the same samples, pins every site's subsets, detach(p) and EMA
+    reference at its records' values, as the gradient audit holds them
+    fixed. `start`, a block name, resumes at that block from the state
+    `baseline` entered it with, the parameters upstream of it unchanged:
+    the embedding and the blocks before it are skipped and their records
+    carried over. Only a forward without `baseline` fills `entries`.
     """
     cfg = model.config
     if start is None:

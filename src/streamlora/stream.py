@@ -166,7 +166,6 @@ class Chunk:
     sample list is gone for good (single-pass contract)."""
 
     index: int
-    counts: np.ndarray
     _samples: list[Sample] | None
 
     @property
@@ -185,15 +184,14 @@ def compose_chunk(schedule: StreamSchedule, index: int, samplers: list[TaskSampl
         raise ValueError(f"chunk index {index} outside 1..{schedule.n_chunks}")
     if len(samplers) != schedule.n_tasks:
         raise ValueError("one sampler per task, in task order")
-    counts = schedule.counts[index - 1]
     samples: list[Sample] = []
-    for task_id, count in enumerate(counts):
+    for task_id, count in enumerate(schedule.counts[index - 1]):
         if count > 0:
             samples.extend(samplers[task_id].draw_train(index, int(count)))
     rng = named_rng(schedule.seed, f"chunk.{index}.shuffle")
     order = rng.permutation(len(samples))
     samples = [samples[i] for i in order]
-    return Chunk(index=index, counts=counts, _samples=samples)
+    return Chunk(index=index, _samples=samples)
 
 
 def single_pass_stream(schedule: StreamSchedule, samplers: list[TaskSampler]) -> Iterator[Chunk]:

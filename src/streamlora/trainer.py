@@ -138,9 +138,9 @@ class RunConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         # a mixture stream needs two tasks, and 7 chunks keep a retired task gone for 3
-        for key, least in (("n_layers", 1), ("vocab_size", 2), ("classes_per_task", 1), ("test_size", 1),
-                           ("routing_dim", 1), ("visual_tokens", 1), ("n_experts", 1), ("n_tasks", 2),
-                           ("n_chunks", 7), ("batch_size", 1), ("chunk_size", 1), ("noise_tokens", 0),
+        for key, least in (("classes_per_task", 1), ("test_size", 1), ("routing_dim", 1),
+                           ("visual_tokens", 1), ("n_experts", 1), ("n_tasks", 2), ("n_chunks", 7),
+                           ("batch_size", 1), ("chunk_size", 1), ("noise_tokens", 0),
                            ("visual_noise", 0), ("trace_eval_samples", 0)):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
@@ -326,19 +326,16 @@ def _mean_value(parts: list[Value]) -> Value:
     return acc * (1.0 / len(parts))
 
 
-def _batch_reg(shadow: EmaShadow | None, result: ForwardResult,
-               baseline: ForwardResult | None = None) -> Value:
+def _batch_reg(shadow: EmaShadow | None, result: ForwardResult) -> Value:
     """Mean stability term over the sites. Each record keeps its term and
-    the reference it was compared against: the EMA shadow's, or, given a
-    `baseline` (the gradient audit), its record's at the same site. The
-    records a resumed forward carried over keep theirs."""
-    for k, rec in enumerate(result.sites):
+    the reference it was compared against: the EMA shadow's, unless it
+    already holds one (a record pinned to the gradient audit's baseline).
+    The records a resumed forward carried over keep their terms."""
+    for rec in result.sites:
         if rec.reg is not None:
             continue
-        if baseline is None:
+        if rec.reference is None:
             rec.reference = reference_weights(shadow, rec.site, rec.hidden_data, result.x_text.data, rec.mask)
-        else:
-            rec.reference = baseline.sites[k].reference
         rec.reg = reg_loss(rec.reference, rec.weights, rec.mask)
     return _mean_value([rec.reg for rec in result.sites])
 
@@ -360,7 +357,7 @@ def _batch_loss(
     audit's probes) gives task, reg and total one value per copy."""
     result = forward(model, batch, baseline=baseline, start=start)
     task = task_loss(result.logits, [sample.label for sample in batch])
-    reg = _batch_reg(shadow, result, baseline) if model.variant.use_reg else None
+    reg = _batch_reg(shadow, result) if model.variant.use_reg else None
     return task, reg, total_loss(task, reg, reg_weight), result
 
 

@@ -1,19 +1,20 @@
 """Compare the artifacts of `streamlora train` between this tree and another.
 
 Runs `streamlora train --seed S --variant V --out DIR` for every seed and
-each of the eight variants, `streamlora diag` on each routed run's traces,
-whole and with `--chunk 13` (the post-stream records at the default 12
-chunks), and the default `streamlora gradcheck` and `gradcheck --samples
-1`, once with this tree's `src` and once with `--against TREE`'s (for
-example a `git archive` export of the parent commit), then prints every
-artifact that differs between the two: a file whose bytes differ, or that
-only one side wrote. A `diag`'s artifacts are its two tables and its
-stdout, kept beside them. A `gradcheck`'s artifacts are its stdout, the audit table, and
-its rows at full precision: each row's `repr` of (path, max_abs_err,
-max_rel_err, ok), the fingerprint `perfbench/check.py::audit_fingerprint`
-takes. For a `.json` artifact it names up to five dotted key paths that
-differ or exist on one side only, such as `manifest.json: config.seed
-differs`. `runlog.json` is compared without `wall_seconds`, the one field
+each of the eight variants, `streamlora metrics --input DIR/metrics.csv`
+on every run, `streamlora diag` on each routed run's traces, whole and
+with `--chunk 13` (the post-stream records at the default 12 chunks), and
+the default `streamlora gradcheck` and `gradcheck --samples 1`, once with
+this tree's `src` and once with `--against TREE`'s (for example a `git
+archive` export of the parent commit), then prints every artifact that
+differs between the two: a file whose bytes differ, or that only one side
+wrote. A `metrics`'s artifact is its stdout, the rebuilt file. A `diag`'s
+artifacts are its two tables and its stdout, kept beside them. A
+`gradcheck`'s artifacts are its stdout, the audit table, and its rows at
+full precision: each row's `repr` of (path, max_abs_err, max_rel_err,
+ok), the fingerprint `perfbench/check.py::audit_fingerprint` takes. For
+a `.json` artifact it names up to five dotted key paths that differ or
+exist on one side only, such as `manifest.json: config.seed differs`. `runlog.json` is compared without `wall_seconds`, the one field
 that is not deterministic. Each tree runs its commands in one Python
 process, in its own output directory, and the two run side by side. The
 commands name their files by paths relative to that directory, so that
@@ -48,10 +49,11 @@ DIAGS = {"diag": [], "diag --chunk 13": ["--chunk", "13"]}
 GRADCHECKS = {"gradcheck": [], "gradcheck --samples 1": ["--samples", "1"]}
 
 # runs each argv of a JSON list of [argv, stdout file or null] pairs through
-# `streamlora.cli.main` in one process, writing the stdout a pair names and,
-# beside it in `<file>.rows`, one repr per row of the audits the command ran
+# `streamlora.cli.main` in one process, writing the stdout a pair names (its
+# directory made if need be) and, beside it in `<file>.rows`, one repr per
+# row of the audits the command ran
 RUNNER = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 import streamlora.cli as cli
 audits, gradient_audit = [], cli.gradient_audit
 def recorded_audit(*args, **kwargs):
@@ -64,6 +66,7 @@ for argv, stdout_path in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(stdout):
         code = cli.main(argv)
     if stdout_path:
+        os.makedirs(os.path.dirname(stdout_path) or ".", exist_ok=True)
         with open(stdout_path, "w") as fh:
             fh.write(stdout.getvalue())
         with open(stdout_path + ".rows", "w") as fh:
@@ -92,6 +95,8 @@ def start_runs(tree: Path, out: Path, runs: list[tuple[int, str]]) -> subprocess
     argv += [[["diag", "--traces", f"{run_name(seed, variant)}/traces.jsonl",
                "--out", diag_name(seed, variant, name), *flags], f"{diag_name(seed, variant, name)}/stdout.txt"]
              for seed, variant in runs if variant in ROUTED for name, flags in DIAGS.items()]
+    argv += [[["metrics", "--input", f"{run_name(seed, variant)}/metrics.csv"],
+              f"{metrics_name(seed, variant)}/stdout.txt"] for seed, variant in runs]
     argv += [[["gradcheck", *flags], f"{name}.txt"] for name, flags in GRADCHECKS.items()]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.Popen([sys.executable, "-c", RUNNER, json.dumps(argv)], env=env, cwd=out)
@@ -99,6 +104,10 @@ def start_runs(tree: Path, out: Path, runs: list[tuple[int, str]]) -> subprocess
 
 def run_name(seed: int, variant: str) -> str:
     return f"seed{seed}-{variant.replace(',', '+')}"
+
+
+def metrics_name(seed: int, variant: str) -> str:
+    return f"{run_name(seed, variant)}.metrics"
 
 
 def diag_name(seed: int, variant: str, diag: str) -> str:
@@ -177,7 +186,7 @@ def main() -> int:
             return 1
         found = 0
         for seed, variant in runs:
-            names = {"": run_name(seed, variant)}
+            names = {"": run_name(seed, variant), " metrics": metrics_name(seed, variant)}
             if variant in ROUTED:
                 names.update({f" {diag}": diag_name(seed, variant, diag) for diag in DIAGS})
             for command, name in names.items():
@@ -196,7 +205,7 @@ def main() -> int:
                 print(f"{name}: {differing} of {max(map(len, rows))} rows differ at full precision")
                 found += 1
     n_diags = len(DIAGS) * sum(variant in ROUTED for _, variant in runs)
-    print(f"{len(runs)} runs, {n_diags} diags and {len(GRADCHECKS)} gradchecks per tree, "
+    print(f"{len(runs)} runs, {len(runs)} metrics, {n_diags} diags and {len(GRADCHECKS)} gradchecks per tree, "
           f"{found} artifacts differ (runlog.json compared without wall_seconds)")
     return 1 if found else 0
 

@@ -61,9 +61,9 @@ def randomize_adapters(model, seed=1, scale=0.3):
 def test_config_validation_catches_bad_sizes():
     with pytest.raises(ValueError, match="not divisible"):
         BackboneConfig(d_hidden=10, n_heads=3).validate()
-    with pytest.raises(ValueError, match="at least one layer"):
+    with pytest.raises(ValueError, match="n_layers must be at least 1, got 0"):
         BackboneConfig(n_layers=0).validate()
-    with pytest.raises(ValueError, match="at least 2"):
+    with pytest.raises(ValueError, match="n_classes must be at least 2, got 1"):
         BackboneConfig(n_classes=1).validate()
 
 

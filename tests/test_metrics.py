@@ -195,6 +195,17 @@ def test_csv_export_shape_and_round_trip():
     assert rebuilt.to_csv() == text  # float repr makes this exact
 
 
+def test_read_csv_gives_back_the_evaluations_to_csv_wrote(tmp_path):
+    rng = named_rng(8, "csv")
+    ledger = MetricLedger()
+    ledger.add_chunk(1, {0: float(rng.uniform())})
+    ledger.add_chunk(2, {0: float(rng.uniform()), 3: float(rng.uniform())})
+    ledger.add_chunk(5, {0: 0.0, 1: 1.0, 3: float(rng.uniform())})
+    path = tmp_path / "metrics.csv"
+    path.write_text(ledger.to_csv())
+    assert MetricLedger.read_csv(path).evaluations == ledger.evaluations
+
+
 def test_from_accuracy_rows_orders_chunks_itself():
     rows = [(5, 0, 0.3), (1, 0, 0.9), (3, 0, 0.6)]
     ledger = MetricLedger.from_accuracy_rows(rows)

@@ -1257,13 +1257,27 @@ def test_cli_train_then_metrics_round_trip(tmp_path, config_file, capsys):
     ("t,m,a\n0,0,0.5\nfoo,0,0.25\n1,0,0.75\n", 3, "foo,0,0.25"),
     ("1,x,0.25\n", 1, "1,x,0.25"),
     ("t,m,a\n1,0,0.5\n1,0,0.75\n2,0,0.25\n", 3, "1,0,0.75"),
-], ids=["float-t", "second-header", "bad-m", "repeated-t-m"])
+    # a first row with a number in t, m or a is a row, never a header
+    ("1x,0,0.5\n2,0,0.4\n", 1, "1x,0,0.5"),
+    ("t,0,0.5\n1,0,0.5\n", 1, "t,0,0.5"),
+    # only a row laid out as a metrics.csv summary row is skipped
+    ("1,0,0.5\n2,,0.4\n", 2, "2,,0.4"),
+], ids=["float-t", "second-header", "bad-m", "repeated-t-m", "bad-t-first", "numeric-header",
+        "empty-m"])
 def test_cli_metrics_names_the_line_of_a_row_it_cannot_parse(tmp_path, capsys, text, line, field):
     rows = tmp_path / "rows.csv"
     rows.write_text(text)
     assert main(["metrics", "--input", str(rows), "--out", str(tmp_path / "out.csv")]) == 2
     assert re.search(rf"rows.csv: line {line}: .* got '{re.escape(field)}'", capsys.readouterr().err)
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_metrics_accepts_a_header_of_other_names(tmp_path, capsys):
+    rows = tmp_path / "rows.csv"
+    rows.write_text("chunk,task,accuracy\n0,0,0.5\n1,0,0.25\n1,1,0.75\n")
+    assert main(["metrics", "--input", str(rows)]) == 0
+    expected = MetricLedger.from_accuracy_rows([(0, 0, 0.5), (1, 0, 0.25), (1, 1, 0.75)]).to_csv()
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize("text, error", [
