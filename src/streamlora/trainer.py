@@ -582,8 +582,10 @@ def _audit_problem(
     `no_grad` from that leaf's block on, starting from the state the
     baseline entered it with: a scalar for a single copy of the leaf, and
     one value per copy for an (n, *shape) stack of copies, which it sets
-    as an (n, 1, *shape) leaf so the copies broadcast over the batch. Any
-    other number of rebound leaves raises `ValueError`.
+    as an (n, 1, *shape) leaf so the copies broadcast over the batch. An
+    adapter of an expert that no pinned subset selects cannot reach the
+    loss, so its probe runs no forward and every copy scores the baseline
+    total. Any other number of rebound leaves raises `ValueError`.
     """
     model = config.model(seed)
     rng = named_rng(seed, "audit.params")
@@ -608,6 +610,9 @@ def _audit_problem(
 
     *_, total, baseline = _batch_loss(model, samples, shadow, config.reg_weight)   # the training call
     held = [(path, p, p.data) for path, p in model.params.items()]         # the arrays it ran on
+    # the adapters of an expert no pinned subset selects: no copy of them reaches the loss
+    unreached = {f"{rec.site}.expert.{j}.{ab}"
+                 for rec in baseline.sites for j in np.flatnonzero(~rec.mask.any(axis=0)) for ab in "AB"}
 
     def probe() -> float | np.ndarray:
         rebound = [(path, p, data) for path, p, data in held if p.data is not data]
@@ -617,6 +622,8 @@ def _audit_problem(
         ((path, leaf, data),) = rebound
         probed = leaf.data
         stacked = probed.ndim > data.ndim
+        if path in unreached:
+            return np.broadcast_to(total.data, probed.shape[:1]) if stacked else float(total.data)
         if stacked:
             leaf.data = probed[:, None]
         block = next(block for block in baseline.entries if path.startswith(block + "."))
@@ -626,8 +633,7 @@ def _audit_problem(
                                      baseline=baseline, start=block)[2].data
         finally:
             leaf.data = probed
-        # 0-d when no sample's subset reaches the leaf: every copy scores the same
-        return np.broadcast_to(values, probed.shape[:1]) if stacked else float(values)
+        return values if stacked else float(values)
 
     return model, total, probe
 

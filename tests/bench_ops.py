@@ -18,13 +18,16 @@ forward at the probed leaf's own block from the state the audit's
 training call entered it with, so its cost falls with the leaf's depth:
 a first-layer stage-two query (the worst case, nearly the whole forward,
 on the copy axis in a block) and a last-layer one (one site, then the
-head).
+head). The file sets the command line's allocator policy at import
+(`cli._hold_freed_memory`), so each op pays what it pays under a
+`streamlora` command rather than the page faults of glibc's default.
 """
 
 import numpy as np
 import pytest
 
 from streamlora.autograd import Value, backward, masked_softmax, matmul, named_rng, transpose, vsum
+from streamlora.cli import _hold_freed_memory
 from streamlora.experts import adapted_forward, init_expert_bank
 from streamlora.routing import init_routing_state, route_with_straight_through
 from streamlora.stability import EmaShadow, ema_update
@@ -38,6 +41,8 @@ from streamlora.trainer import (
     audit_config,
     build_stream,
 )
+
+_hold_freed_memory()
 
 CONFIG = RunConfig()
 B, D = CONFIG.batch_size, CONFIG.d_hidden

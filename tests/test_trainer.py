@@ -1,10 +1,12 @@
 """Config parsing, the optimizer, the training loop, artifacts, and the CLI."""
 
 import csv
+import ctypes
 import importlib.util
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -1091,7 +1093,14 @@ def test_audit_pins_are_the_baseline_forwards_routing_and_reference():
         assert rec.reference is pin.reference
 
 
-def test_the_audit_runs_one_whole_forward_the_training_call(monkeypatch):
+def test_the_audit_runs_one_whole_forward_the_training_call(monkeypatch, two_layer_audit):
+    # and no forward for the probe blocks of an expert no pinned subset
+    # selects: its adapters cannot reach the loss
+    model, _, _, _, baseline = two_layer_audit
+    unreached = {f"{pin.site}.expert.{j}.{ab}" for pin in baseline.sites
+                 for j in range(pin.mask.shape[1]) if not pin.mask[:, j].any() for ab in "AB"}
+    copies = trainer_module.AUDIT_ROWS // 3
+    blocks = {path: -(-2 * p.data.size // copies) for path, p in model.params.items()}
     starts = []
     forward_fn = trainer_module.forward
 
@@ -1100,10 +1109,14 @@ def test_the_audit_runs_one_whole_forward_the_training_call(monkeypatch):
         return forward_fn(*args, start=start, **kwargs)
 
     monkeypatch.setattr(trainer_module, "forward", spy)
-    ok, _ = gradient_audit()
+    ok, rows = gradient_audit()
     assert ok
-    assert len(starts) == 128           # the training call and 127 probe blocks
     assert starts.count(None) == 1 and starts[0] is None
+    assert sum(blocks.values()) == 127 and sum(blocks[path] for path in unreached) == 14
+    assert len(starts) == 1 + sum(n for path, n in blocks.items() if path not in unreached) == 114
+    skipped = [row for row in rows if row.path in unreached]
+    assert {row.path for row in skipped} == unreached
+    assert all(row.max_abs_err == 0.0 for row in skipped)
 
 
 def test_an_expert_no_sample_selected_probes_to_an_exactly_zero_difference():
@@ -1133,8 +1146,9 @@ def test_a_probe_block_resumes_at_its_leafs_block_and_matches_the_full_objective
     monkeypatch, two_layer_audit, path, perturbed,
 ):
     # the probe starts the forward at the leaf's own block from the state
-    # the training call entered it with; every copy's value, and a single
-    # copy's, must be the whole pinned objective's, bit for bit
+    # the training call entered it with, or runs none for an expert no pinned
+    # subset selects; every copy's value, and a single copy's, must be the
+    # whole pinned objective's, bit for bit
     model, _, probe, args, baseline = two_layer_audit
     starts = []
     forward_fn = trainer_module.forward
@@ -1149,7 +1163,9 @@ def test_a_probe_block_resumes_at_its_leafs_block_and_matches_the_full_objective
 
     monkeypatch.setattr(trainer_module, "forward", spy)
     block = "head" if path.startswith("head.") else ".".join(path.split(".")[:3])
+    pins = {pin.site: pin.mask for pin in baseline.sites}
     for j in range(4) if "{j}" in path else [None]:
+        forwards = [] if j is not None and not pins[block][:, j].any() else [block]
         leaf = model.params[path.format(j=j)]
         held = leaf.data
         rng = named_rng(3, path, str(j))
@@ -1158,12 +1174,14 @@ def test_a_probe_block_resumes_at_its_leafs_block_and_matches_the_full_objective
             leaf.data = copies[:, None]
             full = np.broadcast_to(objective(), (5,))
             leaf.data = copies
+            starts.clear()
             resumed = probe()
-            assert starts[-2:] == [None, block]
+            assert starts == forwards
             leaf.data = copies[0]
             single = objective()
+            starts.clear()
             assert probe() == single
-            assert starts[-2:] == [None, block]
+            assert starts == forwards
         finally:
             leaf.data = held
         assert resumed.tobytes() == full.tobytes()
@@ -1411,3 +1429,21 @@ def test_cli_gradcheck_passes_on_the_audit_model(capsys):
     out = capsys.readouterr().out
     assert "ok" in out.lower()
     assert "head.weight" in out
+
+
+def _libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
+def test_a_repeated_command_reuses_the_memory_its_first_run_freed(capsys):
+    # without the CLI's allocator policy glibc unmaps or trims each freed
+    # array, and the repeat faults its pages in afresh (13,286 minor faults)
+    argv = ["gradcheck", "--samples", "1"]
+    assert main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
