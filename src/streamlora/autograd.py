@@ -52,8 +52,8 @@ class no_grad:
     """Context manager that disables graph construction.
 
     Inside the block every op returns a plain constant `Value`. Used for
-    evaluation passes and for the loss re-evaluations inside
-    `finite_diff_grad`, where building a graph would only cost time.
+    evaluation passes and for the probes `finite_diff_grad` evaluates,
+    where building a graph would only cost time.
     """
 
     def __enter__(self) -> "no_grad":
@@ -591,7 +591,7 @@ def load_checkpoint(path) -> dict[str, Array]:
 
 
 def finite_diff_grad(
-    f: Callable[[], float | Array],
+    f: Callable[[int, Array], Array],
     params: Iterable[Value],
     epsilon: float = 1e-5,
     copies: int = 1,
@@ -599,44 +599,31 @@ def finite_diff_grad(
     """Central-difference gradient of `f` w.r.t. each parameter tensor.
 
     Every scalar is probed twice, at +epsilon and at -epsilon, one tensor
-    at a time. With `copies=1` each call of `f` sees the tensor with one
-    coordinate nudged and returns one value, so `f` runs twice per scalar.
-    With `copies > 1` the probes are evaluated in blocks: each call of `f`
-    sees the tensor's `data` as an (n, *shape) stack of n <= copies nudged
-    copies, the +/- pair of each coordinate on neighbouring copies, and
-    must return the n values (the gradient audit's probe puts the copies
-    on a leading axis of the leaf). Raises if any probe value is non-finite.
-    The tensors are restored exactly afterwards, also when `f` raises.
+    at a time, in blocks of at most `copies` probes: `f(i, stack)` gets
+    the index i of the probed tensor in `params` and an (n, *shape) stack
+    of n <= copies nudged copies of its `data`, the +/- pair of each
+    coordinate on neighbouring copies, and returns the n values. No
+    tensor is written or rebound; evaluating a copy is `f`'s business.
+    Raises if any probe value is non-finite.
     """
     if copies < 1:
         raise ValueError(f"copies must be at least 1, got {copies}")
-    tensors = list(params)
     grads: list[Array] = []
-    for t in tensors:
-        orig = t.data
-        flat = orig.reshape(-1)
+    for i, t in enumerate(params):
+        shape, flat = t.data.shape, t.data.reshape(-1)
         values = np.empty(2 * flat.size)        # f at +eps, -eps for each coordinate in turn
-        try:
-            for start in range(0, values.size, copies):
-                probes = np.arange(start, min(start + copies, values.size))
-                coords = probes // 2
-                stack = np.repeat(flat[None], probes.size, axis=0)
-                stack[np.arange(probes.size), coords] += np.where(probes % 2 == 0, epsilon, -epsilon)
-                if copies == 1:
-                    t.data = stack.reshape(orig.shape)
-                    values[start] = float(f())
-                else:
-                    t.data = stack.reshape((probes.size,) + orig.shape)
-                    got = np.asarray(f(), dtype=np.float64)
-                    if got.shape != (probes.size,):
-                        raise ValueError(f"objective returned shape {got.shape} for a block of "
-                                         f"{probes.size} copies")
-                    values[probes] = got
-                if not np.isfinite(values[probes]).all():
-                    raise ValueError("objective returned a non-finite value during probing")
-        finally:
-            t.data = orig
-        grads.append(((values[0::2] - values[1::2]) / (2.0 * epsilon)).reshape(orig.shape))
+        for start in range(0, values.size, copies):
+            probes = np.arange(start, min(start + copies, values.size))
+            stack = np.repeat(flat[None], probes.size, axis=0)
+            stack[np.arange(probes.size), probes // 2] += np.where(probes % 2 == 0, epsilon, -epsilon)
+            got = np.asarray(f(i, stack.reshape((probes.size,) + shape)), dtype=np.float64)
+            if got.shape != (probes.size,):
+                raise ValueError(f"objective returned shape {got.shape} for a block of "
+                                 f"{probes.size} copies")
+            if not np.isfinite(got).all():
+                raise ValueError("objective returned a non-finite value during probing")
+            values[probes] = got
+        grads.append(((values[0::2] - values[1::2]) / (2.0 * epsilon)).reshape(shape))
     return grads
 
 

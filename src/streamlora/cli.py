@@ -130,14 +130,9 @@ def _cmd_diag(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    config = audit_config()
-    ok, rows = gradient_audit(
-        config,
-        n_samples=args.samples,
-        epsilon=args.epsilon,
-        rtol=args.rtol,
-        seed=args.seed,
-    )
+    # an unset flag is absent from `args`, so gradient_audit's default holds
+    given = {k: v for k, v in vars(args).items() if k in ("n_samples", "epsilon", "rtol", "seed")}
+    ok, rows = gradient_audit(audit_config(), **given)
     print(f"{'parameter':<40} {'max abs err':>12} {'max rel err':>12}  status")
     for row in rows:
         status = "ok" if row.ok else "FAIL"
@@ -176,11 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk", type=int, help="restrict to one trace chunk index (default: all)")
     p.set_defaults(func=_cmd_diag)
 
-    p = sub.add_parser("gradcheck", help="finite-difference audit of all trainable gradients")
-    p.add_argument("--samples", type=int, default=3)
-    p.add_argument("--epsilon", type=float, default=1e-5)
-    p.add_argument("--rtol", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=7)
+    p = sub.add_parser("gradcheck", help="finite-difference audit of all trainable gradients",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--samples", type=int, dest="n_samples", metavar="SAMPLES")
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--rtol", type=float)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser

@@ -260,8 +260,9 @@ class Adam:
     One elementwise update steps the store's whole flat `vector` from its
     `grad`, with `m` and `v` flat beside them. A leaf no path reached holds
     an exactly-zero gradient, so its moments decay and its update is
-    exactly zero, and an unused router does not drift. A leaf rebound away
-    from the store makes `step` raise, naming its path.
+    exactly zero, and an unused router does not drift. A leaf whose `data`
+    no longer views the store's flat state makes `step` raise, naming its
+    path.
     """
 
     def __init__(self, params: ParamStore, lr: float):
@@ -566,7 +567,7 @@ AUDIT_ROWS = 192
 
 def _audit_problem(
     config: RunConfig, n_samples: int, seed: int,
-) -> tuple[Model, Value, Callable[[], float | np.ndarray]]:
+) -> tuple[Model, Value, Callable[[int, np.ndarray], np.ndarray]]:
     """The audit's model, its training objective, and the probe
     `finite_diff_grad` evaluates.
 
@@ -576,16 +577,15 @@ def _audit_problem(
     gradient, and its result is the probes' baseline. The routing
     constants (the expert subset, the detached half of the straight-through
     gate, the EMA reference weights) are pinned at that result's values,
-    so probing a parameter can never flip the selection. `probe()` finds
-    the probed parameter as the one leaf that no longer holds the array
-    the baseline ran on, and evaluates the pinned objective under
+    so probing a parameter can never flip the selection. `probe(i, stack)`
+    takes the index of a leaf in `model.params` and an (n, *shape) stack
+    of its copies, sets them as an (n, 1, *shape) leaf so the copies
+    broadcast over the batch, and evaluates the pinned objective under
     `no_grad` from that leaf's block on, starting from the state the
-    baseline entered it with: a scalar for a single copy of the leaf, and
-    one value per copy for an (n, *shape) stack of copies, which it sets
-    as an (n, 1, *shape) leaf so the copies broadcast over the batch. An
-    adapter of an expert that no pinned subset selects cannot reach the
-    loss, so its probe runs no forward and every copy scores the baseline
-    total. Any other number of rebound leaves raises `ValueError`.
+    baseline entered it with; it restores the leaf and returns one value
+    per copy. A leaf the loss never meets (the adapters of an expert no
+    pinned subset selects) leaves no copy axis, so every copy scores the
+    same total.
     """
     model = config.model(seed)
     rng = named_rng(seed, "audit.params")
@@ -609,31 +609,20 @@ def _audit_problem(
         ))
 
     *_, total, baseline = _batch_loss(model, samples, shadow, config.reg_weight)   # the training call
-    held = [(path, p, p.data) for path, p in model.params.items()]         # the arrays it ran on
-    # the adapters of an expert no pinned subset selects: no copy of them reaches the loss
-    unreached = {f"{rec.site}.expert.{j}.{ab}"
-                 for rec in baseline.sites for j in np.flatnonzero(~rec.mask.any(axis=0)) for ab in "AB"}
+    leaves = list(model.params.items())
 
-    def probe() -> float | np.ndarray:
-        rebound = [(path, p, data) for path, p, data in held if p.data is not data]
-        if len(rebound) != 1:
-            raise ValueError(f"a probe perturbs exactly one parameter, got rebound: "
-                             f"{', '.join(path for path, _, _ in rebound) or 'none'}")
-        ((path, leaf, data),) = rebound
-        probed = leaf.data
-        stacked = probed.ndim > data.ndim
-        if path in unreached:
-            return np.broadcast_to(total.data, probed.shape[:1]) if stacked else float(total.data)
-        if stacked:
-            leaf.data = probed[:, None]
+    def probe(i: int, stack: np.ndarray) -> np.ndarray:
+        path, leaf = leaves[i]
+        held = leaf.data
         block = next(block for block in baseline.entries if path.startswith(block + "."))
+        leaf.data = stack[:, None]
         try:
             with no_grad():
                 values = _batch_loss(model, samples, shadow, config.reg_weight,
                                      baseline=baseline, start=block)[2].data
         finally:
-            leaf.data = probed
-        return values if stacked else float(values)
+            leaf.data = held
+        return np.broadcast_to(values, stack.shape[:1])
 
     return model, total, probe
 

@@ -10,10 +10,12 @@ selection, rank 16 and routing_dim 64. `test_backward_sweep` times the
 reverse sweep alone over one default training graph, which
 `test_training_step` times together with the forward, Adam and EMA. The
 audit benchmarks use the gradient audit's model (`audit_config`, 3
-samples): one finite-difference probe of a single nudged coordinate, and
-a block of AUDIT_BLOCK probes in a single forward (the copies the audit
-takes at 3 samples), the copies on a leading axis of the probed leaf; a
-block's time over AUDIT_BLOCK is its cost per probe. A probe starts the
+samples) and hand its probe what `finite_diff_grad` hands it, the probed
+leaf's index and an (n, *shape) stack of nudged copies: a block of one
+copy with a single coordinate nudged, and a block of AUDIT_BLOCK copies
+in a single forward (the copies the audit takes at 3 samples), which the
+probe puts on a leading axis of the leaf; a block's time over
+AUDIT_BLOCK is its cost per probe. A probe starts the
 forward at the probed leaf's own block from the state the audit's
 training call entered it with, so its cost falls with the leaf's depth:
 a first-layer stage-two query (the worst case, nearly the whole forward,
@@ -152,31 +154,22 @@ def audit():
 
 
 def test_audit_single_probe(benchmark, audit):
-    # one coordinate nudged, as finite_diff_grad hands a single copy over
+    # a block of one copy, one coordinate nudged
     model, _, probe = audit
-    leaf = model.params["layer.0.attn_out.router.query"]
-    held = leaf.data
-    leaf.data = held.copy()
-    leaf.data.flat[0] += 1e-5
-    try:
-        benchmark(probe)
-    finally:
-        leaf.data = held
+    i = model.params.paths().index("layer.0.attn_out.router.query")
+    stack = model.params["layer.0.attn_out.router.query"].data[None].copy()
+    stack.flat[0] += 1e-5
+    assert benchmark(probe, i, stack).shape == (1,)
 
 
 @pytest.mark.parametrize("path", ["layer.0.attn_out.router.query", "layer.1.ffn_up.router.query"],
                          ids=["first-layer", "late-leaf"])
 def test_audit_probe_block(benchmark, audit, path):
-    # a block as finite_diff_grad hands it over, an (n, *shape) stack; the
-    # probe sets it as an (n, 1, *shape) leaf, so the copies ride a leading
-    # axis from the leaf's site on, and resumes the forward at that site
+    # a block of AUDIT_BLOCK copies: the probe sets them as an
+    # (n, 1, *shape) leaf, so the copies ride a leading axis from the
+    # leaf's site on, and resumes the forward at that site
     model, total, probe = audit
-    leaf = model.params[path]
-    shared = leaf.data
-    leaf.data = np.stack([shared] * AUDIT_BLOCK)
-    try:
-        values = benchmark(probe)
-    finally:
-        leaf.data = shared
+    stack = np.stack([model.params[path].data] * AUDIT_BLOCK)
+    values = benchmark(probe, model.params.paths().index(path), stack)
     assert values.shape == (AUDIT_BLOCK,)
     np.testing.assert_allclose(values, total.data, rtol=1e-12, atol=0)

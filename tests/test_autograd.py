@@ -49,9 +49,16 @@ def check_gradients(build, tensors, rtol=1e-4, atol=1e-9):
         t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in tensors
     ]
 
-    def probe():
-        with no_grad():
-            return float(build().data)
+    def probe(i, stack):
+        held, values = tensors[i].data, []
+        try:
+            for copy in stack:
+                tensors[i].data = copy
+                with no_grad():
+                    values.append(float(build().data))
+        finally:
+            tensors[i].data = held
+        return values
 
     numeric = finite_diff_grad(probe, tensors, epsilon=1e-5)
     for a, n in zip(analytic, numeric):
@@ -426,62 +433,93 @@ def test_scalar_operator_sugar():
 def test_finite_diff_on_square_is_two_theta():
     theta = Value(np.asarray(3.0))
     store = ParamStore([("theta", theta)])
-    grads = finite_diff_grad(lambda: float(theta.data) ** 2, store.values(), epsilon=1e-5)
+    grads = finite_diff_grad(lambda i, stack: stack ** 2, store.values(), epsilon=1e-5)
     assert grads[0] == pytest.approx(6.0, abs=1e-6)
 
 
 def test_finite_diff_of_constant_function_is_zero():
     x = Value(np.ones((2, 2)))
-    grads = finite_diff_grad(lambda: 42.0, [x], epsilon=1e-5)
+    grads = finite_diff_grad(lambda i, stack: np.full(len(stack), 42.0), [x], epsilon=1e-5)
     np.testing.assert_array_equal(grads[0], np.zeros((2, 2)))
 
 
 def test_finite_diff_rejects_non_finite_objective():
     x = Value(np.asarray(1.0))
     with pytest.raises(ValueError, match="non-finite"):
-        finite_diff_grad(lambda: float("nan"), [x], epsilon=1e-5)
-
-
-def test_finite_diff_restores_parameters_exactly():
-    x = Value(np.array([1.0, 2.0, 3.0]))
-    before = x.data.copy()
-    finite_diff_grad(lambda: float((x.data ** 2).sum()), [x], epsilon=1e-4)
-    np.testing.assert_array_equal(x.data, before)
+        finite_diff_grad(lambda i, stack: np.full(len(stack), np.nan), [x], epsilon=1e-5)
 
 
 @pytest.mark.parametrize("copies", [1, 4])
-def test_finite_diff_restores_parameters_when_the_objective_raises(copies):
-    x = Value(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
-    before = x.data.copy()
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+def test_finite_diff_never_writes_or_rebinds_a_tensor(copies, raises):
+    # the nudged copies reach f only as its stack: every tensor keeps its
+    # array object and its values, during the probes and after, also when
+    # f raises mid-probe
+    x, y = Value(np.array([1.0, 2.0, 3.0, 4.0, 5.0])), Value(np.array([[0.5, -1.5]]))
+    held = [(t, t.data, t.data.tobytes()) for t in (x, y)]
     calls = []
 
-    def f():
-        calls.append(x.data.copy())
-        if len(calls) == 3:
+    def f(i, stack):
+        calls.append(stack.copy())
+        assert all(t.data is data and t.data.tobytes() == raw for t, data, raw in held)
+        assert not any(np.shares_memory(stack, data) for _, data, _ in held)
+        if raises and len(calls) == 3:
             raise RuntimeError("objective failed")
-        return (x.data ** 2).sum(axis=-1)
+        return (stack ** 2).reshape(len(stack), -1).sum(axis=1)
 
-    with pytest.raises(RuntimeError, match="objective failed"):
-        finite_diff_grad(f, [x], epsilon=1e-3, copies=copies)
-    assert not np.array_equal(calls[-1].reshape(-1, 5)[0], before)   # it failed mid-probe
-    assert x.data.tobytes() == before.tobytes()
+    if raises:
+        with pytest.raises(RuntimeError, match="objective failed"):
+            finite_diff_grad(f, [x, y], epsilon=1e-3, copies=copies)
+        assert not np.array_equal(calls[-1][0], x.data)      # it failed mid-probe
+    else:
+        finite_diff_grad(f, [x, y], epsilon=1e-3, copies=copies)
+        assert len(calls) == sum(-(-2 * t.data.size // copies) for t in (x, y))
+    for t, data, raw in held:
+        assert t.data is data and t.data.tobytes() == raw
+
+
+def test_finite_diff_in_a_block_of_one_is_the_hand_written_central_difference():
+    rng = named_rng(0, "fd-by-hand")
+    x = Value(rng.normal(size=(2, 3)))
+    c = rng.normal(size=(2, 3))
+    eps = 1e-5
+
+    def g(a):
+        return (np.sin(a) * c).sum(axis=(-2, -1))
+
+    handed = []
+
+    def f(i, stack):
+        handed.append(stack.shape)
+        return g(stack)
+
+    (fd,) = finite_diff_grad(f, [x], epsilon=eps, copies=1)
+    want = np.empty(x.data.shape)
+    for k in range(x.data.size):
+        plus, minus = x.data.copy(), x.data.copy()
+        plus.flat[k] += eps
+        minus.flat[k] -= eps
+        want.flat[k] = (g(plus) - g(minus)) / (2.0 * eps)
+    assert handed == [(1, 2, 3)] * 12
+    assert fd.tobytes() == want.tobytes()
 
 
 def test_finite_diff_in_blocks_matches_one_probe_at_a_time():
-    # f reduces the last two axes, so the same function serves one probe
-    # (a (2, 3) tensor) and a block of them ((n, 2, 3) copies, n values)
+    # f is handed x's (n, 2, 3) or y's (n, 3) copies and reads the other
+    # tensor as it is, one value per copy
     rng = named_rng(0, "fd-blocks")
     x = Value(rng.normal(size=(2, 3)))
     y = Value(rng.normal(size=(3,)))
     c = rng.normal(size=(2, 3))
 
-    def f():
-        return (np.sin(x.data) * c * np.cosh(y.data)[..., None, :]).sum(axis=(-2, -1))
+    def f(i, stack):
+        xs, ys = (stack, y.data) if i == 0 else (x.data, stack)
+        return (np.sin(xs) * c * np.cosh(ys)[..., None, :]).sum(axis=(-2, -1))
 
     one = finite_diff_grad(f, [x, y], epsilon=1e-5)
     blocked = finite_diff_grad(f, [x, y], epsilon=1e-5, copies=4)
     seen = []
-    odd = finite_diff_grad(lambda: seen.append(x.data.shape) or f(), [x], copies=5)
+    odd = finite_diff_grad(lambda i, stack: seen.append(stack.shape) or f(i, stack), [x], copies=5)
     assert seen == [(5, 2, 3), (5, 2, 3), (2, 2, 3)]     # 12 probes, pairs split across blocks
     np.testing.assert_allclose(odd[0], one[0], rtol=1e-12, atol=0)
     for g1, g4 in zip(one, blocked):
@@ -491,11 +529,12 @@ def test_finite_diff_in_blocks_matches_one_probe_at_a_time():
 def test_finite_diff_blocks_check_every_value():
     x = Value(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError, match="non-finite"):
-        finite_diff_grad(lambda: np.where(x.data[:, 2] > 3.0, np.inf, 0.0), [x], copies=4)
-    with pytest.raises(ValueError, match="shape"):
-        finite_diff_grad(lambda: 0.0, [x], copies=4)
+        finite_diff_grad(lambda i, stack: np.where(stack[:, 2] > 3.0, np.inf, 0.0), [x], copies=4)
+    for copies in (1, 4):                       # a bare scalar is no block of values
+        with pytest.raises(ValueError, match="shape"):
+            finite_diff_grad(lambda i, stack: 0.0, [x], copies=copies)
     with pytest.raises(ValueError, match="copies"):
-        finite_diff_grad(lambda: 0.0, [x], copies=0)
+        finite_diff_grad(lambda i, stack: np.zeros(len(stack)), [x], copies=0)
 
 
 # ---------------------------------------------------------------------------

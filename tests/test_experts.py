@@ -312,9 +312,16 @@ def test_adapter_gradients_match_finite_differences():
     backward(objective())
     analytic = [p.grad.copy() for p in params]
 
-    def probe():
-        with no_grad():
-            return float(objective().data)
+    def probe(i, stack):
+        held, values = params[i].data, []
+        try:
+            for copy in stack:
+                params[i].data = copy
+                with no_grad():
+                    values.append(float(objective().data))
+        finally:
+            params[i].data = held
+        return values
 
     numeric = finite_diff_grad(probe, params, epsilon=1e-5)
     for a, n in zip(analytic, numeric):

@@ -938,7 +938,7 @@ def test_audit_numeric_gradients_in_blocks_match_one_probe_at_a_time(monkeypatch
         assert ok
     assert len(numeric[1]) == len(numeric[block])
     for one, blocked in zip(numeric[1], numeric[block]):
-        np.testing.assert_allclose(blocked, one, rtol=0, atol=1e-9)
+        assert blocked.tobytes() == one.tobytes()
 
 
 @pytest.mark.parametrize("n_samples", [1, 3, 7, 500])
@@ -1093,9 +1093,23 @@ def test_audit_pins_are_the_baseline_forwards_routing_and_reference():
         assert rec.reference is pin.reference
 
 
+def leaf_block(path: str) -> str:
+    """The block a leaf's probe resumes the forward at: its adapter site,
+    or the head."""
+    return "head" if path.startswith("head.") else ".".join(path.split(".")[:3])
+
+
+def probe_over(model, probe, paths):
+    """The leaves at `paths`, and `probe` indexed over them as
+    `finite_diff_grad` indexes the tensors it is given."""
+    index = model.params.paths()
+    return [model.params[path] for path in paths], lambda i, stack: probe(index.index(paths[i]), stack)
+
+
 def test_the_audit_runs_one_whole_forward_the_training_call(monkeypatch, two_layer_audit):
-    # and no forward for the probe blocks of an expert no pinned subset
-    # selects: its adapters cannot reach the loss
+    # and one forward per probe block, resumed at its leaf's block; the
+    # blocks of an expert no pinned subset selects run theirs too, and
+    # their central differences come out exactly 0
     model, _, _, _, baseline = two_layer_audit
     unreached = {f"{pin.site}.expert.{j}.{ab}" for pin in baseline.sites
                  for j in range(pin.mask.shape[1]) if not pin.mask[:, j].any() for ab in "AB"}
@@ -1111,21 +1125,22 @@ def test_the_audit_runs_one_whole_forward_the_training_call(monkeypatch, two_lay
     monkeypatch.setattr(trainer_module, "forward", spy)
     ok, rows = gradient_audit()
     assert ok
-    assert starts.count(None) == 1 and starts[0] is None
     assert sum(blocks.values()) == 127 and sum(blocks[path] for path in unreached) == 14
-    assert len(starts) == 1 + sum(n for path, n in blocks.items() if path not in unreached) == 114
-    skipped = [row for row in rows if row.path in unreached]
-    assert {row.path for row in skipped} == unreached
-    assert all(row.max_abs_err == 0.0 for row in skipped)
+    assert len(starts) == 1 + 127 == 128
+    assert starts == [None] + [leaf_block(path) for path, n in blocks.items() for _ in range(n)]
+    zeros = [row for row in rows if row.path in unreached]
+    assert {row.path for row in zeros} == unreached
+    assert all(row.max_abs_err == 0.0 for row in zeros)
 
 
 def test_an_expert_no_sample_selected_probes_to_an_exactly_zero_difference():
     model, total, probe = _audit_problem(small_audit_config(), n_samples=1, seed=7)
     backward(total)
-    unused = [p for path, p in model.params.items() if ".expert." in path and not p.grad.any()]
+    unused = [path for path, p in model.params.items() if ".expert." in path and not p.grad.any()]
     assert len(unused) == 2 * 2 * 2         # per site 2 of 4 experts, A and B each
+    leaves, f = probe_over(model, probe, unused)
     for copies in (1, trainer_module.AUDIT_ROWS):
-        for fd in finite_diff_grad(probe, unused, copies=copies):
+        for fd in finite_diff_grad(f, leaves, copies=copies):
             assert not fd.any()
 
 
@@ -1146,9 +1161,9 @@ def test_a_probe_block_resumes_at_its_leafs_block_and_matches_the_full_objective
     monkeypatch, two_layer_audit, path, perturbed,
 ):
     # the probe starts the forward at the leaf's own block from the state
-    # the training call entered it with, or runs none for an expert no pinned
-    # subset selects; every copy's value, and a single copy's, must be the
-    # whole pinned objective's, bit for bit
+    # the training call entered it with, and puts the leaf back; every
+    # copy's value, in a block of 5 and in a block of one, must be the
+    # whole pinned objective's on the same copies, bit for bit
     model, _, probe, args, baseline = two_layer_audit
     starts = []
     forward_fn = trainer_module.forward
@@ -1162,10 +1177,7 @@ def test_a_probe_block_resumes_at_its_leafs_block_and_matches_the_full_objective
             return _batch_loss(*args, baseline=baseline)[2].data
 
     monkeypatch.setattr(trainer_module, "forward", spy)
-    block = "head" if path.startswith("head.") else ".".join(path.split(".")[:3])
-    pins = {pin.site: pin.mask for pin in baseline.sites}
     for j in range(4) if "{j}" in path else [None]:
-        forwards = [] if j is not None and not pins[block][:, j].any() else [block]
         leaf = model.params[path.format(j=j)]
         held = leaf.data
         rng = named_rng(3, path, str(j))
@@ -1173,18 +1185,22 @@ def test_a_probe_block_resumes_at_its_leafs_block_and_matches_the_full_objective
         try:
             leaf.data = copies[:, None]
             full = np.broadcast_to(objective(), (5,))
-            leaf.data = copies
-            starts.clear()
-            resumed = probe()
-            assert starts == forwards
+            leaf.data = copies[:1, None]
+            first = np.broadcast_to(objective(), (1,))
             leaf.data = copies[0]
-            single = objective()
-            starts.clear()
-            assert probe() == single
-            assert starts == forwards
+            alone = objective()                 # the copy as the leaf itself, no copy axis
         finally:
             leaf.data = held
+        i = model.params.paths().index(path.format(j=j))
+        starts.clear()
+        resumed = probe(i, copies)
+        one = probe(i, copies[:1])
+        assert starts == [leaf_block(path)] * 2
+        assert leaf.data is held
+        assert resumed.shape == (5,) and one.shape == (1,)
         assert resumed.tobytes() == full.tobytes()
+        assert one.tobytes() == first.tobytes()
+        np.testing.assert_allclose(one[0], alone, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("n_samples, paths", [
@@ -1196,33 +1212,12 @@ def test_a_probe_block_resumes_at_its_leafs_block_and_matches_the_full_objective
 def test_the_block_size_never_changes_a_probe_value(n_samples, paths):
     # 32 copies per block against the count the audit takes at n_samples
     model, _, probe = _audit_problem(audit_config(), n_samples, seed=7)
-    leaves = [model.params[path] for path in paths]
-    small = finite_diff_grad(probe, leaves, copies=32)
-    large = finite_diff_grad(probe, leaves, copies=trainer_module.AUDIT_ROWS // n_samples)
+    leaves, f = probe_over(model, probe, paths)
+    small = finite_diff_grad(f, leaves, copies=32)
+    large = finite_diff_grad(f, leaves, copies=trainer_module.AUDIT_ROWS // n_samples)
     for a, b in zip(small, large, strict=True):
         assert a.any()
         assert a.tobytes() == b.tobytes()
-
-
-def test_a_probe_refuses_a_stale_upstream_and_more_than_one_stacked_leaf():
-    model, _, probe = _audit_problem(small_audit_config(), n_samples=2, seed=7)
-    first, late = model.params["layer.0.attn_out.router.query"], model.params["head.weight"]
-    held_first, held_late = first.data, late.data
-    with pytest.raises(ValueError, match=r"exactly one parameter, got rebound: none"):
-        probe()
-    late.data = np.stack([held_late] * 3)
-    values = probe()
-    first.data = held_first.copy()              # equal values, but not the array the baseline ran on
-    with pytest.raises(ValueError, match=r"exactly one parameter.*: layer\.0\.attn_out\.router\.query, head\.weight$"):
-        probe()
-    first.data = held_first
-    assert probe().tobytes() == values.tobytes()
-    first.data = np.stack([held_first] * 3)
-    with pytest.raises(ValueError, match=r"exactly one parameter.*: layer\.0\.attn_out\.router\.query, head\.weight$"):
-        probe()
-    late.data = held_late
-    assert probe().shape == (3,)                # nothing upstream of the first block
-    first.data = held_first
 
 
 def test_gradient_audit_checks_the_graph_training_builds(monkeypatch):
@@ -1429,6 +1424,27 @@ def test_cli_gradcheck_passes_on_the_audit_model(capsys):
     out = capsys.readouterr().out
     assert "ok" in out.lower()
     assert "head.weight" in out
+
+
+@pytest.mark.parametrize("argv, given", [
+    ([], {}),
+    (["--rtol", "1e-3"], {"rtol": 1e-3}),
+    (["--samples", "2", "--seed", "0"], {"n_samples": 2, "seed": 0}),
+    (["--epsilon", "1e-6", "--samples", "1", "--rtol", "0", "--seed", "3"],
+     {"epsilon": 1e-6, "n_samples": 1, "rtol": 0.0, "seed": 3}),
+])
+def test_cli_gradcheck_hands_the_audit_only_the_flags_given(monkeypatch, capsys, argv, given):
+    # an unset flag falls through to gradient_audit's own default
+    calls = []
+
+    def spy(config, **kwargs):
+        calls.append((config, kwargs))
+        return True, []
+
+    monkeypatch.setattr(cli_module, "gradient_audit", spy)
+    assert main(["gradcheck", *argv]) == 0
+    assert calls == [(audit_config(), given)]
+    assert capsys.readouterr().out.endswith("0 parameters checked; all within tolerance\n")
 
 
 def _libc_has_mallopt() -> bool:
