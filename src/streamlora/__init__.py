@@ -4,137 +4,14 @@ A small float64 stack: reverse-mode autograd core, LoRA expert banks with
 two-stage routing (sample-level selection, token-level weighting), an EMA
 routing-stability regularizer, a frozen toy transformer backbone, a
 synthetic chunked task-stream composer, and forgetting/CKA metrics.
+
+The package namespace holds only what a caller builds a run from; every
+other name is imported from its own module (`streamlora.autograd`,
+`streamlora.routing`, ...).
 """
 
-from .autograd import (
-    ParamStore,
-    Value,
-    backward,
-    finite_diff_grad,
-    load_checkpoint,
-    masked_softmax,
-    named_rng,
-    no_grad,
-    save_checkpoint,
-)
-from .experts import ExpertBank, adapted_forward, init_expert_bank, lora_delta
-from .metrics import (
-    HomogeneityReport,
-    MetricLedger,
-    ap_af,
-    cka,
-    forgetting,
-    homogeneity_report,
-)
-from .model import (
-    FROZEN,
-    FULL,
-    SHARED_LORA,
-    UNIFORM_MOE,
-    BackboneConfig,
-    Model,
-    Sample,
-    Variant,
-    forward,
-    task_loss,
-)
-from .routing import (
-    RoutingState,
-    init_routing_state,
-    pool_text,
-    route_with_straight_through,
-    select_experts,
-    token_logits,
-    token_weights,
-)
-from .stability import EmaShadow, ema_update, reference_weights, reg_loss, total_loss
-from .stream import (
-    Chunk,
-    StreamSchedule,
-    TaskSampler,
-    TaskSpec,
-    apportion,
-    build_default_stream,
-    compose_chunk,
-    make_task_specs,
-    single_pass_stream,
-)
-from .trainer import (
-    Adam,
-    RunConfig,
-    RunResult,
-    TrainingDiverged,
-    apply_variant,
-    evaluate,
-    gradient_audit,
-    load_config,
-    run_ablation_suite,
-    run_stream,
-    train_chunk,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Adam",
-    "BackboneConfig",
-    "Chunk",
-    "EmaShadow",
-    "ExpertBank",
-    "FROZEN",
-    "FULL",
-    "HomogeneityReport",
-    "MetricLedger",
-    "Model",
-    "ParamStore",
-    "RoutingState",
-    "RunConfig",
-    "RunResult",
-    "Sample",
-    "SHARED_LORA",
-    "StreamSchedule",
-    "TaskSampler",
-    "TaskSpec",
-    "TrainingDiverged",
-    "UNIFORM_MOE",
-    "Value",
-    "Variant",
-    "adapted_forward",
-    "ap_af",
-    "apply_variant",
-    "apportion",
-    "backward",
-    "build_default_stream",
-    "cka",
-    "compose_chunk",
-    "ema_update",
-    "evaluate",
-    "finite_diff_grad",
-    "forgetting",
-    "forward",
-    "gradient_audit",
-    "homogeneity_report",
-    "init_expert_bank",
-    "init_routing_state",
-    "load_checkpoint",
-    "load_config",
-    "lora_delta",
-    "make_task_specs",
-    "masked_softmax",
-    "named_rng",
-    "no_grad",
-    "pool_text",
-    "reference_weights",
-    "reg_loss",
-    "route_with_straight_through",
-    "run_ablation_suite",
-    "run_stream",
-    "save_checkpoint",
-    "select_experts",
-    "single_pass_stream",
-    "task_loss",
-    "token_logits",
-    "token_weights",
-    "total_loss",
-    "train_chunk",
-]
+from .metrics import MetricLedger
+from .model import Model
+from .stability import EmaShadow
+from .stream import TaskSampler, build_default_stream, make_task_specs
+from .trainer import Adam, RunConfig, apply_variant

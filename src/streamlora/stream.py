@@ -3,9 +3,11 @@
 Each task pairs a fixed instruction template (three template token ids no
 other task uses, plus a few noise tokens per sample) with Gaussian visual
 prototypes: a sample of class c carries visual tokens prototype_c + noise.
-Tasks own disjoint answer ranges in the global class space, so the head
-never has to overwrite another task's rows; interference happens in the
-shared features and adapters, which is the thing under study.
+Tasks own disjoint answer ranges in the global class space, but the head
+is shared: its softmax runs over every class, so a sample of one task gives
+each other task's row c the gradient p_c x and training on one task moves
+the others' rows. Interference happens there as well as in the shared
+features and adapters, which are the thing under study.
 
 A stream is a schedule of T chunks. Chunk t draws n_t samples according
 to mixture row pi_t (largest-remainder apportionment, so the counts add
@@ -21,7 +23,7 @@ the config, and its manifest records the schedule (`stream_manifest`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterator
 
@@ -293,7 +295,8 @@ def build_default_stream(
 
 def stream_manifest(schedule: StreamSchedule, specs: list[TaskSpec]) -> dict:
     """The JSON-ready stream description a run records under `stream` in
-    its `manifest.json`: schedule, per-chunk counts and task specs."""
+    its `manifest.json`: schedule, per-chunk counts, and each task spec's
+    fields except its prototypes, with `n_classes` and `d_e` added."""
     return {
         "format": STREAM_FORMAT,
         "seed": schedule.seed,
@@ -304,16 +307,8 @@ def stream_manifest(schedule: StreamSchedule, specs: list[TaskSpec]) -> dict:
         "counts": schedule.counts.tolist(),
         "tasks": [
             {
-                "task_id": spec.task_id,
-                "template": list(spec.template),
-                "n_noise_tokens": spec.n_noise_tokens,
-                "noise_lo": spec.noise_lo,
-                "noise_hi": spec.noise_hi,
+                **{key: value for key, value in asdict(spec).items() if key != "prototypes"},
                 "n_classes": spec.n_classes,
-                "class_offset": spec.class_offset,
-                "sigma": spec.sigma,
-                "visual_tokens": spec.visual_tokens,
-                "test_size": spec.test_size,
                 "d_e": spec.d_e,
             }
             for spec in specs

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from streamlora.autograd import Value
-from streamlora.experts import adapted_forward, init_expert_bank
+from streamlora.experts import adapted_forward
 from streamlora.metrics import MetricLedger, ap_af, cka, forgetting, homogeneity_report
 from streamlora.routing import (
     init_routing_state,
@@ -30,6 +30,7 @@ from streamlora.routing import (
 from streamlora.stability import EmaShadow, ema_update, reference_weights, reg_loss, total_loss
 from streamlora.stream import TaskSampler, build_default_stream, make_task_specs, single_pass_stream
 from streamlora.trainer import Adam, RunConfig, apply_variant, gradient_audit, run_stream
+from oracles import brute_force, gram_cka, live_bank, weight_matrix
 
 SEEDS = (0, 1, 2, 3, 4)
 VARIANTS = ("full", "uniform_moe", "shared_lora", "two_stage")
@@ -114,16 +115,6 @@ def test_criterion_1_gradient_audit():
 # ---------------------------------------------------------------------------
 
 
-def _live_bank(n, d_hidden, rng):
-    """A rank-1 bank whose adapters all start nonzero, so a gate that moved
-    any routing weight would move the adapted forward."""
-    base = rng.normal(size=(d_hidden, d_hidden))
-    bank = init_expert_bank(n, 1, d_hidden, d_hidden, rng, base=base)
-    for up in bank.up:
-        up.data = rng.normal(size=up.data.shape)
-    return bank
-
-
 def test_criterion_2_routing_invariants():
     rng = np.random.default_rng(2024)
     bank_rng = np.random.default_rng(2025)      # kept apart so the routing cases stay fixed
@@ -144,7 +135,7 @@ def test_criterion_2_routing_invariants():
         order = np.argsort(-p, kind="stable")
         weights = live.data[0]
         subset = tuple(int(j) for j in np.flatnonzero(mask[0]))
-        bank = _live_bank(n, d_hidden, bank_rng)
+        bank = live_bank(n, d_hidden, bank_rng)
         args = (bank, hidden, live, mask)
         checks = {
             "p is a distribution": abs(p.sum() - 1.0) < 1e-12 and np.all(p > 0.0),
@@ -165,13 +156,6 @@ def test_criterion_2_routing_invariants():
 # ---------------------------------------------------------------------------
 # criterion 3: the stability regularizer is exact
 # ---------------------------------------------------------------------------
-
-
-def _distribution_over(rng, n_tokens, mask):
-    """(1, tokens, N) distributions on the (1, N) mask of a batch of one."""
-    w = np.zeros((1, n_tokens, mask.shape[-1]))
-    w[0][:, mask[0]] = rng.uniform(0.1, 1.0, size=(n_tokens, int(mask.sum())))
-    return w / w.sum(axis=-1, keepdims=True)
 
 
 def test_criterion_3_regularizer_exactness():
@@ -198,10 +182,10 @@ def test_criterion_3_regularizer_exactness():
         k = int(rng.integers(1, n + 1))
         mask = np.zeros((1, n), dtype=bool)
         mask[0, rng.choice(n, size=k, replace=False)] = True
-        w = _distribution_over(rng, int(rng.integers(1, 5)), mask)
+        w = weight_matrix(rng, int(rng.integers(1, 5)), mask)
         if float(reg_loss(w, Value(w.copy()), mask).data) != 0.0:
             bad.append(f"self divergence nonzero in case {case}")
-        other = _distribution_over(rng, w.shape[1], mask)
+        other = weight_matrix(rng, w.shape[1], mask)
         if float(reg_loss(w, Value(other), mask).data) < 0.0:
             bad.append(f"negative divergence in case {case}")
 
@@ -240,32 +224,6 @@ def test_criterion_3_regularizer_exactness():
 # ---------------------------------------------------------------------------
 
 
-def _brute_rows(chunk_ids, first_chunk, histories):
-    datasets = sorted(histories)
-    rows = []
-    for k in range(1, len(chunk_ids) + 1):
-        aps, afs = [], []
-        for m in datasets:
-            if k < first_chunk[m]:
-                continue
-            visible = histories[m][: k - first_chunk[m] + 1]
-            best = max(visible)
-            f = 0.0 if best <= 0.0 else max(0.0, (best - visible[-1]) / best)
-            prefix_f = []
-            for i in range(len(visible)):
-                b = max(visible[: i + 1])
-                prefix_f.append(0.0 if b <= 0.0 else max(0.0, (b - visible[i]) / b))
-            ap = float(np.mean(visible))
-            af = float(np.mean(prefix_f))
-            rows.append({"t": chunk_ids[k - 1], "m": m, "a": visible[-1],
-                         "F": f, "AP": ap, "AF": af})
-            aps.append(ap)
-            afs.append(af)
-        rows.append({"t": chunk_ids[k - 1], "m": None,
-                     "MAP": float(np.mean(aps)), "MAF": float(np.mean(afs))})
-    return rows
-
-
 def test_criterion_4_metric_ledger_oracle():
     assert forgetting([0.80, 0.60]) == pytest.approx(0.25, abs=1e-15)
     assert ap_af([0.80, 0.60]) == pytest.approx((0.70, 0.125), abs=1e-15)
@@ -289,7 +247,7 @@ def test_criterion_4_metric_ledger_oracle():
                 for m in range(n_datasets) if first_chunk[m] <= k
             })
         got = ledger.rows()
-        want = _brute_rows(chunk_ids, first_chunk, histories)
+        want = brute_force(chunk_ids, histories)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g["t"] == w["t"] and g["m"] == w["m"]
@@ -306,14 +264,6 @@ def test_criterion_4_metric_ledger_oracle():
 # ---------------------------------------------------------------------------
 
 
-def _gram_cka(x, y):
-    n = x.shape[0]
-    h = np.eye(n) - np.ones((n, n)) / n
-    kx = h @ (x @ x.T) @ h
-    ky = h @ (y @ y.T) @ h
-    return float((kx * ky).sum() / (np.linalg.norm(kx) * np.linalg.norm(ky)))
-
-
 def test_criterion_5_similarity_score():
     rng = np.random.default_rng(5)
     bad: list[str] = []
@@ -323,8 +273,9 @@ def test_criterion_5_similarity_score():
         x = rng.normal(size=(n, int(rng.integers(2, 7))))
         y = rng.normal(size=(n, int(rng.integers(2, 7))))
         s = cka(x, y)
-        worst = max(worst, abs(s - _gram_cka(x, y)))
-        if abs(s - _gram_cka(x, y)) > 1e-10:
+        deviation = abs(s - gram_cka(x, y))
+        worst = max(worst, deviation)
+        if deviation > 1e-10:
             bad.append(f"case {case}: disagreement with the Gram formulation")
         if not -1e-12 <= s <= 1.0 + 1e-12:
             bad.append(f"case {case}: score {s} outside the unit interval")

@@ -15,6 +15,7 @@ from streamlora.metrics import (
     forgetting,
     homogeneity_report,
 )
+from oracles import brute_force, gram_cka
 
 
 # ---------------------------------------------------------------------------
@@ -75,33 +76,6 @@ def test_ap_af_monotone_improvement_never_forgets():
 # ---------------------------------------------------------------------------
 
 
-def brute_force(chunks, first_index, acc):
-    """Recompute every row straight from the definitions."""
-    data_rows = {}
-    summary_rows = {}
-    datasets = sorted(first_index)
-    for k, t in enumerate(chunks):
-        aps, afs = [], []
-        for m in datasets:
-            if first_index[m] > k:
-                continue
-            hist = [acc[m][j] for j in range(first_index[m], k + 1)]
-            drops = []
-            for i in range(len(hist)):
-                if i == 0:
-                    drops.append(0.0)
-                else:
-                    best = max(hist[:i])
-                    drops.append(max(0.0, (best - hist[i]) / best) if best > 0 else 0.0)
-            ap = sum(hist) / len(hist)
-            af = sum(drops) / len(drops)
-            data_rows[(t, m)] = (hist[-1], drops[-1], ap, af)
-            aps.append(ap)
-            afs.append(af)
-        summary_rows[t] = (sum(aps) / len(aps), sum(afs) / len(afs))
-    return data_rows, summary_rows
-
-
 @pytest.mark.parametrize("case", range(20))
 def test_ledger_matches_brute_force_on_random_histories(case):
     rng = named_rng(case, "ledger")
@@ -116,22 +90,14 @@ def test_ledger_matches_brute_force_on_random_histories(case):
     for k, t in enumerate(chunks):
         ledger.add_chunk(t, {m: acc[m][k] for m in range(n_datasets) if first_index[m] <= k})
 
-    want_rows, want_summary = brute_force(chunks, first_index, acc)
-    got_data = {}
-    got_summary = {}
-    for row in ledger.rows():
-        if row["m"] is None:
-            got_summary[row["t"]] = (row["MAP"], row["MAF"])
-        else:
-            got_data[(row["t"], row["m"])] = (row["a"], row["F"], row["AP"], row["AF"])
-
-    assert set(got_data) == set(want_rows)
-    for key, want in want_rows.items():
-        np.testing.assert_allclose(got_data[key], want, rtol=0, atol=1e-12)
-    assert set(got_summary) == set(want_summary)
-    for t, want in want_summary.items():
-        np.testing.assert_allclose(got_summary[t], want, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(ledger.summary(), want_summary[chunks[-1]], rtol=0, atol=1e-12)
+    want = brute_force(chunks, {m: acc[m][first_index[m]:] for m in range(n_datasets)})
+    got = ledger.rows()
+    assert [(row["t"], row["m"]) for row in got] == [(row["t"], row["m"]) for row in want]
+    for g, w in zip(got, want):
+        fields = [key for key in w if key not in ("t", "m")]
+        np.testing.assert_allclose([g[key] for key in fields], [w[key] for key in fields],
+                                   rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ledger.summary(), (want[-1]["MAP"], want[-1]["MAF"]), rtol=0, atol=1e-12)
 
 
 def test_ledger_summary_prefixes_match_full_recomputation():
@@ -221,15 +187,6 @@ def test_from_accuracy_rows_rejects_a_repeated_chunk_and_dataset():
 # ---------------------------------------------------------------------------
 # CKA
 # ---------------------------------------------------------------------------
-
-
-def gram_cka(x, y):
-    """Independent route: centered Gram matrices and a Frobenius inner product."""
-    n = x.shape[0]
-    h = np.eye(n) - np.full((n, n), 1.0 / n)
-    kc = h @ (x @ x.T) @ h
-    lc = h @ (y @ y.T) @ h
-    return float((kc * lc).sum() / (np.linalg.norm(kc) * np.linalg.norm(lc)))
 
 
 def test_cka_of_a_matrix_with_itself_is_one():

@@ -18,7 +18,7 @@ from streamlora.autograd import (
     transpose,
     vsum,
 )
-from streamlora.experts import adapted_forward, init_expert_bank, lora_delta
+from streamlora.experts import adapted_forward, lora_delta
 from streamlora.routing import (
     RoutingState,
     check_mask,
@@ -31,6 +31,7 @@ from streamlora.routing import (
     token_weights,
 )
 from streamlora.stability import reg_loss
+from oracles import live_bank
 
 
 def gate_only_state(logit_column, d_hidden=3, routing_dim=2, seed=0):
@@ -45,16 +46,6 @@ def gate_only_state(logit_column, d_hidden=3, routing_dim=2, seed=0):
 def members(mask):
     """One sample's (N,) subset mask as ascending expert indices."""
     return tuple(int(j) for j in np.flatnonzero(mask))
-
-
-def live_bank(n_experts, d_hidden, rng):
-    """A rank-1 bank whose adapters all start nonzero, so any change in
-    the routing weights shows in its output."""
-    bank = init_expert_bank(n_experts, 1, d_hidden, d_hidden, rng,
-                            base=rng.normal(size=(d_hidden, d_hidden)))
-    for up in bank.up:
-        up.data = rng.normal(size=up.data.shape)
-    return bank
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from streamlora.stability import (
     reg_loss,
     total_loss,
 )
+from oracles import weight_matrix
 
 
 def make_states(seed=0, n_experts=4, d_e=3, d_hidden=5, routing_dim=2):
@@ -179,15 +180,6 @@ def test_reference_weights_rows_are_distributions_over_the_subset():
 # ---------------------------------------------------------------------------
 # the KL penalty
 # ---------------------------------------------------------------------------
-
-
-def weight_matrix(rng, n_tokens, mask):
-    """Random (1, tokens, N) distributions supported on the (1, N) mask of
-    a batch of one."""
-    w = np.zeros((1, n_tokens, mask.shape[-1]))
-    raw = rng.uniform(0.1, 1.0, size=(n_tokens, int(mask.sum())))
-    w[0][:, mask[0]] = raw / raw.sum(axis=1, keepdims=True)
-    return w
 
 
 FIRST_AND_THIRD = np.array([[True, False, True, False]])

@@ -678,6 +678,29 @@ def test_checkpoint_restores_the_exact_parameters(tmp_path):
         np.testing.assert_array_equal(arr, result.shadow.arrays[key[len("ema."):]])
 
 
+def test_a_step_on_one_task_moves_the_head_rows_of_another_tasks_classes():
+    """Disjoint class ranges do not keep a task off the others' head rows:
+    the softmax over every class gives each non-target row c the gradient
+    p_c x, so one step on task 0's samples moves task 1's rows."""
+    cfg = tiny_config()
+    model = cfg.model()
+    specs = make_task_specs(
+        0, n_tasks=2, d_e=8, classes_per_task=2, sigma=0.25,
+        visual_tokens=2, noise_tokens=2, test_size=8, vocab_size=32,
+    )
+    batch = TaskSampler(specs[0], 0).test_set()[: cfg.batch_size]
+    own = range(specs[0].class_offset, specs[0].class_offset + specs[0].n_classes)
+    assert all(sample.label in own for sample in batch)
+    other = slice(specs[1].class_offset, specs[1].class_offset + specs[1].n_classes)
+    before = model.head_weight.data[other].copy()
+    shadow = EmaShadow.from_states(model.routing_states())
+    run = RunResult(cfg, model, Adam(model.params, lr=cfg.learning_rate), shadow)
+    train_chunk(run, SimpleNamespace(index=1, samples=batch))
+    assert run.optimizer.step_count == 1
+    assert np.all(model.head_weight.grad[other] != 0.0)
+    assert np.all(model.head_weight.data[other] != before)
+
+
 def train_a_diverging_chunk(out_dir):
     cfg = tiny_config(method="p,s")
     model = cfg.model()
