@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autograd import Value, concat, matmul, mul, transpose
+from .autograd import Value, _last_sum, concat, matmul, mul, transpose
 from .routing import check_mask, per_token
 
 WEIGHT_SUM_TOL = 1e-6
@@ -100,7 +100,7 @@ def _check_weights(weights: Value, mask: np.ndarray, n_experts: int) -> None:
         raise ValueError(f"weights last axis {w.shape[-1]} != n_experts {n_experts}")
     if np.any((w != 0.0) & ~mask[..., None, :]):
         raise ValueError("routing weights nonzero outside the selected subset")
-    if (np.abs(w.sum(axis=-1) - 1.0) > WEIGHT_SUM_TOL).any():
+    if (np.abs(_last_sum(w) - 1.0) > WEIGHT_SUM_TOL).any():
         raise ValueError("unnormalized routing weights")
 
 

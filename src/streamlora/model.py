@@ -183,13 +183,15 @@ class SiteRecord:
     run, (B, 1, N) rows where weights do not vary by token. The
     regularizer sets `reg` to the term it computed and, unless the record
     was pinned to a baseline record and copied its reference, `reference`
-    to the EMA reference it compared against.
+    to the EMA reference it compared against. The site input itself stays
+    in the unpinned forward's `ForwardResult.entries`; the record keeps
+    only its token count.
     """
 
     site: str
     mask: np.ndarray                  # (B, N) each sample's subset
     weights: Value                    # as applied, before the gate
-    hidden_data: np.ndarray           # (B, L, d_in) site input
+    tokens: int                       # L, the site input's token count
     sample_probs: np.ndarray | None   # stage-one distributions (B, N) when present
     reference: np.ndarray | None = None   # (B, L, N) EMA reference weights when regularized
     reg: Value | None = None              # the stability term against `reference`
@@ -197,8 +199,9 @@ class SiteRecord:
     @property
     def weights_data(self) -> np.ndarray:
         """The applied weights as a read-only (B, L, N) view, (n, B, L, N)
-        past a copy leaf: per-sample weights repeat on every token."""
-        shape = self.hidden_data.shape[:-1] + self.mask.shape[-1:]
+        when they carry a copy axis: per-sample weights repeat on every
+        token."""
+        shape = self.mask.shape[:-1] + (self.tokens,) + self.mask.shape[-1:]
         return np.broadcast_to(self.weights.data, np.broadcast_shapes(shape, self.weights.data.shape))
 
     @property
@@ -376,7 +379,7 @@ def _site_forward(
         site=site_key,
         mask=mask,
         weights=weights,
-        hidden_data=hidden.data,
+        tokens=hidden.data.shape[-2],
         sample_probs=None if probs is None else probs.data,
         reference=None if pinned is None else pinned.reference,
     )

@@ -329,14 +329,16 @@ def _mean_value(parts: list[Value]) -> Value:
 
 def _batch_reg(shadow: EmaShadow | None, result: ForwardResult) -> Value:
     """Mean stability term over the sites. Each record keeps its term and
-    the reference it was compared against: the EMA shadow's, unless it
-    already holds one (a record pinned to the gradient audit's baseline).
-    The records a resumed forward carried over keep their terms."""
+    the reference it was compared against: the EMA shadow's, computed from
+    the site input the forward kept in `result.entries`, unless it already
+    holds one (a record pinned to the gradient audit's baseline). The
+    records a resumed forward carried over keep their terms."""
     for rec in result.sites:
         if rec.reg is not None:
             continue
         if rec.reference is None:
-            rec.reference = reference_weights(shadow, rec.site, rec.hidden_data, result.x_text.data, rec.mask)
+            hidden = result.entries[rec.site][1].data
+            rec.reference = reference_weights(shadow, rec.site, hidden, result.x_text.data, rec.mask)
         rec.reg = reg_loss(rec.reference, rec.weights, rec.mask)
     return _mean_value([rec.reg for rec in result.sites])
 
@@ -559,10 +561,12 @@ def audit_config() -> RunConfig:
 # AUDIT_ROWS // n_samples copies per block (at least 2, one +/- pair). The
 # probe values do not depend on the block size; larger blocks run fewer
 # forwards, each with its fixed Python and numpy overhead. At the default 3
-# samples on a 2-vCPU host, 64 copies ran `gradcheck` 14% faster than 32
-# (median of 10 interleaved runs) and peaked 1.9 MB (4%) higher; 128 ran
-# about 5% faster again but peaked 12% above 32.
-AUDIT_ROWS = 192
+# samples a block holds 128 copies, so each 64-scalar leaf is probed in one
+# forward and each 128-scalar leaf in two: 67 forwards in all, against 128
+# with 64 copies. On a 2-vCPU host, 128 copies ran `gradcheck` about 10%
+# faster than 64 (median of 8 alternating pairs of fresh processes, faster
+# in 6) and peaked 2.6 MB (6%) higher, 43.2 against 40.6 MB `ru_maxrss`.
+AUDIT_ROWS = 384
 
 
 def _audit_problem(

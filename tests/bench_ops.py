@@ -8,8 +8,11 @@ default `RunConfig`: a batch of B = 32 samples of L = 4 visual + 3
 template + 3 noise = 10 tokens, d_hidden = 32, N = 4 experts with top-2
 selection, rank 16 and routing_dim 64. `test_backward_sweep` times the
 reverse sweep alone over one default training graph, which
-`test_training_step` times together with the forward, Adam and EMA. The
-audit benchmarks use the gradient audit's model (`audit_config`, 3
+`test_training_step` times together with the forward, Adam and EMA.
+`test_masked_softmax` times the softmax's forward and backward at the
+training shape, and `test_masked_softmax_audit_block` its no-grad
+forward at a probe block's shape, where the copy axis makes many short
+rows. The audit benchmarks use the gradient audit's model (`audit_config`, 3
 samples) and hand its probe what `finite_diff_grad` hands it, the probed
 leaf's index and an (n, *shape) stack of nudged copies: a block of one
 copy with a single coordinate nudged, and a block of AUDIT_BLOCK copies
@@ -28,7 +31,16 @@ head). The file sets the command line's allocator policy at import
 import numpy as np
 import pytest
 
-from streamlora.autograd import Value, backward, masked_softmax, matmul, named_rng, transpose, vsum
+from streamlora.autograd import (
+    Value,
+    backward,
+    masked_softmax,
+    masked_softmax_np,
+    matmul,
+    named_rng,
+    transpose,
+    vsum,
+)
 from streamlora.cli import _hold_freed_memory
 from streamlora.experts import adapted_forward, init_expert_bank
 from streamlora.routing import init_routing_state, route_with_straight_through
@@ -83,6 +95,7 @@ def test_batched_per_sample_product(benchmark, rng):
 
 
 def test_masked_softmax(benchmark, rng):
+    # forward and backward at the training shape (B, L, N): stage two
     logits = Value(rng.normal(size=(B, L, N)), requires_grad=True)
     mask = np.zeros((B, 1, N), dtype=bool)
     mask[:, :, :K] = True
@@ -93,6 +106,19 @@ def test_masked_softmax(benchmark, rng):
         backward(vsum(masked_softmax(logits, mask) * coeff))
 
     benchmark(step)
+
+
+@pytest.mark.parametrize("shape", [(AUDIT_BLOCK, 3, L, N), (AUDIT_BLOCK, 3, CONFIG.n_heads, L, L)],
+                         ids=["stage-two", "attention"])
+def test_masked_softmax_audit_block(benchmark, rng, shape):
+    # no-grad, as a probe block runs it: a stage-two softmax over the
+    # selected experts, or an attention softmax over the keys, for
+    # AUDIT_BLOCK copies of the audit's 3 samples
+    logits = rng.normal(size=shape)
+    mask = np.zeros(shape[:-2] + (1, N), dtype=bool) if shape[-1] == N else None
+    if mask is not None:
+        mask[..., :K] = True
+    benchmark(masked_softmax_np, logits, mask)
 
 
 def test_adapted_forward(benchmark, rng):

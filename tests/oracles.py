@@ -65,3 +65,31 @@ def gram_cka(x, y):
     kc = h @ (x @ x.T) @ h
     lc = h @ (y @ y.T) @ h
     return float((kc * lc).sum() / (np.linalg.norm(kc) * np.linalg.norm(lc)))
+
+
+def masked_softmax_reference(logits, mask):
+    """`masked_softmax_np` written with numpy's own last-axis reductions."""
+    x = np.asarray(logits, dtype=np.float64)
+    if mask is not None:
+        x = np.where(mask, x, -np.inf)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def masked_softmax_grad_reference(probs, g):
+    """The softmax backward: the gradient `g` of softmax output `probs`
+    taken back to the logits."""
+    return probs * (g - (g * probs).sum(axis=-1, keepdims=True))
+
+
+def cross_entropy_reference(x, target, g):
+    """Per-row cross-entropy of logits `x` against `target` as
+    logsumexp - picked logit, and the gradient `g` of those losses taken
+    back to the logits, softmax minus onehot."""
+    t = np.asarray(target, dtype=np.intp)
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    total = e.sum(axis=-1, keepdims=True)
+    picked = np.take_along_axis(x, np.broadcast_to(t[..., None], x.shape[:-1] + (1,)), axis=-1)
+    onehot = np.arange(x.shape[-1]) == t[..., None]
+    return (m + np.log(total) - picked)[..., 0], g[..., None] * (e / total - onehot)

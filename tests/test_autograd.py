@@ -7,10 +7,13 @@ import struct
 import numpy as np
 import pytest
 
+from oracles import cross_entropy_reference, masked_softmax_grad_reference, masked_softmax_reference
 from streamlora.autograd import (
     _CKPT_MAGIC,
     ParamStore,
     Value,
+    _last_max,
+    _last_sum,
     add,
     atomic_open,
     backward,
@@ -35,6 +38,7 @@ from streamlora.autograd import (
     transpose,
     vsum,
 )
+from streamlora.trainer import AUDIT_ROWS
 
 
 def check_gradients(build, tensors, rtol=1e-4, atol=1e-9):
@@ -226,6 +230,109 @@ def test_masked_softmax_matches_full_softmax_when_mask_is_all_true():
         masked_softmax_np(x, None),
         rtol=0, atol=1e-15,
     )
+
+
+# ---------------------------------------------------------------------------
+# last-axis reductions, bit for bit numpy's
+# ---------------------------------------------------------------------------
+
+AUDIT_BLOCK = AUDIT_ROWS // 3           # the copies per probe block at the audit's 3 samples
+WORKLOAD_SHAPES = [(4,), (3, 4), (32, 10, 4), (32, 20), (50, 2, 10, 10), (128, 3, 10, 4),
+                   (128, 3, 2, 10, 10)]
+
+
+def rows_of(kind, shape, rng):
+    """Random rows of `shape`, wide in magnitude; beyond "finite", about a
+    third of the entries are masked (-inf), signed zeros or NaN, and the
+    first row holds nothing else."""
+    x = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+    special = rng.uniform(size=shape) < 1 / 3
+    special.reshape(-1, shape[-1])[0] = True
+    if kind == "masked":
+        x[special] = -np.inf
+    elif kind == "signed-zeros":
+        x[special] = np.where(rng.uniform(size=shape) < 0.5, 0.0, -0.0)[special]
+        x.reshape(-1, shape[-1])[-1] = -0.0     # a row of -0.0 alone
+    elif kind == "nan":
+        x[special] = np.nan
+    return x
+
+
+def layouts(x):
+    """`x` itself, a transposed view of the same values, and broadcast
+    views: along a new leading axis and along the last axis."""
+    return {"contiguous": x, "transposed": np.ascontiguousarray(x.T).T,
+            "broadcast-leading": np.broadcast_to(x, (2,) + x.shape),
+            "broadcast-last": np.broadcast_to(x[..., :1], x.shape)}
+
+
+@pytest.mark.parametrize("kind", ["finite", "masked", "signed-zeros", "nan"])
+@pytest.mark.parametrize("shape", [(6, 5, n) for n in range(1, 10)] + WORKLOAD_SHAPES,
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_last_axis_helpers_give_numpys_bits(shape, kind):
+    rng = named_rng(len(shape) * 100 + shape[-1], "last-axis", kind)
+    for name, x in layouts(rows_of(kind, shape, rng)).items():
+        with np.errstate(over="raise", invalid="raise", divide="raise"):    # training's
+            got_max, got_sum = _last_max(x), _last_sum(x)
+        want_max, want_sum = x.max(axis=-1, keepdims=True), x.sum(axis=-1, keepdims=True)
+        assert got_sum.shape == want_sum.shape and got_sum.tobytes() == want_sum.tobytes(), name
+        # A tie of +0.0 and -0.0 at the max is the one place the bits may
+        # differ: numpy breaks it by its vector lanes, so its sign depends on
+        # the length and the layout (9 and 10 entries differ here), and the
+        # fold keeps the last column's. Adding +0.0 maps -0.0 to +0.0 and
+        # keeps every other bit; the softmax tests below show that the sign
+        # of a zero max reaches no output.
+        assert got_max.shape == want_max.shape, name
+        assert (got_max + 0.0).tobytes() == (want_max + 0.0).tobytes(), name
+
+
+MASK = np.array([[True, False, True, False], [False, True, True, False], [True, True, False, False]])
+
+
+def logits_of(shape, rng, ties):
+    """Random logits; with `ties`, all of them are at most zero and about
+    a third are +0.0 or -0.0, so most rows reach their max at a tie of
+    signed zeros."""
+    x = rng.normal(scale=3.0, size=shape)
+    if ties:
+        x = -np.abs(x)
+        zero = rng.uniform(size=shape) < 1 / 3
+        x[zero] = np.where(rng.uniform(size=shape) < 0.5, 0.0, -0.0)[zero]
+    return x
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["finite", "signed-zero-ties"])
+@pytest.mark.parametrize("shape,mask", [
+    ((AUDIT_BLOCK, 3, 10, 4), MASK[:, None, :]),     # stage two on the copy axis
+    ((AUDIT_BLOCK, 3, 4), None),                     # stage one at a copied selector
+    ((AUDIT_BLOCK, 3, 2, 10, 10), None),             # attention
+    ((32, 10, 4), np.tile(MASK, (11, 1))[:32, None, :]),   # training's stage two
+    ((32, 2, 10, 10), None),                         # training's attention
+], ids=["stage-two", "stage-one", "attention", "training", "training-attention"])
+def test_masked_softmax_gives_the_bits_of_numpys_reductions(shape, mask, ties):
+    rng = named_rng(len(shape), "softmax-bits", str(ties))
+    logits = Value(logits_of(shape, rng, ties), requires_grad=True)
+    out = masked_softmax(logits, mask)
+    want = masked_softmax_reference(logits.data, mask)
+    assert out.data.tobytes() == want.tobytes()
+    assert masked_softmax_np(logits.data, mask).tobytes() == want.tobytes()
+    g = rng.normal(size=shape)
+    (grad,) = out._backward(g)
+    assert grad.tobytes() == masked_softmax_grad_reference(want, g).tobytes()
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["finite", "signed-zero-ties"])
+@pytest.mark.parametrize("shape", [(AUDIT_BLOCK, 3, 20), (AUDIT_BLOCK, 3, 4), (3, 4), (32, 20)])
+def test_cross_entropy_gives_the_bits_of_numpys_reductions(shape, ties):
+    rng = named_rng(shape[-1], "cross-entropy-bits", str(ties))
+    logits = Value(logits_of(shape, rng, ties), requires_grad=True)
+    target = rng.integers(shape[-1], size=shape[-2])
+    out = cross_entropy(logits, target)
+    g = rng.normal(size=out.data.shape)
+    (grad,) = out._backward(g)
+    want, want_grad = cross_entropy_reference(logits.data, target, g)
+    assert out.data.tobytes() == want.tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
 
 
 # ---------------------------------------------------------------------------

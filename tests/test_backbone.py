@@ -228,7 +228,7 @@ def test_site_records_track_sequence_length_and_distributions():
         "layer.1.attn_out", "layer.1.ffn_up",
     ]
     for rec in result.sites:
-        assert rec.hidden_data.shape[:2] == (1, 5 + 4)
+        assert result.entries[rec.site][1].data.shape[:2] == (1, 5 + 4)
         (subset,) = rec.subset
         assert len(subset) == model.top_k
         np.testing.assert_allclose(rec.weights_data.sum(axis=-1), 1.0, atol=1e-12)
@@ -469,7 +469,7 @@ def test_a_copy_leaf_leaves_the_sites_upstream_of_it_without_the_copy_axis(leaf)
     records = {rec.site: rec for rec in result.sites}
     for site in ("layer.0.attn_out", "layer.0.ffn_up", "layer.1.attn_out"):
         rec = records[site]
-        assert rec.hidden_data.shape == (3, L, CFG.d_hidden)
+        assert result.entries[site][1].data.shape == (3, L, CFG.d_hidden)
         assert rec.weights_data.shape == (3, L, 4) and rec.sample_probs.shape == (3, 4)
-    assert records["layer.1.ffn_up"].hidden_data.shape == (3, L, CFG.d_hidden)
+    assert result.entries["layer.1.ffn_up"][1].data.shape == (3, L, CFG.d_hidden)
     assert result.logits.data.shape == (4, 3, CFG.n_classes)

@@ -1051,7 +1051,8 @@ def test_each_site_record_holds_the_weights_its_adapters_applied(monkeypatch, sp
     for rec, weights in zip(result.sites, applied):
         assert rec.weights is weights
         if model.variant.use_reg:
-            want = reference_weights(shadow, rec.site, rec.hidden_data, result.x_text.data, rec.mask)
+            hidden = result.entries[rec.site][1].data
+            want = reference_weights(shadow, rec.site, hidden, result.x_text.data, rec.mask)
             assert rec.reference.tobytes() == want.tobytes()
         else:
             assert rec.reference is None
@@ -1061,7 +1062,7 @@ def test_each_site_record_holds_the_weights_its_adapters_applied(monkeypatch, sp
 def test_per_sample_weights_repeat_on_every_token_as_a_read_only_view(spec):
     cfg, model, _, samples = routed_setup(spec)
     result = forward(model, samples)
-    tokens = result.sites[0].hidden_data.shape[1]
+    tokens = result.entries[result.sites[0].site][1].data.shape[1]
     for rec in result.sites:
         view = rec.weights_data
         assert view.shape == (len(samples), tokens, cfg.n_experts)
@@ -1095,7 +1096,7 @@ def test_audit_pins_are_the_baseline_forwards_routing_and_reference():
         result = forward(model, samples)
     assert [pin.site for pin in baseline.sites] == [rec.site for rec in result.sites]
     for pin, rec in zip(baseline.sites, result.sites):
-        ref = reference_weights(shadow, rec.site, rec.hidden_data, result.x_text.data, rec.mask)
+        ref = reference_weights(shadow, rec.site, result.entries[rec.site][1].data, result.x_text.data, rec.mask)
         assert np.array_equal(pin.mask, rec.mask)
         assert pin.sample_probs.tobytes() == rec.sample_probs.tobytes()
         assert pin.reference.tobytes() == ref.tobytes()
@@ -1148,8 +1149,8 @@ def test_the_audit_runs_one_whole_forward_the_training_call(monkeypatch, two_lay
     monkeypatch.setattr(trainer_module, "forward", spy)
     ok, rows = gradient_audit()
     assert ok
-    assert sum(blocks.values()) == 127 and sum(blocks[path] for path in unreached) == 14
-    assert len(starts) == 1 + 127 == 128
+    assert sum(blocks.values()) == 66 and sum(blocks[path] for path in unreached) == 7
+    assert len(starts) == 1 + 66 == 67
     assert starts == [None] + [leaf_block(path) for path, n in blocks.items() for _ in range(n)]
     zeros = [row for row in rows if row.path in unreached]
     assert {row.path for row in zeros} == unreached
